@@ -6,8 +6,8 @@ the published per-step itemization line by line, and a timing sweep shows
 the per-mode update growing linearly in the mode size while the dense path
 grows cubically.
 """
-from tensorgeo.audit import (audit_geodesic, time_dense_mode,
-                             time_lowrank_mode)
+from tensorgeo.audit import (audit_geodesic, time_dense_modes,
+                             time_lowrank_modes)
 
 print("== line-by-line audit of one instrumented CP geodesic ==")
 res = audit_geodesic("cp", (100, 100, 100), (5,), (3, 3, 3), seed=0)
@@ -24,21 +24,17 @@ print()
 
 print("== wall-time scaling, rank 5 ==")
 print("low-rank per-mode update:")
-rows = []
-for n in (500, 1000, 2000, 4000):
-    rec = time_lowrank_mode(n, 5, trials=7, seed=0)
-    rows.append(rec)
-    print(f"  n = {n:5d}: {rec.time_median_s * 1e3:8.3f} ms   "
+rows = time_lowrank_modes((500, 1000, 2000, 4000), 5, trials=7, seed=0)
+for rec in rows:
+    print(f"  n = {rec.n:5d}: {rec.time_median_s * 1e3:8.3f} ms   "
           f"(model: {float(rec.flops_model):.2e} operations)")
 print(f"  time ratio n=4000 / n=1000: "
       f"{rows[3].time_median_s / rows[1].time_median_s:.2f} "
       f"(linear growth would be 4)")
 print("dense per-mode geodesic:")
-drows = []
-for n in (100, 200, 400):
-    rec = time_dense_mode(n, 5, trials=7, seed=0)
-    drows.append(rec)
-    print(f"  n = {n:5d}: {rec.time_median_s * 1e3:8.3f} ms")
+drows = time_dense_modes((100, 200, 400), 5, trials=7, seed=0)
+for rec in drows:
+    print(f"  n = {rec.n:5d}: {rec.time_median_s * 1e3:8.3f} ms")
 print(f"  time ratio n=200 / n=100: "
       f"{drows[1].time_median_s / drows[0].time_median_s:.2f} "
       f"(cubic growth would be 8)")

@@ -183,52 +183,67 @@ def _single_mode_instance(n, k, rng):
     return blocks, tb
 
 
-def time_lowrank_mode(n, r, trials=5, seed=0):
-    """Median wall time of one per-mode low-rank update; returns (record, z)."""
-    rng = np.random.default_rng(seed)
-    blocks, tb = _single_mode_instance(n, r, rng)
-    lowrank_geodesic_step(blocks, tb, 1.0)  # warm-up
-    times = []
-    z_seen = 0
+def _median_times(calls, trials):
+    """Median wall time of each zero-argument call, after one warm-up each.
+
+    Every round times each call once, so a drift in the host's speed lands
+    on all of them alike instead of on whichever call ran last.
+    """
+    for call in calls:
+        call()
+    times = [[] for _ in calls]
     for _ in range(max(5, trials)):
-        t0 = time.perf_counter()
-        _, z_seen = lowrank_geodesic_step(blocks, tb, 1.0)
-        times.append(time.perf_counter() - t0)
+        for call, ts in zip(calls, times):
+            t0 = time.perf_counter()
+            call()
+            ts.append(time.perf_counter() - t0)
+    return [float(np.median(ts)) for ts in times]
+
+
+def time_lowrank_modes(ns, r, trials=5, seed=0):
+    """Median wall time of one per-mode low-rank update at each size in ns.
+
+    The trials of the sizes are interleaved; one record per size.
+    """
     from .flops import mode_step_total
-    rec = BenchRecord("mode", n, r, z_seen,
-                      mode_step_total(n, r, max(1, z_seen)),
-                      float(np.median(times)), seed)
-    return rec
+    cases = [_single_mode_instance(n, r, np.random.default_rng(seed))
+             for n in ns]
+    zs = [lowrank_geodesic_step(blocks, tb, 1.0)[1] for blocks, tb in cases]
+    medians = _median_times(
+        [lambda c=c: lowrank_geodesic_step(*c, 1.0) for c in cases], trials)
+    return [BenchRecord("mode", n, r, z, mode_step_total(n, r, max(1, z)),
+                        med, seed) for n, z, med in zip(ns, zs, medians)]
 
 
-def time_dense_mode(n, r, trials=5, seed=0):
-    """Median wall time of the dense per-mode geodesic (oracle path)."""
+def time_dense_modes(ns, r, trials=5, seed=0):
+    """Median wall time of the dense per-mode geodesic at each size in ns.
+
+    The oracle path; the trials of the sizes are interleaved.
+    """
     from .oracles import dense_geodesic
-    rng = np.random.default_rng(seed)
-    g = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-    x = rng.standard_normal((n, n)) / np.sqrt(n)
-    dense_geodesic([g], [x], 1.0)  # warm-up
-    times = []
-    for _ in range(max(5, trials)):
-        t0 = time.perf_counter()
-        dense_geodesic([g], [x], 1.0)
-        times.append(time.perf_counter() - t0)
-    return BenchRecord("dense", n, r, 0, Fraction(0),
-                       float(np.median(times)), seed)
+    cases = []
+    for n in ns:
+        rng = np.random.default_rng(seed)
+        g = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        cases.append(([g], [rng.standard_normal((n, n)) / np.sqrt(n)]))
+    medians = _median_times(
+        [lambda c=c: dense_geodesic(*c, 1.0) for c in cases], trials)
+    return [BenchRecord("dense", n, r, 0, Fraction(0), med, seed)
+            for n, med in zip(ns, medians)]
 
 
 def bench_sweep(manifold, r, ns, trials=5, seed=0, oracle_cap=400):
-    """Low-rank sweep over mode sizes plus dense rows where affordable."""
+    """Low-rank sweep over mode sizes plus dense rows where affordable.
+
+    Every row times the same synthetic single mode; ``manifold`` only labels
+    the rows.
+    """
     if list(ns) != sorted(ns):
         raise ValueError("sweep sizes must be ascending")
-    rows = []
-    for n in ns:
-        rec = time_lowrank_mode(n, r, trials, seed)
-        rows.append(BenchRecord(manifold, n, r, rec.z, rec.flops_model,
-                                rec.time_median_s, seed))
-    for n in ns:
-        if n <= oracle_cap:
-            rec = time_dense_mode(n, r, trials, seed)
-            rows.append(BenchRecord(manifold + "_dense", n, r, 0,
-                                    Fraction(0), rec.time_median_s, seed))
-    return rows
+    rows = [BenchRecord(manifold, rec.n, r, rec.z, rec.flops_model,
+                        rec.time_median_s, seed)
+            for rec in time_lowrank_modes(ns, r, trials, seed)]
+    dense = time_dense_modes([n for n in ns if n <= oracle_cap], r, trials,
+                             seed)
+    return rows + [BenchRecord(manifold + "_dense", rec.n, r, 0, Fraction(0),
+                               rec.time_median_s, seed) for rec in dense]

@@ -3,7 +3,8 @@
 Subcommands
     verify    run a named invariant suite, exit 1 on any failure
     flops     audit one instrumented geodesic against the published counts
-    bench     time the per-mode update across a sweep of mode sizes (CSV)
+    bench     time the per-mode update of one synthetic mode across a sweep
+              of mode sizes (CSV)
     geodesic  evaluate a geodesic on serialized point/tangent files
 
 Exit codes: 0 pass, 1 invariant failure, 2 usage or parse error.  All
@@ -328,8 +329,11 @@ def build_parser():
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("bench", help="timing sweep of the per-mode update")
-    p.add_argument("--manifold", choices=["cp", "tucker", "tt"], default="cp")
+    p = sub.add_parser("bench", help="timing sweep of the per-mode update "
+                                     "of one synthetic mode")
+    p.add_argument("--manifold", choices=["cp", "tucker", "tt"], default="cp",
+                   help="label of the output rows only; every manifold times "
+                        "the same synthetic mode")
     p.add_argument("--rank", type=int, default=5)
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--trials", type=int, default=5)

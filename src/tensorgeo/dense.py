@@ -10,6 +10,8 @@ Permutations are int arrays ``p`` acting on rows as ``(P m)[i] = m[p[i]]``,
 so ``m[p]`` applies the permutation and ``p`` is its own description.
 """
 
+import math
+
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
@@ -93,13 +95,6 @@ def mode_apply(g, t):
 # ---------------------------------------------------------------------------
 # permutations
 
-def perm_identity(n):
-    return np.arange(n)
-
-def perm_apply(p, m):
-    """Apply the row permutation: returns ``m[p]``."""
-    return np.asarray(m)[np.asarray(p)]
-
 def perm_inverse(p):
     p = np.asarray(p)
     inv = np.empty_like(p)
@@ -123,46 +118,49 @@ def is_permutation(p):
 def select_submatrix(m, tol=DEFAULT_RANK_TOL):
     """Row permutation making the leading r x r block of ``m[p]`` invertible.
 
-    Greedy rook-pivoted Gaussian elimination: each step alternates row and
-    column searches until the pivot is maximal in both its row and column,
-    then eliminates.  Deterministic (ties resolve to the lowest index), cost
-    O(n r^2).  Raises if the numerical column rank of ``m`` is below r;
-    ``tol = 0`` accepts any strictly nonzero pivot.
+    Greedy rook-pivoted Gaussian elimination: each step takes the largest
+    remaining entry in absolute value, which is maximal in both its row and
+    its column, then eliminates.  Ties resolve to the lowest row, then the
+    lowest column, in the original order (a NaN counts as the largest
+    entry).  The selected rows come first, in pivot order, then the other
+    rows in ascending order.  Cost O(n r^2) in r whole-array passes.  Raises
+    if the numerical column rank of ``m`` is below r; ``tol = 0`` accepts any
+    strictly nonzero pivot.
     """
     m = np.asarray(m, dtype=float)
     n, r = m.shape
     if r > n:
         raise ValueError("more columns than rows")
-    c = m.copy()
-    scale = np.abs(c).max()
+    scale = float(np.abs(m).max())
     if scale == 0.0:
         raise ValueError("rank-deficient input: zero matrix")
-    row_free = np.ones(n, dtype=bool)
-    col_free = np.ones(r, dtype=bool)
-    selected = []
-    for _ in range(r):
-        work = np.where(row_free)[0]
-        cols = np.where(col_free)[0]
-        sub = np.abs(c[np.ix_(work, cols)])
-        # rook search from the globally largest free entry
-        fi, fj = np.unravel_index(np.argmax(sub), sub.shape)
-        i, j = work[fi], cols[fj]
-        while True:
-            j_new = cols[np.argmax(np.abs(c[i, cols]))]
-            i_new = work[np.argmax(np.abs(c[work, j_new]))]
-            if i_new == i and j_new == j:
-                break
-            i, j = i_new, j_new
-        if abs(c[i, j]) <= tol * scale or c[i, j] == 0.0:
+    # c[q, i] is row i's entry in the q-th free column, the free columns in
+    # their original order.  Eliminated rows are not dropped: after a finite
+    # pivot the update leaves them exactly zero (all of c is finite then, as
+    # the pivot is its largest entry), so they win no search a free row
+    # could win, and an all-zero search fails either way.
+    c = m.T.copy()
+    spare = np.empty_like(c)
+    selected = np.empty(r, dtype=np.intp)
+    for step in range(r):
+        a = np.abs(c, out=spare[:r - step])
+        i = a.max(axis=0).argmax()
+        j = a[:, i].argmax()
+        piv = c.item(j, i)
+        if abs(piv) <= tol * scale or piv == 0.0:
             raise ValueError("rank-deficient input: no acceptable pivot")
-        selected.append(i)
-        row_free[i] = False
-        col_free[j] = False
-        rest = row_free.nonzero()[0]
-        if len(rest):
-            c[rest] -= np.outer(c[rest, j] / c[i, j], c[i])
-    remaining = [i for i in range(n) if row_free[i]]
-    return np.array(selected + remaining)
+        selected[step] = i
+        prow = np.concatenate((c[:j, i], c[j + 1:, i]))
+        nxt = np.multiply.outer(prow, c[j] / piv, out=spare[:r - step - 1])
+        np.subtract(c[:j], nxt[:j], out=nxt[:j])
+        np.subtract(c[j + 1:], nxt[j:], out=nxt[j:])
+        if not math.isfinite(piv):
+            # 0 * inf is NaN: restore the zeros of the eliminated rows
+            nxt[:, selected[:step + 1]] = 0.0
+        c, spare = nxt, c
+    free = np.ones(n, dtype=bool)
+    free[selected] = False
+    return np.concatenate((selected, np.flatnonzero(free)))
 
 
 def basis_completion(f, tol=DEFAULT_RANK_TOL):

@@ -242,15 +242,18 @@ def gamma12(blocks, ledger=None):
 
     Evaluates g11^-1 (1 - W (1 + W)^-1) g11^-T g21^T with the k x k matrix
     W = g11^-T g21^T g21 g11^-1, so no (n-k) x (n-k) inverse is formed.
+    g11 is factorized once; its inverse reaches the n-row block by a matmul.
     The recorded cost is 20nk^2/3 + 22k^3/3.
     """
     n, k = blocks.n, blocks.k
     g11, g21 = blocks.g11, blocks.g21
-    r = np.linalg.solve(g11.T, g21.T).T          # g21 g11^-1
+    eye = np.eye(k)
+    g11_inv = np.linalg.solve(g11, eye)
+    r = g21 @ g11_inv                            # g21 g11^-1
     w = r.T @ r
-    s = np.linalg.solve(np.eye(k) + w, np.eye(k))
+    s = np.linalg.solve(eye + w, eye)
     ws = w @ s
-    left = np.linalg.solve(g11, np.eye(k) - ws)
+    left = g11_inv @ (eye - ws)
     out = left @ r.T
     if ledger is not None:
         ledger.div(n, k, k)
@@ -264,21 +267,47 @@ def gamma12(blocks, ledger=None):
 
 # ---------------------------------------------------------------------------
 # the low-rank geodesic update of one mode
+#
+# An n-row matrix of the permuted frame is held as the pair (leading k rows,
+# trailing n-k rows), the split of the representative itself, so that no
+# n-row block is ever copied into a stacked array.
 
-def _tangent_factors(blocks, gam, tangent, ledger=None):
-    """Rank-k factors A, B with X g^-1 = A B in the permuted frame.
+def _tdot(x, y):
+    """x^T y for two split n-row matrices."""
+    return x[0].T @ y[0] + x[1].T @ y[1]
 
-    A = [x11; x21] is free; B = [(1 - gamma12 g21) g11^-1, gamma12] costs
-    2nk^2 + 8k^3/3.
+
+def _tangent_factors(blocks, gam, tangent, t=1.0, ledger=None):
+    """Rank-k factors A, B with t X g^-1 = A B in the permuted frame.
+
+    A = t [x11; x21] is free; B = [(1 - gamma12 g21) g11^-1, gamma12] costs
+    2nk^2 + 8k^3/3.  Returns A and B^T, both split.
     """
     n, k = blocks.n, blocks.k
-    a = tangent.stacked()
     u = gam @ blocks.g21
     first = np.linalg.solve(blocks.g11.T, (np.eye(k) - u).T).T
     if ledger is not None:
         ledger.mult(k, n, k)
         ledger.div(k, k, k)
-    return a, np.hstack([first, gam])
+    return (t * tangent.x11, t * tangent.x21), (first.T, gam.T)
+
+
+def _bpap(a, bt, ba):
+    """B'A' = [B; A^T] [A, -B^T] = [BA, -BB^T; A^TA, -(BA)^T]."""
+    k = ba.shape[0]
+    out = np.empty((2 * k, 2 * k))
+    out[:k, :k] = ba
+    out[:k, k:] = _tdot(bt, bt)
+    out[k:, :k] = _tdot(a, a)
+    out[k:, k:] = ba.T
+    out[:, k:] *= -1.0
+    return out
+
+
+def _ap_mul(a, bt, x):
+    """A' x = A x_1 - B^T x_2 for a 2k-row x, split."""
+    k = x.shape[0] // 2
+    return tuple(ai @ x[:k] - bi @ x[k:] for ai, bi in zip(a, bt))
 
 
 def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
@@ -303,71 +332,66 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     with _scope(led, label + "gamma12"):
         gam = gamma12(blocks, led)
     with _scope(led, label + "build_B"):
-        a, b = _tangent_factors(blocks, gam, tangent, led)
-    a = t * a
+        a, bt = _tangent_factors(blocks, gam, tangent, t, led)
 
     with _scope(led, label + "BA"):
-        ba = b @ a
+        ba = _tdot(bt, a)
         if led is not None:
             led.mult(k, n, k)
-    ap = np.hstack([a, -b.T])
-    bp = np.vstack([b, a.T])
     with _scope(led, label + "BpAp"):
-        bpap = bp @ ap
+        bpap = _bpap(a, bt, ba)
         if led is not None:
             led.mult(2 * k, n, 2 * k)
 
-    z = max(make_scaling_plan(np.linalg.norm(ba)).z,
-            make_scaling_plan(np.linalg.norm(bpap)).z)
-    plan = ScalingPlan(z, max(np.linalg.norm(ba), np.linalg.norm(bpap)))
+    norms = np.linalg.norm(ba), np.linalg.norm(bpap)
+    plan = ScalingPlan(max(make_scaling_plan(v).z for v in norms), max(norms))
     with _scope(led, label + "psi1_BA"):
         p = psi1(ba, led, plan)
     with _scope(led, label + "psi1_BpAp"):
         pp = psi1(bpap, led, plan)
 
-    g1 = blocks.stacked()
+    g1 = (blocks.g11, blocks.g21)
     with _scope(led, label + "term2"):
-        y = p.T @ (a.T @ g1)
-        term2 = b.T @ y
+        atg = _tdot(a, g1)
+        y = p.T @ atg
+        term2 = (bt[0] @ y, bt[1] @ y)
         if led is not None:
             led.mult(k, n, k)
             led.mult(k, k, k)
             led.mult(n, k, k)
     with _scope(led, label + "term3"):
-        term3 = ap @ (pp @ (bp @ g1))
+        term3 = _ap_mul(a, bt, pp @ np.concatenate((_tdot(bt, g1), atg)))
         if led is not None:
             led.mult(2 * k, n, k)
             led.mult(2 * k, 2 * k, k)
             led.mult(n, 2 * k, k)
     with _scope(led, label + "term4"):
-        term4 = ap @ (pp @ (bp @ term2))
+        bpt2 = np.concatenate((_tdot(bt, term2), _tdot(a, term2)))
+        term4 = _ap_mul(a, bt, pp @ bpt2)
         if led is not None:
             led.mult(n, k, 2 * k)
             led.mult(k, 2 * k, k)
             led.mult(k, k, k)
             led.mult(n, k, k)
-    new_lead = g1 + term2 + term3 + term4
+    ambient = np.empty((n, k))
+    for part, rows in enumerate((blocks.perm[:k], blocks.perm[k:])):
+        ambient[rows] = g1[part] + term2[part] + term3[part] + term4[part]
     if led is not None:
         led.add(n, k)
         led.add(n, k)
         led.add(n, k)
 
-    ambient = np.empty((n, k))
-    ambient[blocks.perm] = new_lead
     out = reduce_columns(ambient, repivot_tol)
     if led is not None:
         led.aux_work(n * k * k)  # row-selection sweep, outside the model
-    return out, z
+    return out, plan.z
 
 
 def mode_velocity_norms(blocks, tangent, t=1.0):
     """Frobenius norms of (BA, B'A') for one mode at time t."""
-    gam = gamma12(blocks)
-    a, b = _tangent_factors(blocks, gam, tangent)
-    a = t * a
-    ba = b @ a
-    bpap = np.vstack([b, a.T]) @ np.hstack([a, -b.T])
-    return float(np.linalg.norm(ba)), float(np.linalg.norm(bpap))
+    a, bt = _tangent_factors(blocks, gamma12(blocks), tangent, t)
+    ba = _tdot(bt, a)
+    return float(np.linalg.norm(ba)), float(np.linalg.norm(_bpap(a, bt, ba)))
 
 
 class _scope:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .dense import DEFAULT_RANK_TOL
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -78,6 +80,53 @@ def dense_geodesic(g, x, t=1.0):
         w = t * np.asarray(xi) @ np.linalg.inv(np.asarray(gi))
         out.append(mexp_dense(w - w.T) @ mexp_dense(w.T) @ np.asarray(gi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# row selection
+
+def select_submatrix_reference(m, tol=DEFAULT_RANK_TOL):
+    """Loop form of ``dense.select_submatrix``: same permutation or same error.
+
+    Each pivot gathers the free rows and columns, runs the rook search
+    (alternate row and column maxima until the entry is maximal in both;
+    ties to the lowest index), and eliminates the free rows one gather and
+    scatter at a time.  O(n r^2) with per-pivot fancy indexing.
+    """
+    m = np.asarray(m, dtype=float)
+    n, r = m.shape
+    if r > n:
+        raise ValueError("more columns than rows")
+    c = m.copy()
+    scale = np.abs(c).max()
+    if scale == 0.0:
+        raise ValueError("rank-deficient input: zero matrix")
+    row_free = np.ones(n, dtype=bool)
+    col_free = np.ones(r, dtype=bool)
+    selected = []
+    for _ in range(r):
+        work = np.where(row_free)[0]
+        cols = np.where(col_free)[0]
+        sub = np.abs(c[np.ix_(work, cols)])
+        # rook search from the globally largest free entry
+        fi, fj = np.unravel_index(np.argmax(sub), sub.shape)
+        i, j = work[fi], cols[fj]
+        while True:
+            j_new = cols[np.argmax(np.abs(c[i, cols]))]
+            i_new = work[np.argmax(np.abs(c[work, j_new]))]
+            if i_new == i and j_new == j:
+                break
+            i, j = i_new, j_new
+        if abs(c[i, j]) <= tol * scale or c[i, j] == 0.0:
+            raise ValueError("rank-deficient input: no acceptable pivot")
+        selected.append(i)
+        row_free[i] = False
+        col_free[j] = False
+        rest = row_free.nonzero()[0]
+        if len(rest):
+            c[rest] -= np.outer(c[rest, j] / c[i, j], c[i])
+    remaining = [i for i in range(n) if row_free[i]]
+    return np.array(selected + remaining)
 
 
 # ---------------------------------------------------------------------------

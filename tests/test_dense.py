@@ -1,12 +1,17 @@
 import itertools
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from tensorgeo.dense import (basis_completion, mode_apply, mode_product,
-                             multilinear_rank, perm_compose, perm_inverse,
-                             refold, select_submatrix, tt_rank, unfold)
+from tensorgeo.dense import (DEFAULT_RANK_TOL, basis_completion, mode_apply,
+                             mode_product, multilinear_rank, perm_compose,
+                             perm_inverse, refold, select_submatrix, tt_rank,
+                             unfold)
 from tensorgeo.group import GroupElement
+from tensorgeo.oracles import select_submatrix_reference
 
 
 def test_unfold_two_entry_tensor():
@@ -172,6 +177,51 @@ def test_select_submatrix_deterministic():
     rng = np.random.default_rng(10)
     m = rng.standard_normal((8, 3))
     assert np.array_equal(select_submatrix(m), select_submatrix(m.copy()))
+
+
+@st.composite
+def _pivot_inputs(draw):
+    """Matrices rich in exact ties and rank deficiency, plus tall ones."""
+    kind = draw(st.sampled_from(["random", "integer", "sign", "one_hot",
+                                 "duplicated", "zero", "nonfinite", "tall"]))
+    n = draw(st.integers(1, 2000 if kind == "tall" else 12))
+    r = draw(st.integers(1, min(n, 16)))
+    if kind in ("random", "integer", "sign"):
+        elements = {"random": st.floats(-1e3, 1e3, allow_nan=False),
+                    "integer": st.integers(-3, 3).map(float),
+                    "sign": st.sampled_from([-1.0, 1.0])}[kind]
+        return draw(hnp.arrays(float, (n, r), elements=elements))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "one_hot":
+        m = np.zeros((n, r))
+        m[np.arange(n), rng.integers(0, r, n)] = 1.0
+        return m
+    if kind == "duplicated":
+        base = rng.integers(-2, 3, (n, r)).astype(float)
+        return base[:, rng.integers(0, r, r)]
+    if kind == "zero":
+        return np.zeros((n, r))
+    if kind == "nonfinite":
+        m = rng.integers(-1, 2, (n, r)) * 10.0 ** rng.choice([0, 308], (n, r))
+        return np.where(rng.random((n, r)) < 0.2,
+                        rng.choice([np.nan, np.inf, -np.inf], (n, r)), m)
+    return rng.standard_normal((n, r)) * rng.uniform(0.1, 10.0, r)
+
+
+def _outcome(select, m, tol):
+    try:
+        with np.errstate(all="ignore"):
+            return select(m, tol).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pivot_inputs())
+def test_select_submatrix_matches_reference(m):
+    for tol in (DEFAULT_RANK_TOL, 0.0):
+        assert (_outcome(select_submatrix, m, tol)
+                == _outcome(select_submatrix_reference, m, tol))
 
 
 def test_basis_completion_identity_columns():
