@@ -15,9 +15,34 @@ space at g is exactly { w : w G1 = 0 } with G1 the leading columns of g, so
 its orthogonal complement is closed form; only the coupled sector needs a
 small Gram solve.  This realizes the orthogonal projection exactly without
 enumerating the O(n^2) free directions.
+
+No n x n matrix is formed.  Per mode let M = G1^T G1, Z1 the leading k
+columns of an ambient tangent, and y_a the k x k blocks of the m coupled
+basis elements (a None block counts as 0).  Because
+g^-1 G1 = [I; 0], the coupled direction is v_a = G1 y_a R with R the leading
+k rows of g^-1 and R G1 = I, and the projection depends on Z1 alone:
+
+    X1 = Z1 - G1 sum_a c_a y_a,     gram c = rhs,
+    gram_ab = sum_i <y_a, M y_b M^-1>,   rhs_a = sum_i <G1^T Z1 M^-1, y_a>.
+
+For the residual of a block tangent (X1, gamma12), with
+T = g11^-1 - gamma12 g21 g11^-1, the lifted w = X g^-1 gives
+
+    ||w||^2 = <X1^T X1, T T^T + gamma12 gamma12^T>,
+    <w, v_a> = sum_i <G1^T X1 T g11^-T, y_a>,
+    ||v_a||^2 = sum_i <y_a, M y_a g11^-1 g11^-T>.
+
+Each is one pass over the n-row blocks or a k x k product, so a projection
+or a residual costs O(nk^2 + mk^3 + m^3) (m = (d-1)r for CP, the sum of the
+squared trailing ranks for Tucker and of the squared ranks for TT).  The
+dense O(n^3) forms are kept in ``oracles`` as the references the tests
+compare against.  The one n^2 left is ``random_horizontal``'s Gaussian
+draw: it still draws n x n factors and reads their leading k columns, so
+every seeded tangent stays what it was.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,23 +126,6 @@ def tangent_from_ambient(point, x_factors):
 # ---------------------------------------------------------------------------
 # vertical structure
 
-def _coupled_w_basis(point, g_factors, g_invs):
-    """Coupled vertical directions in w-coordinates: g Y g^-1 per mode."""
-    basis = []
-    for elem in point.shape.coupled_upper_basis():
-        ws = []
-        for i, (g, gi) in enumerate(zip(g_factors, g_invs)):
-            k = point.shape.ks[i]
-            y = elem[i]
-            if y is None:
-                ws.append(np.zeros_like(g))
-            else:
-                # y is the k x k upper-left block; embed and conjugate
-                ws.append((g[:, :k] @ y) @ gi[:k, :])
-        basis.append(ws)
-    return basis
-
-
 def vertical_basis(point):
     """Spanning set of the vertical space at the representative.
 
@@ -163,119 +171,153 @@ def vertical_dimension(shape):
 
 
 # ---------------------------------------------------------------------------
-# horizontal projection
+# the horizontal layer in closed form (derivation in the module docstring)
+#
+# The n-row matrices of one mode share one row order, the representative's
+# permuted frame or the ambient one; no pairing depends on which.
+
+@lru_cache(maxsize=16)
+def _coupled_stacks(shape):
+    """Coupled basis as one (m, k_i, k_i) stack per mode; None blocks are 0.
+
+    Cached per shape (shapes compare by value), because building the Tucker
+    and TT bases costs more than a whole projection at moderate n; the
+    stacks are read-only since every caller shares them.
+    """
+    basis = shape.coupled_upper_basis()
+    stacks = []
+    for i, k in enumerate(shape.ks):
+        y = np.zeros((len(basis), k, k))
+        for a, elem in enumerate(basis):
+            if elem[i] is not None:
+                y[a] = elem[i]
+        y.setflags(write=False)
+        stacks.append(y)
+    return tuple(stacks)
+
+
+def _pair_basis(ys, mats):
+    """Vector sum_i <y_a, N_i> over the modes, one entry per basis element."""
+    return sum(y.reshape(len(y), -1) @ n.ravel() for y, n in zip(ys, mats))
+
+
+def _coupled_gram(ys, lefts, rights):
+    """m x m matrix sum_i <y_a, L_i y_b R_i> over the modes."""
+    return sum(y.reshape(len(y), -1) @ (l @ y @ r).reshape(len(y), -1).T
+               for y, l, r in zip(ys, lefts, rights))
+
+
+def _coupled_system(ys, g1s, z1s):
+    """Gram system of the coupled sector for the leading columns Z1.
+
+    gram_ab = sum_i <y_a, M y_b M^-1> pairs the directions v_a after the
+    free sector is projected out of them, and rhs_a = sum_i <G1^T Z1 M^-1,
+    y_a> pairs them with the free-sector projection of w = Z g^-1.
+    """
+    ms = [g1.T @ g1 for g1 in g1s]
+    m_invs = [np.linalg.inv(m) for m in ms]
+    gram = _coupled_gram(ys, ms, m_invs)
+    rhs = _pair_basis(ys, [g1.T @ z1 @ mi
+                           for g1, z1, mi in zip(g1s, z1s, m_invs)])
+    return gram, rhs
+
 
 def project_horizontal(point, z):
     """Orthogonal projection of an ambient tangent onto the horizontal space.
 
-    Returns a block tangent.  The free vertical sector is removed in closed
-    form (rows of w onto the column span of the leading columns); the coupled
-    sector is removed by a small Gram solve.  Raises if the Gram system is
-    ill conditioned, which signals a near-degenerate representative.
+    Returns a block tangent.  Only the leading k columns Z1 of each n x n
+    factor are read: since g^-1 G1 = [I; 0], the free vertical sector drops
+    out exactly and the projection's leading columns are
+    X1 = Z1 - G1 sum_a c_a y_a, with c the solution of the coupled m x m Gram
+    system; O(nk^2 + mk^3 + m^3) in all.  Raises if the Gram system is ill
+    conditioned, which signals a near-degenerate representative.
     """
-    zf = [np.asarray(f, dtype=float) for f in getattr(z, "factors", z)]
-    g_factors = [mb.densify() for mb in point.modes]
-    g_invs = [np.linalg.inv(g) for g in g_factors]
-    ws = [zi @ gi for zi, gi in zip(zf, g_invs)]
-
-    # closed-form removal of the free sector: keep row components in span(G1)
-    spans = []
-    for mb in point.modes:
-        g1 = mb.leading_columns()
-        spans.append(g1 @ np.linalg.solve(g1.T @ g1, g1.T))
-    ws = [w @ p for w, p in zip(ws, spans)]
-
-    coupled = _coupled_w_basis(point, g_factors, g_invs)
-    if coupled:
-        vperp = [[v @ p for v, p in zip(elem, spans)] for elem in coupled]
-        m = len(vperp)
-        gram = np.empty((m, m))
-        rhs = np.empty(m)
-        for a in range(m):
-            rhs[a] = sum(np.sum(ws[i] * vperp[a][i]) for i in range(len(ws)))
-            for b in range(a, m):
-                gram[a, b] = gram[b, a] = sum(
-                    np.sum(vperp[a][i] * vperp[b][i]) for i in range(len(ws)))
-        if np.linalg.cond(gram) > GRAM_COND_LIMIT:
-            raise ValueError("ill-conditioned Gram system: representative is "
-                             "numerically degenerate")
-        coef = np.linalg.solve(gram, rhs)
-        for a in range(m):
-            for i in range(len(ws)):
-                ws[i] = ws[i] - coef[a] * vperp[a][i]
-
-    x_factors = [w @ g for w, g in zip(ws, g_factors)]
-    return tangent_from_ambient(point, x_factors)
+    z1s = []
+    for mb, f in zip(point.modes, getattr(z, "factors", z)):
+        f = np.asarray(f, dtype=float)
+        if f.shape != (mb.n, mb.n):
+            raise ValueError(f"tangent factor of shape {f.shape} at a mode "
+                             f"of size {mb.n}")
+        z1s.append(f[:, :mb.k][mb.perm])
+    ys = _coupled_stacks(point.shape)
+    g1s = [mb.stacked() for mb in point.modes]
+    gram, rhs = _coupled_system(ys, g1s, z1s)
+    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
+        raise ValueError("ill-conditioned Gram system: representative is "
+                         "numerically degenerate")
+    coef = np.linalg.solve(gram, rhs)
+    modes = []
+    for mb, y, g1, z1 in zip(point.modes, ys, g1s, z1s):
+        x1 = z1 - g1 @ np.tensordot(coef, y, axes=1)
+        modes.append(HorizontalBlocks(x1[:mb.k], x1[mb.k:], gamma12(mb)))
+    return ManifoldTangent(modes)
 
 
 def horizontality_residual(point, tangent):
     """Normalized residual of the horizontal conditions for a block tangent.
 
-    Covers the coupling blocks against the representative's own and the
-    orthogonality to the coupled vertical sector; the free-sector condition
-    holds structurally for block tangents.
+    The largest deviation of a coupling block from the representative's own,
+    and the largest |<w, v_a>| / (||v_a|| (1 + ||w||)) over the coupled
+    vertical directions v_a, with w = X g^-1 the lifted tangent; the
+    free-sector condition holds structurally for block tangents.  With
+    T = g11^-1 - gamma12 g21 g11^-1, every term is a k x k product or one
+    pass over the n-row blocks.
     """
-    g_factors = [mb.densify() for mb in point.modes]
-    g_invs = [np.linalg.inv(g) for g in g_factors]
+    ys = _coupled_stacks(point.shape)
     res = 0.0
+    w2 = 0.0
+    pairs, ms, s_mats = [], [], []
     for mb, tb in zip(point.modes, tangent.modes):
-        gam = gamma12(mb)
-        res = max(res, float(np.abs(tb.gamma12 - gam).max()))
-    x = lift_tangent(point, tangent)
-    ws = [xi @ gi for xi, gi in zip(x.factors, g_invs)]
-    scale = 1.0 + float(np.sqrt(sum(np.sum(w * w) for w in ws)))
-    for elem in _coupled_w_basis(point, g_factors, g_invs):
-        nrm = np.sqrt(sum(np.sum(v * v) for v in elem))
-        ip = sum(np.sum(w * v) for w, v in zip(ws, elem))
-        res = max(res, abs(ip) / (nrm * scale))
-    return res
+        res = max(res, float(np.abs(tb.gamma12 - gamma12(mb)).max(initial=0.0)))
+        g11_inv = np.linalg.inv(mb.g11)
+        gam = tb.gamma12
+        t = g11_inv - gam @ (mb.g21 @ g11_inv)
+        x1, g1 = tb.stacked(), mb.stacked()
+        w2 += float(np.sum((x1.T @ x1) * (t @ t.T + gam @ gam.T)))
+        pairs.append(g1.T @ x1 @ t @ g11_inv.T)
+        ms.append(g1.T @ g1)
+        s_mats.append(g11_inv @ g11_inv.T)
+    ips = _pair_basis(ys, pairs)
+    norms = np.sqrt(np.diagonal(_coupled_gram(ys, ms, s_mats)))
+    scale = 1.0 + np.sqrt(w2)
+    return max(res, float(np.max(np.abs(ips) / (norms * scale))))
 
 
 def vertical_component_norm(g_factors, shape, v_factors):
     """Norm of the vertical part of an ambient tangent at ambient factors.
 
     Used by the horizontality-preservation checks along dense geodesics,
-    where no compact representative is available.
+    where no compact representative is available.  The free-sector part is
+    ||w - wP|| itself, w = v g^-1 and P the projector onto span(G1), not a
+    difference of squares, which would lose half the digits on a nearly
+    horizontal velocity; the coupled part is the shared Gram system on the
+    leading columns v[:, :k].
     """
-    g_invs = [np.linalg.inv(np.asarray(g, dtype=float)) for g in g_factors]
-    ws = [np.asarray(v) @ gi for v, gi in zip(v_factors, g_invs)]
-    spans = []
-    for g, k in zip(g_factors, shape.ks):
-        g1 = np.asarray(g)[:, :k]
-        spans.append(g1 @ np.linalg.solve(g1.T @ g1, g1.T))
-    # free-sector component: rows outside span(G1)
-    vert2 = float(sum(np.sum((w - w @ p) ** 2) for w, p in zip(ws, spans)))
-    wperp = [w @ p for w, p in zip(ws, spans)]
-    elems = []
-    for elem in shape.coupled_upper_basis():
-        vs = []
-        for i, (g, gi) in enumerate(zip(g_factors, g_invs)):
-            k = shape.ks[i]
-            y = elem[i]
-            v = (np.asarray(g)[:, :k] @ y) @ gi[:k, :] if y is not None \
-                else np.zeros_like(gi)
-            vs.append(v @ spans[i])
-        elems.append(vs)
-    if elems:
-        m = len(elems)
-        gram = np.empty((m, m))
-        rhs = np.empty(m)
-        for a in range(m):
-            rhs[a] = sum(np.sum(wperp[i] * elems[a][i]) for i in range(len(ws)))
-            for b in range(a, m):
-                gram[a, b] = gram[b, a] = sum(
-                    np.sum(elems[a][i] * elems[b][i]) for i in range(len(ws)))
-        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        # squared norm of the coupled-sector component
-        vert2 += float(coef @ gram @ coef)
+    g_factors = [np.asarray(g, dtype=float) for g in g_factors]
+    v_factors = [np.asarray(v, dtype=float) for v in v_factors]
+    g1s = [g[:, :k] for g, k in zip(g_factors, shape.ks)]
+    vert2 = 0.0
+    for g, g1, v in zip(g_factors, g1s, v_factors):
+        w = v @ np.linalg.inv(g)
+        vert2 += float(np.sum((w - (w @ g1) @ np.linalg.solve(g1.T @ g1, g1.T))
+                              ** 2))
+    gram, rhs = _coupled_system(_coupled_stacks(shape), g1s,
+                                [v[:, :k] for v, k in zip(v_factors, shape.ks)])
+    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    # squared norm of the coupled-sector component
+    vert2 += float(coef @ gram @ coef)
     return float(np.sqrt(vert2))
 
 
 def random_horizontal(point, rng, scale=1.0):
-    """Random horizontal tangent: project a Gaussian ambient tangent."""
-    z = AlgebraElement([rng.standard_normal((n, n))
-                        for n in point.shape.dims])
-    t = project_horizontal(point, z)
+    """Random horizontal tangent: project a Gaussian ambient tangent.
+
+    Draws the full n x n Gaussian factors, in mode order, so that a seeded
+    generator gives the same tangent as the dense projection did; the
+    projection reads only their leading k columns.
+    """
+    t = project_horizontal(point, [rng.standard_normal((n, n))
+                                   for n in point.shape.dims])
     return t.scale(scale) if scale != 1.0 else t
 
 

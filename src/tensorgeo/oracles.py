@@ -1,10 +1,16 @@
 """Independent reference implementations for tests and audits.
 
-Nothing here shares code with the production kernels: this module depends
-only on the dense primitives.  The series evaluation runs in extended
-precision (the platform long double; 80-bit on x86), the dense exponential
-comes from SciPy, and the tensor contractions are naive index loops.  These
-paths trade speed for transparency and may be O(n^3) or worse.
+Nothing here shares code with the production kernels beyond the dense
+primitives, the block containers and the coupling block ``group.gamma12``.
+The series evaluation runs in extended precision (the platform long
+double; 80-bit on x86), the dense exponential comes from SciPy, and the
+tensor contractions are naive index loops.  These paths trade speed for
+transparency and may be O(n^3) or worse.
+
+The horizontal-layer references densify the n x n factors and work in the
+metric's flat coordinates w = X g^-1.  They take compact points and block
+tangents and return block tangents carrying the coupling block, so they
+compare field by field with the closed forms in ``homogeneous``.
 """
 
 import math
@@ -13,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dense import DEFAULT_RANK_TOL
+from .dense import DEFAULT_RANK_TOL, perm_inverse
+from .group import HorizontalBlocks, gamma12
+from .homogeneous import GRAM_COND_LIMIT, ManifoldTangent
 
 
 @dataclass(frozen=True)
@@ -191,3 +199,87 @@ def contract_tt(cores):
             s += term
         out[idx] = s
     return out
+
+
+# ---------------------------------------------------------------------------
+# the horizontal layer on dense factors
+
+def _coupled_w_basis(shape, g_factors, g_invs):
+    """Coupled vertical directions in w-coordinates: g Y g^-1 per mode."""
+    basis = []
+    for elem in shape.coupled_upper_basis():
+        ws = []
+        for i, (g, gi) in enumerate(zip(g_factors, g_invs)):
+            k = shape.ks[i]
+            y = elem[i]
+            if y is None:
+                ws.append(np.zeros_like(g))
+            else:
+                # y is the k x k upper-left block; embed and conjugate
+                ws.append((g[:, :k] @ y) @ gi[:k, :])
+        basis.append(ws)
+    return basis
+
+
+def project_horizontal_reference(point, z):
+    """Dense orthogonal projection of an ambient tangent, O(n^3) per mode.
+
+    Removes the free vertical sector by projecting the rows of w onto the
+    column span of the leading columns (an n x n projector) and the coupled
+    sector by a Gram solve of the projected n x n directions.
+    """
+    zf = [np.asarray(f, dtype=float) for f in getattr(z, "factors", z)]
+    g_factors = [mb.densify() for mb in point.modes]
+    g_invs = [np.linalg.inv(g) for g in g_factors]
+    ws = [zi @ gi for zi, gi in zip(zf, g_invs)]
+
+    spans = []
+    for g, k in zip(g_factors, point.shape.ks):
+        g1 = g[:, :k]
+        spans.append(g1 @ np.linalg.solve(g1.T @ g1, g1.T))
+    ws = [w @ p for w, p in zip(ws, spans)]
+
+    coupled = _coupled_w_basis(point.shape, g_factors, g_invs)
+    vperp = [[v @ p for v, p in zip(elem, spans)] for elem in coupled]
+    m = len(vperp)
+    gram = np.empty((m, m))
+    rhs = np.empty(m)
+    for a in range(m):
+        rhs[a] = sum(np.sum(ws[i] * vperp[a][i]) for i in range(len(ws)))
+        for b in range(a, m):
+            gram[a, b] = gram[b, a] = sum(
+                np.sum(vperp[a][i] * vperp[b][i]) for i in range(len(ws)))
+    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
+        raise ValueError("ill-conditioned Gram system: representative is "
+                         "numerically degenerate")
+    coef = np.linalg.solve(gram, rhs)
+    for a in range(m):
+        for i in range(len(ws)):
+            ws[i] = ws[i] - coef[a] * vperp[a][i]
+
+    modes = []
+    for mb, w, g in zip(point.modes, ws, g_factors):
+        lead = (w @ g)[:, :mb.k][mb.perm]
+        modes.append(HorizontalBlocks(lead[:mb.k], lead[mb.k:], gamma12(mb)))
+    return ManifoldTangent(modes)
+
+
+def horizontality_residual_reference(point, tangent):
+    """Dense horizontality residual of a block tangent, O(n^3) per mode.
+
+    The largest coupling-block deviation, and the largest normalized pairing
+    of the lifted w = X g^-1 with an (unprojected) coupled vertical direction.
+    """
+    g_factors = [mb.densify() for mb in point.modes]
+    g_invs = [np.linalg.inv(g) for g in g_factors]
+    res = 0.0
+    ws = []
+    for mb, tb, gi in zip(point.modes, tangent.modes, g_invs):
+        res = max(res, float(np.abs(tb.gamma12 - gamma12(mb)).max(initial=0.0)))
+        ws.append(tb.densify_permuted()[perm_inverse(mb.perm)] @ gi)
+    scale = 1.0 + float(np.sqrt(sum(np.sum(w * w) for w in ws)))
+    for elem in _coupled_w_basis(point.shape, g_factors, g_invs):
+        nrm = np.sqrt(sum(np.sum(v * v) for v in elem))
+        ip = sum(np.sum(w * v) for w, v in zip(ws, elem))
+        res = max(res, abs(ip) / (nrm * scale))
+    return res

@@ -49,6 +49,18 @@ def test_point_from_factors_random():
                for _ in range(3)]
     p = cp_point_from_factors(factors)
     assert rel_err(cp_embed(p), contract_cp(factors)) <= 1e-12
+    # the Khatri-Rao embedding for d = 2..5, distinct mode sizes so that a
+    # transposed mode order shows; CpShape needs three modes, so the
+    # two-mode case calls the embedding on its columns alone
+    for d in (2, 3, 4, 5):
+        factors = [rng.standard_normal((n, 3)) + 2 * np.eye(n)[:, :3]
+                   for n in (4, 3, 5, 6, 3)[:d]]
+        if d == 2:
+            emb = CpShape((3, 3, 3), 3).embed_columns(factors)
+        else:
+            emb = cp_embed(cp_point_from_factors(factors))
+        assert emb.shape == tuple(f.shape[0] for f in factors)
+        assert rel_err(emb, contract_cp(factors)) <= 1e-12
 
 
 def test_point_from_factors_dependent_columns():

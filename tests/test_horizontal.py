@@ -1,0 +1,121 @@
+"""The closed-form horizontal layer against the dense references."""
+
+import math
+import tracemalloc
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import given, settings
+
+import tensorgeo.homogeneous as hq
+from conftest import MANIFOLDS
+from tensorgeo import (AlgebraElement, CpShape, TtShape, TuckerShape,
+                       cp_random_horizontal, cp_random_point)
+from tensorgeo.group import HorizontalBlocks
+from tensorgeo.oracles import (horizontality_residual_reference,
+                               project_horizontal_reference)
+
+RTOL = 1e-10
+# both residuals of a horizontal tangent are rounding noise below this
+NOISE = 1e-12
+
+
+@st.composite
+def _shapes(draw):
+    """Random CP, Tucker and TT shapes; an extra of 0 makes a square mode.
+
+    Tucker's first rank is the product of the others, the upper edge of its
+    admissibility window; TT ranks meet their bound s_{i-1} s_i <= n_i when
+    the mode is square.
+    """
+    kind = draw(st.sampled_from(sorted(MANIFOLDS)))
+
+    def dims(ks):
+        return [max(2, k + draw(st.integers(0, 3))) for k in ks]
+
+    if kind == "cp":
+        d, r = draw(st.integers(3, 4)), draw(st.integers(1, 3))
+        return kind, CpShape(dims([r] * d), r)
+    if kind == "tucker":
+        trest = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+        ranks = (math.prod(trest),) + tuple(trest)
+        return kind, TuckerShape(dims(ranks), ranks)
+    ranks = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    sfull = [1] + ranks + [1]
+    ks = [a * b for a, b in zip(sfull, sfull[1:])]
+    return kind, TtShape(dims(ks), ranks)
+
+
+def _close(a, b, rtol=RTOL):
+    return np.abs(a - b).max(initial=0.0) <= rtol * np.abs(b).max(initial=0.0)
+
+
+def _residuals_agree(p, x):
+    got = hq.horizontality_residual(p, x)
+    ref = horizontality_residual_reference(p, x)
+    if ref <= NOISE:
+        return got <= NOISE
+    return abs(got - ref) <= RTOL * ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shapes(), st.integers(0, 2**32 - 1), st.sampled_from([1e-2, 1.0]))
+def test_closed_form_matches_dense_references(case, seed, delta):
+    kind, shape = case
+    rng = np.random.default_rng(seed)
+    p = MANIFOLDS[kind]["point"](shape, rng)
+    z = AlgebraElement([rng.standard_normal((n, n)) for n in shape.dims])
+    x = hq.project_horizontal(p, z)
+    ref = project_horizontal_reference(p, z)
+    for a, b in zip(x.modes, ref.modes):
+        assert _close(a.stacked(), b.stacked())
+        assert _close(a.gamma12, b.gamma12, rtol=0.0)
+    assert _residuals_agree(p, x)
+    # off the horizontal space: x11 of one mode, or every coupling block
+    mode = int(rng.integers(shape.d))
+    bumped = list(x.modes)
+    tb = bumped[mode]
+    bumped[mode] = HorizontalBlocks(
+        tb.x11 + delta * rng.standard_normal(tb.x11.shape), tb.x21, tb.gamma12)
+    assert _residuals_agree(p, type(x)(bumped))
+    skewed = [HorizontalBlocks(tb.x11, tb.x21, tb.gamma12 + delta
+                               * rng.standard_normal(tb.gamma12.shape))
+              for tb in x.modes]
+    assert _residuals_agree(p, type(x)(skewed))
+
+
+def test_random_horizontal_keeps_the_seeded_draws(manifold):
+    cfg = MANIFOLDS[manifold]
+    shape = cfg["shape"]()
+    p = cfg["point"](shape, np.random.default_rng(1))
+    x = cfg["tangent"](p, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    z = AlgebraElement([rng.standard_normal((n, n)) for n in shape.dims])
+    for a, b in zip(x.modes, project_horizontal_reference(p, z).modes):
+        assert _close(a.stacked(), b.stacked())
+
+
+def test_residual_on_square_modes(manifold):
+    # n == k leaves the coupling blocks with no columns
+    cfg = MANIFOLDS[manifold]
+    shape = cfg["square"]()
+    rng = np.random.default_rng(3)
+    p = cfg["point"](shape, rng)
+    x = cfg["tangent"](p, rng)
+    assert all(tb.gamma12.size == 0 for tb in x.modes)
+    assert hq.horizontality_residual(p, x) <= NOISE
+
+
+def test_residual_forms_no_n_by_n_matrix():
+    # one 2000 x 2000 float64 matrix alone is 32 MB
+    rng = np.random.default_rng(0)
+    p = cp_random_point(CpShape((2000, 30, 30), 3), rng)
+    x = cp_random_horizontal(p, rng)
+    tracemalloc.start()
+    try:
+        res = hq.horizontality_residual(p, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-9
+    assert peak < 8e6
