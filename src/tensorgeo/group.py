@@ -10,6 +10,15 @@ which is complete for all times.  For horizontal velocities of the quotient
 constructions, w has rank k per mode and the update of the leading k columns
 is computed without ever forming an n x n matrix.
 
+The production step is the Gram form.  Write w t = A B with A = t X1, X1
+the tangent's leading columns, and G1 the point's.  Horizontality makes
+B^T = G1 M^-1 with M = G1^T G1, so every n-row product the update needs is
+a block of the one Gram H = Q^T Q of Q = [G1, X1] (n x 2k), and the new
+leading columns are Q C for a 2k x k matrix C from H and two psi1
+evaluations: about 12nk^2 + O(k^3 z) per mode, against the 110nk^2/3 of the
+paper's itemized update.  Passing a flop ledger selects the itemized update
+instead, the instrumented path whose every line the audit checks.
+
 Representatives are stored as a row permutation plus the leading-column
 blocks (g11, g21) of the permuted factor; the metric is invariant under left
 multiplication by orthogonal matrices, so all per-mode work happens in the
@@ -138,10 +147,24 @@ class ModeBlocks:
 
     def __init__(self, perm, g11, g21, invert_tol=INVERTIBILITY_TOL):
         perm = np.asarray(perm)
-        g11 = np.asarray(g11, dtype=float)
-        g21 = np.asarray(g21, dtype=float)
         if not is_permutation(perm):
             raise ValueError("perm is not a permutation")
+        self._fill(perm, g11, g21, invert_tol)
+
+    @classmethod
+    def _from_selection(cls, perm, g11, g21, invert_tol):
+        """Blocks on a permutation ``select_submatrix`` has just built.
+
+        Such a permutation needs no sort-based check; every other check,
+        the singularity gate on g11 included, still runs.
+        """
+        blocks = object.__new__(cls)
+        blocks._fill(perm, g11, g21, invert_tol)
+        return blocks
+
+    def _fill(self, perm, g11, g21, invert_tol):
+        g11 = np.asarray(g11, dtype=float)
+        g21 = np.asarray(g21, dtype=float)
         k = g11.shape[0]
         if g11.ndim != 2 or g11.shape != (k, k):
             raise ValueError("g11 is not square")
@@ -231,7 +254,8 @@ def reduce_columns(c, tol=REPIVOT_TOL):
     p = select_submatrix(c, tol)
     k = c.shape[1]
     cp = c[p]
-    return ModeBlocks(p, cp[:k], cp[k:], invert_tol=min(tol, INVERTIBILITY_TOL))
+    return ModeBlocks._from_selection(p, cp[:k], cp[k:],
+                                      min(tol, INVERTIBILITY_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +293,97 @@ def gamma12(blocks, ledger=None):
 # the low-rank geodesic update of one mode
 #
 # An n-row matrix of the permuted frame is held as the pair (leading k rows,
-# trailing n-k rows), the split of the representative itself, so that no
-# n-row block is ever copied into a stacked array.
+# trailing n-k rows), the split of the representative itself.
 
 def _tdot(x, y):
     """x^T y for two split n-row matrices."""
     return x[0].T @ y[0] + x[1].T @ y[1]
 
 
-def _tangent_factors(blocks, gam, tangent, t=1.0, ledger=None):
+def _gram(blocks, tangent):
+    """Q = [G1, X1], split, and its 2k x 2k Gram H = Q^T Q."""
+    q = (np.hstack((blocks.g11, tangent.x11)),
+         np.hstack((blocks.g21, tangent.x21)))
+    return q, _tdot(q, q)
+
+
+def _velocity_cores(h, t):
+    """M^-1, S, BA and B'A' of the lift t X g^-1 = A B from the Gram H.
+
+    For a horizontal tangent B^T = G1 M^-1 in the permuted frame, with
+    M = G1^T G1, so BA = M^-1 S with S = t G1^T X1, B B^T = M^-1 and
+    A^T A = t^2 X1^T X1: every k x k core is a block of H.
+    """
+    k = h.shape[0] // 2
+    m_inv = np.linalg.solve(h[:k, :k], np.eye(k))
+    s = t * h[:k, k:]
+    ba = m_inv @ s
+    bpap = np.empty((2 * k, 2 * k))
+    bpap[:k, :k] = ba
+    bpap[:k, k:] = -m_inv
+    bpap[k:, :k] = (t * t) * h[k:, k:]
+    bpap[k:, k:] = -ba.T
+    return m_inv, s, ba, bpap
+
+
+def _shared_plan(ba, bpap):
+    """One scaling plan for both psi1 evaluations: the larger exponent."""
+    norms = np.linalg.norm(ba), np.linalg.norm(bpap)
+    return ScalingPlan(max(make_scaling_plan(v).z for v in norms), max(norms))
+
+
+def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
+                          repivot_tol=REPIVOT_TOL):
+    """New representative of the leading k columns of exp_g(tX) for one mode.
+
+    Works entirely with n x k and smaller intermediates.  Without a ledger
+    this is the Gram form: with Q = [G1, X1] (n x 2k) and H = Q^T Q, the
+    new leading columns are Q C for a 2k x k matrix C built from H and the
+    two psi1 evaluations alone,
+
+        W = I + M^-1 psi1(BA)^T S^T,   U = psi1(B'A') [W; S^T W],
+        C = [W - M^-1 U_2;  t U_1],
+
+    one Gram and one n x 2k by 2k x k product, about 12nk^2 + O(k^3 z).
+    With a ledger the paper-itemized update runs instead, and its recorded
+    counts follow the published per-step itemization (110nk^2/3 leading).
+    Both psi1 evaluations share one scaling exponent, the larger of the two
+    plans, so the mode has a single z, the same on either path.
+
+    Returns (new ModeBlocks, z).  Only the tangent's leading blocks are
+    read; its cached coupling block is not.
+    """
+    n, k = blocks.n, blocks.k
+    if tangent.k != k or tangent.gamma12.shape[1] != n - k:
+        raise ValueError("tangent blocks do not match the representative")
+    if ledger is not None:
+        return _itemized_step(blocks, tangent, t, ledger, label, repivot_tol)
+    q, h = _gram(blocks, tangent)
+    m_inv, s, ba, bpap = _velocity_cores(h, t)
+    plan = _shared_plan(ba, bpap)
+    p = psi1(ba, None, plan)
+    pp = psi1(bpap, None, plan)
+    w = np.eye(k) + m_inv @ (p.T @ s.T)
+    u = pp @ np.vstack((w, s.T @ w))
+    c = np.vstack((w - m_inv @ u[k:], t * u[:k]))
+    # column-major, so the re-pivot's transposed copy is a contiguous one
+    ambient = np.empty((n, k), order="F")
+    ambient[blocks.perm[:k]] = q[0] @ c
+    ambient[blocks.perm[k:]] = q[1] @ c
+    del q  # the re-pivot runs without Q's n x 2k copy alive
+    return reduce_columns(ambient, repivot_tol), plan.z
+
+
+def mode_velocity_norms(blocks, tangent, t=1.0):
+    """Frobenius norms of (BA, B'A') for one mode at time t."""
+    _, _, ba, bpap = _velocity_cores(_gram(blocks, tangent)[1], t)
+    return float(np.linalg.norm(ba)), float(np.linalg.norm(bpap))
+
+
+# ---------------------------------------------------------------------------
+# the paper-itemized update, the instrumented path of the flop audit
+
+def _tangent_factors(blocks, gam, tangent, t, ledger):
     """Rank-k factors A, B with t X g^-1 = A B in the permuted frame.
 
     A = t [x11; x21] is free; B = [(1 - gamma12 g21) g11^-1, gamma12] costs
@@ -286,9 +392,8 @@ def _tangent_factors(blocks, gam, tangent, t=1.0, ledger=None):
     n, k = blocks.n, blocks.k
     u = gam @ blocks.g21
     first = np.linalg.solve(blocks.g11.T, (np.eye(k) - u).T).T
-    if ledger is not None:
-        ledger.mult(k, n, k)
-        ledger.div(k, k, k)
+    ledger.mult(k, n, k)
+    ledger.div(k, k, k)
     return (t * tangent.x11, t * tangent.x21), (first.T, gam.T)
 
 
@@ -310,101 +415,61 @@ def _ap_mul(a, bt, x):
     return tuple(ai @ x[:k] - bi @ x[k:] for ai, bi in zip(a, bt))
 
 
-def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
-                          repivot_tol=REPIVOT_TOL):
-    """New representative of the leading k columns of exp_g(tX) for one mode.
+def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
+    """The update term by term, each n-row product charged to its label.
 
-    Works entirely with n x k and smaller intermediates.  The four column
-    terms are assembled in the composition order of the geodesic formula
-    (skew factor applied last); the recorded counts follow the published
-    per-step itemization, whose cross term assumes the reversed order and
-    charges 6nk^2 + 6k^3.  Both psi1 evaluations share one scaling exponent,
-    the larger of the two plans, so the mode has a single z.
-
-    Returns (new ModeBlocks, z).  The coupling block is recomputed here so
-    the recorded count covers the whole update; the tangent's cached block
-    is ignored.
+    The four column terms are assembled in the composition order of the
+    geodesic formula (skew factor applied last); the recorded counts follow
+    the published per-step itemization, whose cross term assumes the
+    reversed order and charges 6nk^2 + 6k^3.  The coupling block is
+    recomputed here so the recorded count covers the whole update.
     """
     n, k = blocks.n, blocks.k
-    if tangent.k != k or tangent.gamma12.shape[1] != n - k:
-        raise ValueError("tangent blocks do not match the representative")
-    led = ledger
-    with _scope(led, label + "gamma12"):
+    with led.step(label + "gamma12"):
         gam = gamma12(blocks, led)
-    with _scope(led, label + "build_B"):
+    with led.step(label + "build_B"):
         a, bt = _tangent_factors(blocks, gam, tangent, t, led)
 
-    with _scope(led, label + "BA"):
+    with led.step(label + "BA"):
         ba = _tdot(bt, a)
-        if led is not None:
-            led.mult(k, n, k)
-    with _scope(led, label + "BpAp"):
+        led.mult(k, n, k)
+    with led.step(label + "BpAp"):
         bpap = _bpap(a, bt, ba)
-        if led is not None:
-            led.mult(2 * k, n, 2 * k)
+        led.mult(2 * k, n, 2 * k)
 
-    norms = np.linalg.norm(ba), np.linalg.norm(bpap)
-    plan = ScalingPlan(max(make_scaling_plan(v).z for v in norms), max(norms))
-    with _scope(led, label + "psi1_BA"):
+    plan = _shared_plan(ba, bpap)
+    with led.step(label + "psi1_BA"):
         p = psi1(ba, led, plan)
-    with _scope(led, label + "psi1_BpAp"):
+    with led.step(label + "psi1_BpAp"):
         pp = psi1(bpap, led, plan)
 
     g1 = (blocks.g11, blocks.g21)
-    with _scope(led, label + "term2"):
+    with led.step(label + "term2"):
         atg = _tdot(a, g1)
         y = p.T @ atg
         term2 = (bt[0] @ y, bt[1] @ y)
-        if led is not None:
-            led.mult(k, n, k)
-            led.mult(k, k, k)
-            led.mult(n, k, k)
-    with _scope(led, label + "term3"):
+        led.mult(k, n, k)
+        led.mult(k, k, k)
+        led.mult(n, k, k)
+    with led.step(label + "term3"):
         term3 = _ap_mul(a, bt, pp @ np.concatenate((_tdot(bt, g1), atg)))
-        if led is not None:
-            led.mult(2 * k, n, k)
-            led.mult(2 * k, 2 * k, k)
-            led.mult(n, 2 * k, k)
-    with _scope(led, label + "term4"):
+        led.mult(2 * k, n, k)
+        led.mult(2 * k, 2 * k, k)
+        led.mult(n, 2 * k, k)
+    with led.step(label + "term4"):
         bpt2 = np.concatenate((_tdot(bt, term2), _tdot(a, term2)))
         term4 = _ap_mul(a, bt, pp @ bpt2)
-        if led is not None:
-            led.mult(n, k, 2 * k)
-            led.mult(k, 2 * k, k)
-            led.mult(k, k, k)
-            led.mult(n, k, k)
+        led.mult(n, k, 2 * k)
+        led.mult(k, 2 * k, k)
+        led.mult(k, k, k)
+        led.mult(n, k, k)
     ambient = np.empty((n, k))
     for part, rows in enumerate((blocks.perm[:k], blocks.perm[k:])):
         ambient[rows] = g1[part] + term2[part] + term3[part] + term4[part]
-    if led is not None:
-        led.add(n, k)
-        led.add(n, k)
-        led.add(n, k)
+    led.add(n, k)
+    led.add(n, k)
+    led.add(n, k)
 
     out = reduce_columns(ambient, repivot_tol)
-    if led is not None:
-        led.aux_work(n * k * k)  # row-selection sweep, outside the model
+    led.aux_work(n * k * k)  # row-selection sweep, outside the model
     return out, plan.z
-
-
-def mode_velocity_norms(blocks, tangent, t=1.0):
-    """Frobenius norms of (BA, B'A') for one mode at time t."""
-    a, bt = _tangent_factors(blocks, gamma12(blocks), tangent, t)
-    ba = _tdot(bt, a)
-    return float(np.linalg.norm(ba)), float(np.linalg.norm(_bpap(a, bt, ba)))
-
-
-class _scope:
-    """Step-label scope that tolerates a missing ledger."""
-
-    def __init__(self, ledger, name):
-        self.cm = ledger.step(name) if ledger is not None else None
-
-    def __enter__(self):
-        if self.cm is not None:
-            self.cm.__enter__()
-
-    def __exit__(self, *exc):
-        if self.cm is not None:
-            self.cm.__exit__(*exc)
-        return False

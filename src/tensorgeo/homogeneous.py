@@ -167,7 +167,7 @@ def _one_mode_element(dims, mode, mat):
 def vertical_dimension(shape):
     """dim H = sum_i n_i(n_i - k_i) + (number of coupled directions)."""
     free = sum(n * (n - k) for n, k in zip(shape.dims, shape.ks))
-    return free + len(shape.coupled_upper_basis())
+    return free + len(_coupled_stacks(shape)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +365,8 @@ def transport_tangent(x, h):
 
 def upper_condition_matrix(shape):
     """Rows are the vec'd coupled basis; the admissible upper blocks are its null space."""
-    sizes = [k * k for k in shape.ks]
-    total = sum(sizes)
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    basis = shape.coupled_upper_basis()
-    c = np.zeros((len(basis), total))
-    for row, elem in enumerate(basis):
-        for i, y in enumerate(elem):
-            if y is not None:
-                c[row, offs[i]:offs[i + 1]] = y.ravel()
-    return c
+    return np.hstack([y.reshape(len(y), k * k)
+                      for y, k in zip(_coupled_stacks(shape), shape.ks)])
 
 
 def _split_upper(shape, x):

@@ -1,3 +1,6 @@
+import math
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -59,3 +62,29 @@ def dense_geodesic_embed(point, tangent, t):
 
 def rel_err(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@st.composite
+def manifold_shapes(draw):
+    """Random CP, Tucker and TT shapes; an extra of 0 makes a square mode.
+
+    Tucker's first rank is the product of the others, the upper edge of its
+    admissibility window; TT ranks meet their bound s_{i-1} s_i <= n_i when
+    the mode is square.
+    """
+    kind = draw(st.sampled_from(sorted(MANIFOLDS)))
+
+    def dims(ks):
+        return [max(2, k + draw(st.integers(0, 3))) for k in ks]
+
+    if kind == "cp":
+        d, r = draw(st.integers(3, 4)), draw(st.integers(1, 3))
+        return kind, CpShape(dims([r] * d), r)
+    if kind == "tucker":
+        trest = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+        ranks = (math.prod(trest),) + tuple(trest)
+        return kind, TuckerShape(dims(ranks), ranks)
+    ranks = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    sfull = [1] + ranks + [1]
+    ks = [a * b for a, b in zip(sfull, sfull[1:])]
+    return kind, TtShape(dims(ks), ranks)

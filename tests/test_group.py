@@ -1,12 +1,19 @@
+import tracemalloc
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import tensorgeo.homogeneous as hq
+from conftest import MANIFOLDS, manifold_shapes, rel_err
+from tensorgeo import CpShape, TtShape
 from tensorgeo.flops import FlopLedger, gamma12_count, mode_step_items
 from tensorgeo.group import (AlgebraElement, GroupElement, HorizontalBlocks,
-                             ModeBlocks, adjoint, euclidean_inner, gamma12,
-                             gl_exp, lowrank_geodesic_step,
-                             mode_velocity_norms, reduce_columns,
-                             right_invariant_inner)
+                             ModeBlocks, _bpap, _tangent_factors, _tdot,
+                             adjoint, euclidean_inner, gamma12, gl_exp,
+                             lowrank_geodesic_step, mode_velocity_norms,
+                             reduce_columns, right_invariant_inner)
 from tensorgeo.oracles import dense_geodesic
 
 
@@ -249,3 +256,99 @@ def test_blocks_validation():
     dense = mb.densify()
     assert np.array_equal(dense[[2, 0, 1]][:, :2], mb.stacked())
     assert np.array_equal(mb.leading_columns(), dense[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# the Gram form: against the itemized update, the dense oracle, and in memory
+
+def _time_at_norm(point, tangent, target):
+    """Time at which the largest per-mode velocity norm reaches target."""
+    def top(t):
+        return max(max(mode_velocity_norms(mb, tb, t))
+                   for mb, tb in zip(point.modes, tangent.modes))
+    lo, hi = 0.0, 1.0
+    while top(hi) < target:
+        hi *= 2.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if top(mid) < target else (lo, mid)
+    return hi
+
+
+def _outcome(step):
+    """(error message, z, leading columns) of one mode step."""
+    try:
+        blocks, z = step()
+    except ValueError as exc:
+        return str(exc), None, None
+    return None, z, blocks.leading_columns()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(manifold_shapes(), st.integers(0, 2**32 - 1), st.integers(-6, 9))
+def test_gram_step_matches_itemized_step(case, seed, e):
+    # the largest mode's norms reach 1.5 * 2^e, mid-way between two
+    # exponents, so z = e + 3 there: from 0 (t is at least 0.01) to 12.
+    # The velocity norms, which set z, match the itemized factors' too.
+    kind, shape = case
+    rng = np.random.default_rng(seed)
+    p = MANIFOLDS[kind]["point"](shape, rng)
+    x = MANIFOLDS[kind]["tangent"](p, rng)
+    t = max(0.01, _time_at_norm(p, x, 1.5 * 2.0 ** e))
+    for mb, tb in zip(p.modes, x.modes):
+        a, bt = _tangent_factors(mb, gamma12(mb), tb, t, FlopLedger())
+        ba = _tdot(bt, a)
+        norms = np.linalg.norm(ba), np.linalg.norm(_bpap(a, bt, ba))
+        assert np.allclose(mode_velocity_norms(mb, tb, t), norms,
+                           rtol=1e-12, atol=0.0)
+        gram = _outcome(lambda: lowrank_geodesic_step(mb, tb, t))
+        item = _outcome(lambda: lowrank_geodesic_step(mb, tb, t,
+                                                      FlopLedger()))
+        assert gram[:2] == item[:2]
+        if gram[0] is None:
+            assert np.abs(gram[2] - item[2]).max() \
+                <= 1e-10 * np.abs(item[2]).max()
+
+
+@pytest.mark.parametrize("n", [96, 20000])
+@pytest.mark.parametrize("make", [lambda dims: CpShape(dims, 5),
+                                  lambda dims: TtShape(dims, (4, 4))],
+                         ids=["cp", "tt"])
+def test_gram_step_on_embedded_instance_matches_dense_oracle(make, n):
+    # each mode's columns are U (G0, X0) for an orthonormal n x 2k U and a
+    # 2k-row instance, so the exact step is U times the dense oracle's
+    # columns there; the largest mode runs at z = 8.  At n = 20000 the
+    # itemized update misses this bound (errors up to 4e-10).
+    rng = np.random.default_rng(16)
+    big = make((n, n, n))
+    small = make(tuple(2 * k for k in big.ks))
+    cfg = MANIFOLDS[big.name]
+    p0 = cfg["point"](small, rng)
+    x0 = cfg["tangent"](p0, rng)
+    g0, xa0 = hq.densify(p0), hq.lift_tangent(p0, x0)
+    us = [np.linalg.qr(rng.standard_normal((n, 2 * k)))[0] for k in big.ks]
+    point = hq.point_from_columns(
+        big, [u @ g[:, :k] for u, g, k in zip(us, g0.factors, big.ks)],
+        type(p0))
+    tangent = hq.tangent_from_ambient(
+        point, [u @ x[:, :k] for u, x, k in zip(us, xa0.factors, big.ks)])
+    t = _time_at_norm(p0, x0, 48.0)
+    q, zs = hq.geodesic(point, tangent, t)
+    assert max(zs) == 8
+    for mb, u, f, k in zip(q.modes, us, dense_geodesic(g0, xa0, t), big.ks):
+        assert rel_err(mb.leading_columns(), u @ f[:, :k]) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [5, 16])
+def test_gram_step_memory_is_a_few_n_by_k_blocks(k):
+    n = 20000
+    rng = np.random.default_rng(17)
+    mb = _random_blocks(rng, n, k)
+    tb = _random_tangent(rng, mb)
+    tracemalloc.start()
+    try:
+        lowrank_geodesic_step(mb, tb, 1.0 / np.sqrt(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * n * k

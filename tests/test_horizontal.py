@@ -1,6 +1,5 @@
 """The closed-form horizontal layer against the dense references."""
 
-import math
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -8,9 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 
 import tensorgeo.homogeneous as hq
-from conftest import MANIFOLDS
-from tensorgeo import (AlgebraElement, CpShape, TtShape, TuckerShape,
-                       cp_random_horizontal, cp_random_point)
+from conftest import MANIFOLDS, manifold_shapes
+from tensorgeo import (AlgebraElement, CpShape, cp_random_horizontal,
+                       cp_random_point)
 from tensorgeo.group import HorizontalBlocks
 from tensorgeo.oracles import (horizontality_residual_reference,
                                project_horizontal_reference)
@@ -18,32 +17,6 @@ from tensorgeo.oracles import (horizontality_residual_reference,
 RTOL = 1e-10
 # both residuals of a horizontal tangent are rounding noise below this
 NOISE = 1e-12
-
-
-@st.composite
-def _shapes(draw):
-    """Random CP, Tucker and TT shapes; an extra of 0 makes a square mode.
-
-    Tucker's first rank is the product of the others, the upper edge of its
-    admissibility window; TT ranks meet their bound s_{i-1} s_i <= n_i when
-    the mode is square.
-    """
-    kind = draw(st.sampled_from(sorted(MANIFOLDS)))
-
-    def dims(ks):
-        return [max(2, k + draw(st.integers(0, 3))) for k in ks]
-
-    if kind == "cp":
-        d, r = draw(st.integers(3, 4)), draw(st.integers(1, 3))
-        return kind, CpShape(dims([r] * d), r)
-    if kind == "tucker":
-        trest = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
-        ranks = (math.prod(trest),) + tuple(trest)
-        return kind, TuckerShape(dims(ranks), ranks)
-    ranks = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
-    sfull = [1] + ranks + [1]
-    ks = [a * b for a, b in zip(sfull, sfull[1:])]
-    return kind, TtShape(dims(ks), ranks)
 
 
 def _close(a, b, rtol=RTOL):
@@ -59,7 +32,8 @@ def _residuals_agree(p, x):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_shapes(), st.integers(0, 2**32 - 1), st.sampled_from([1e-2, 1.0]))
+@given(manifold_shapes(), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-2, 1.0]))
 def test_closed_form_matches_dense_references(case, seed, delta):
     kind, shape = case
     rng = np.random.default_rng(seed)
@@ -119,3 +93,20 @@ def test_residual_forms_no_n_by_n_matrix():
         tracemalloc.stop()
     assert res <= 1e-9
     assert peak < 8e6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(manifold_shapes())
+def test_coupled_rows_read_the_cached_basis(case):
+    # the row-by-row construction that rebuilt the basis on every call
+    _, shape = case
+    basis = shape.coupled_upper_basis()
+    offs = np.cumsum([0] + [k * k for k in shape.ks])
+    want = np.zeros((len(basis), offs[-1]))
+    for row, elem in enumerate(basis):
+        for i, y in enumerate(elem):
+            if y is not None:
+                want[row, offs[i]:offs[i + 1]] = y.ravel()
+    assert np.array_equal(hq.upper_condition_matrix(shape), want)
+    free = sum(n * (n - k) for n, k in zip(shape.dims, shape.ks))
+    assert hq.vertical_dimension(shape) == free + len(basis)
