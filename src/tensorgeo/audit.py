@@ -16,9 +16,8 @@ import numpy as np
 from . import homogeneous as hq
 from .cp import CpShape, cp_random_horizontal, cp_random_point
 from .flops import FlopLedger, geodesic_formula, mode_step_items
-from .group import (HorizontalBlocks, ModeBlocks, gamma12,
-                    lowrank_geodesic_step, mode_velocity_norms,
-                    reduce_columns)
+from .group import (HorizontalBlocks, ModeBlocks, lowrank_geodesic_step,
+                    mode_velocity_norms, reduce_columns)
 from .tt import TtShape, tt_random_horizontal, tt_random_point
 from .tucker import TuckerShape, tucker_random_horizontal, tucker_random_point
 
@@ -178,8 +177,7 @@ def _single_mode_instance(n, k, rng):
     q = np.linalg.qr(rng.standard_normal((n, k)))[0]
     blocks = reduce_columns(q * rng.uniform(0.7, 1.4, size=k))
     tb = HorizontalBlocks(rng.standard_normal((k, k)),
-                          rng.standard_normal((n - k, k)),
-                          gamma12(blocks))
+                          rng.standard_normal((n - k, k)))
     return blocks, tb
 
 

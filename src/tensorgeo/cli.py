@@ -100,11 +100,12 @@ def _suite_gl(rng, tol_scale):
                          np.abs(gam - dense).max(), 1e-12 * tol_scale))
 
     tb = HorizontalBlocks(rng.standard_normal((k, k)),
-                          rng.standard_normal((n - k, k)), gam)
+                          rng.standard_normal((n - k, k)))
     stepped, _ = lowrank_geodesic_step(blocks, tb, 0.8)
     ghat = blocks.densify()
+    lead = tb.stacked()
     xhat = np.zeros((n, n))
-    xhat[blocks.perm] = tb.densify_permuted()
+    xhat[blocks.perm] = np.hstack([lead, lead @ gam])
     cols = dense_geodesic([ghat], [xhat], 0.8)[0][:, :k]
     rel = np.linalg.norm(stepped.leading_columns() - cols) / np.linalg.norm(cols)
     checks.append(_check("lowrank_step_vs_dense_columns", rel, 1e-11 * tol_scale))
@@ -348,7 +349,6 @@ def build_parser():
     p.add_argument("-t", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", dest="out_file", default=None)
-    p.add_argument("--seed", type=int, default=0)
 
     return ap
 

@@ -7,7 +7,7 @@ of block upper-triangular elements whose leading blocks are a shared
 permutation times diagonals with product one.
 
 Horizontal tangents carry leading blocks (x11, x21) coupled across modes:
-the diagonal responses c = diag(G1^T X1 T g11^-T) of
+the diagonal responses c = diag(G1^T X1 M^-1), M = G1^T G1, of
 ``homogeneous.horizontality_residual`` must agree in every mode.  At the
 identity representative this is literally "equal diagonals of x11".
 """

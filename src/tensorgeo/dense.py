@@ -101,12 +101,6 @@ def perm_inverse(p):
     inv[p] = np.arange(len(p))
     return inv
 
-def perm_compose(p2, p1):
-    """Permutation applying ``p1`` first, then ``p2``: (P2 P1) m = m[p1[p2]]."""
-    p1 = np.asarray(p1)
-    p2 = np.asarray(p2)
-    return p1[p2]
-
 def is_permutation(p):
     p = np.asarray(p)
     return p.ndim == 1 and np.array_equal(np.sort(p), np.arange(len(p)))

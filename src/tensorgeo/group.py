@@ -206,28 +206,25 @@ class ModeBlocks:
 
 @dataclass(frozen=True, eq=False)
 class HorizontalBlocks:
-    """Blocks of a horizontal tangent factor in the representative's frame.
+    """Leading blocks (x11, x21) of a horizontal tangent factor.
 
-    The permuted tangent factor is [x11, x11 @ gamma12; x21, x21 @ gamma12];
-    the trailing columns are determined, so only the leading blocks and the
-    cached coupling block are stored.
+    The blocks are the tangent's leading columns X1 in the representative's
+    permuted frame, and they fix the tangent: its lift is w = X1 M^-1 G1^T
+    with M = G1^T G1, which vanishes on the orthogonal complement of
+    span(G1).  The trailing columns follow from the point, so no other
+    block is stored.
     """
     x11: np.ndarray
     x21: np.ndarray
-    gamma12: np.ndarray
 
-    def __init__(self, x11, x21, gamma12):
+    def __init__(self, x11, x21):
         x11 = np.asarray(x11, dtype=float)
         x21 = np.asarray(x21, dtype=float)
-        gamma12 = np.asarray(gamma12, dtype=float)
         k = x11.shape[0]
         if x11.shape != (k, k) or x21.ndim != 2 or x21.shape[1] != k:
             raise ValueError("inconsistent tangent blocks")
-        if gamma12.shape != (k, x21.shape[0]):
-            raise ValueError("gamma12 shape does not match the blocks")
         object.__setattr__(self, "x11", x11)
         object.__setattr__(self, "x21", x21)
-        object.__setattr__(self, "gamma12", gamma12)
 
     @property
     def k(self):
@@ -236,12 +233,8 @@ class HorizontalBlocks:
     def stacked(self):
         return np.vstack([self.x11, self.x21])
 
-    def densify_permuted(self):
-        lead = self.stacked()
-        return np.hstack([lead, lead @ self.gamma12])
-
     def scale(self, s):
-        return HorizontalBlocks(s * self.x11, s * self.x21, self.gamma12)
+        return HorizontalBlocks(s * self.x11, s * self.x21)
 
 
 def reduce_columns(c, tol=REPIVOT_TOL):
@@ -350,11 +343,10 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     Both psi1 evaluations share one scaling exponent, the larger of the two
     plans, so the mode has a single z, the same on either path.
 
-    Returns (new ModeBlocks, z).  Only the tangent's leading blocks are
-    read; its cached coupling block is not.
+    Returns (new ModeBlocks, z).
     """
     n, k = blocks.n, blocks.k
-    if tangent.k != k or tangent.gamma12.shape[1] != n - k:
+    if tangent.k != k or tangent.x21.shape[0] != n - k:
         raise ValueError("tangent blocks do not match the representative")
     if ledger is not None:
         return _itemized_step(blocks, tangent, t, ledger, label, repivot_tol)
@@ -421,8 +413,8 @@ def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
     The four column terms are assembled in the composition order of the
     geodesic formula (skew factor applied last); the recorded counts follow
     the published per-step itemization, whose cross term assumes the
-    reversed order and charges 6nk^2 + 6k^3.  The coupling block is
-    recomputed here so the recorded count covers the whole update.
+    reversed order and charges 6nk^2 + 6k^3.  The coupling block of the
+    point is computed here, so the recorded count covers the whole update.
     """
     n, k = blocks.n, blocks.k
     with led.step(label + "gamma12"):

@@ -25,11 +25,13 @@ k rows of g^-1 and R G1 = I, and the projection depends on Z1 alone:
     X1 = Z1 - G1 sum_a c_a y_a,     gram c = rhs,
     gram_ab = sum_i <y_a, M y_b M^-1>,   rhs_a = sum_i <G1^T Z1 M^-1, y_a>.
 
-For the residual of a block tangent (X1, gamma12), with
-T = g11^-1 - gamma12 g21 g11^-1, the lifted w = X g^-1 gives
+A block tangent is its leading columns X1, and its lift w = X1 M^-1 G1^T
+vanishes on the orthogonal complement of span(G1), so the free-sector
+conditions hold by construction.  Its residual pairs w with the coupled
+directions, using the projection's terms with Z1 = X1:
 
-    ||w||^2 = <X1^T X1, T T^T + gamma12 gamma12^T>,
-    <w, v_a> = sum_i <G1^T X1 T g11^-T, y_a>,
+    ||w||^2 = sum_i <X1^T X1, M^-1>,
+    <w, v_a> = sum_i <G1^T X1 M^-1, y_a>,
     ||v_a||^2 = sum_i <y_a, M y_a g11^-1 g11^-T>.
 
 Each is one pass over the n-row blocks or a k x k product, so a projection
@@ -47,8 +49,9 @@ from functools import lru_cache
 import numpy as np
 
 from .dense import perm_inverse
-from .group import (AlgebraElement, GroupElement, HorizontalBlocks,
-                    gamma12, lowrank_geodesic_step, reduce_columns)
+from .group import (REPIVOT_TOL, AlgebraElement, GroupElement,
+                    HorizontalBlocks, adjoint, gamma12,
+                    lowrank_geodesic_step, reduce_columns)
 
 GRAM_COND_LIMIT = 1e12
 
@@ -101,10 +104,15 @@ def point_from_columns(shape, cols, cls):
 
 
 def lift_tangent(point, tangent):
-    """Ambient dense tangent factors of a block tangent (test path)."""
+    """Ambient dense tangent factors of a block tangent (test path).
+
+    The permuted factor is [X1, X1 gamma12], with gamma12 the point's
+    coupling block.
+    """
     out = []
     for mb, tb in zip(point.modes, tangent.modes):
-        xhat = tb.densify_permuted()
+        lead = tb.stacked()
+        xhat = np.hstack([lead, lead @ gamma12(mb)])
         out.append(xhat[perm_inverse(mb.perm)])
     return AlgebraElement(out)
 
@@ -112,14 +120,13 @@ def lift_tangent(point, tangent):
 def tangent_from_ambient(point, x_factors):
     """Block tangent from ambient per-mode tangent factors.
 
-    Extracts the leading columns in the representative's frame and attaches
-    the coupling block of the base point; the caller is responsible for the
-    input being horizontal.
+    Extracts the leading columns in the representative's frame; the caller
+    is responsible for the input being horizontal.
     """
     modes = []
     for mb, xi in zip(point.modes, x_factors):
         lead = np.asarray(xi)[:, :mb.k][mb.perm]
-        modes.append(HorizontalBlocks(lead[:mb.k], lead[mb.k:], gamma12(mb)))
+        modes.append(HorizontalBlocks(lead[:mb.k], lead[mb.k:]))
     return ManifoldTangent(modes)
 
 
@@ -207,6 +214,14 @@ def _coupled_gram(ys, lefts, rights):
                for y, l, r in zip(ys, lefts, rights))
 
 
+def _mode_terms(g1s, z1s):
+    """Per mode M = G1^T G1, M^-1 and G1^T Z1 M^-1, as three lists."""
+    ms = [g1.T @ g1 for g1 in g1s]
+    m_invs = [np.linalg.inv(m) for m in ms]
+    pairs = [g1.T @ z1 @ mi for g1, z1, mi in zip(g1s, z1s, m_invs)]
+    return ms, m_invs, pairs
+
+
 def _coupled_system(ys, g1s, z1s):
     """Gram system of the coupled sector for the leading columns Z1.
 
@@ -214,12 +229,8 @@ def _coupled_system(ys, g1s, z1s):
     free sector is projected out of them, and rhs_a = sum_i <G1^T Z1 M^-1,
     y_a> pairs them with the free-sector projection of w = Z g^-1.
     """
-    ms = [g1.T @ g1 for g1 in g1s]
-    m_invs = [np.linalg.inv(m) for m in ms]
-    gram = _coupled_gram(ys, ms, m_invs)
-    rhs = _pair_basis(ys, [g1.T @ z1 @ mi
-                           for g1, z1, mi in zip(g1s, z1s, m_invs)])
-    return gram, rhs
+    ms, m_invs, pairs = _mode_terms(g1s, z1s)
+    return _coupled_gram(ys, ms, m_invs), _pair_basis(ys, pairs)
 
 
 def project_horizontal(point, z):
@@ -249,38 +260,29 @@ def project_horizontal(point, z):
     modes = []
     for mb, y, g1, z1 in zip(point.modes, ys, g1s, z1s):
         x1 = z1 - g1 @ np.tensordot(coef, y, axes=1)
-        modes.append(HorizontalBlocks(x1[:mb.k], x1[mb.k:], gamma12(mb)))
+        modes.append(HorizontalBlocks(x1[:mb.k], x1[mb.k:]))
     return ManifoldTangent(modes)
 
 
 def horizontality_residual(point, tangent):
     """Normalized residual of the horizontal conditions for a block tangent.
 
-    The largest deviation of a coupling block from the representative's own,
-    and the largest |<w, v_a>| / (||v_a|| (1 + ||w||)) over the coupled
-    vertical directions v_a, with w = X g^-1 the lifted tangent; the
-    free-sector condition holds structurally for block tangents.  With
-    T = g11^-1 - gamma12 g21 g11^-1, every term is a k x k product or one
-    pass over the n-row blocks.
+    The largest |<w, v_a>| / (||v_a|| (1 + ||w||)) over the coupled vertical
+    directions v_a, with w = X1 M^-1 G1^T the lifted tangent; the
+    free-sector conditions hold structurally for block tangents.  The
+    pairings are the projection's right-hand side for Z1 = X1, so every
+    term is a k x k product or one pass over the n-row blocks.
     """
     ys = _coupled_stacks(point.shape)
-    res = 0.0
-    w2 = 0.0
-    pairs, ms, s_mats = [], [], []
-    for mb, tb in zip(point.modes, tangent.modes):
-        res = max(res, float(np.abs(tb.gamma12 - gamma12(mb)).max(initial=0.0)))
-        g11_inv = np.linalg.inv(mb.g11)
-        gam = tb.gamma12
-        t = g11_inv - gam @ (mb.g21 @ g11_inv)
-        x1, g1 = tb.stacked(), mb.stacked()
-        w2 += float(np.sum((x1.T @ x1) * (t @ t.T + gam @ gam.T)))
-        pairs.append(g1.T @ x1 @ t @ g11_inv.T)
-        ms.append(g1.T @ g1)
-        s_mats.append(g11_inv @ g11_inv.T)
+    g1s = [mb.stacked() for mb in point.modes]
+    x1s = [tb.stacked() for tb in tangent.modes]
+    ms, m_invs, pairs = _mode_terms(g1s, x1s)
+    w2 = sum(float(np.sum((x1.T @ x1) * mi)) for x1, mi in zip(x1s, m_invs))
+    g11_invs = [np.linalg.inv(mb.g11) for mb in point.modes]
+    norms = np.sqrt(np.diagonal(_coupled_gram(
+        ys, ms, [gi @ gi.T for gi in g11_invs])))
     ips = _pair_basis(ys, pairs)
-    norms = np.sqrt(np.diagonal(_coupled_gram(ys, ms, s_mats)))
-    scale = 1.0 + np.sqrt(w2)
-    return max(res, float(np.max(np.abs(ips) / (norms * scale))))
+    return float(np.max(np.abs(ips) / (norms * (1.0 + np.sqrt(w2)))))
 
 
 def vertical_component_norm(g_factors, shape, v_factors):
@@ -331,7 +333,6 @@ def geodesic(point, tangent, t=1.0, ledger=None, repivot_tol=None):
     exponents).  ``repivot_tol = 0`` accepts representatives conditioned
     past the production re-pivot gate (long-time completeness probes).
     """
-    from .group import REPIVOT_TOL
     if repivot_tol is None:
         repivot_tol = REPIVOT_TOL
     new_modes = []
@@ -435,7 +436,6 @@ def reductive_check(shape, trials=100, seed=0):
     for any other shape a witness pair with normalized residual >= 0.05 is
     produced by escalating the strength of the stabilizer's shear blocks.
     """
-    from .group import adjoint
     rng = np.random.default_rng(seed)
     square = all(n == k for n, k in zip(shape.dims, shape.ks))
     if square:

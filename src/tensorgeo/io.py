@@ -12,7 +12,7 @@ callers can report locations.
 
 import numpy as np
 
-from .group import HorizontalBlocks, ModeBlocks, gamma12
+from .group import HorizontalBlocks, ModeBlocks
 
 
 class FormatError(ValueError):
@@ -156,25 +156,33 @@ def _point_class(shape):
     return {"cp": CpPoint, "tucker": TuckerPoint, "tt": TtPoint}[shape.name]
 
 
+def _mode_header(lines, i, k):
+    """Read the ``mode:`` and ``k:`` lines of mode i, which has k columns."""
+    if lines.parse("mode", int) != [i + 1]:
+        raise FormatError(f"expected mode {i + 1}", lines.pos)
+    got = lines.parse("k", int)
+    if got != [k]:
+        raise FormatError(f"mode {i + 1}: k = {' '.join(map(str, got))} "
+                          f"conflicts with the declared ranks (want {k})",
+                          lines.pos)
+
+
+def _block(lines, name):
+    """A named matrix section such as ``g11:`` followed by its document."""
+    if lines.next() != name + ":":
+        raise FormatError(f"expected '{name}:'", lines.pos)
+    return _parse_tensor(lines)
+
+
 def load_point(text):
     lines = _Lines(text)
     shape = _parse_shape_header(lines)
     modes = []
     for i in range(len(shape.dims)):
-        mode_no = lines.parse("mode", int)
-        if mode_no != [i + 1]:
-            raise FormatError(f"expected mode {i + 1}", lines.pos)
-        k = lines.parse("k", int)[0]
-        if k != shape.ks[i]:
-            raise FormatError(f"mode {i + 1}: k = {k} conflicts with the "
-                              f"declared ranks (want {shape.ks[i]})", lines.pos)
+        _mode_header(lines, i, shape.ks[i])
         perm = np.array(lines.parse("perm", int)) - 1
-        if lines.next() != "g11:":
-            raise FormatError("expected 'g11:'", lines.pos)
-        g11 = _parse_tensor(lines)
-        if lines.next() != "g21:":
-            raise FormatError("expected 'g21:'", lines.pos)
-        g21 = _parse_tensor(lines)
+        g11 = _block(lines, "g11")
+        g21 = _block(lines, "g21")
         try:
             modes.append(ModeBlocks(perm, g11, g21))
         except ValueError as exc:
@@ -193,25 +201,22 @@ def dump_tangent(point, tangent):
 
 
 def load_tangent(text, point):
-    """Tangent blocks against an existing point; coupling blocks are rebuilt."""
+    """Tangent blocks against an existing point, checked mode by mode."""
     lines = _Lines(text)
     shape = _parse_shape_header(lines)
     if shape != point.shape:
         raise FormatError("tangent header does not match the point's shape")
     modes = []
-    for i in range(len(shape.dims)):
-        lines.parse("mode", int)
-        lines.parse("k", int)
-        if lines.next() != "x11:":
-            raise FormatError("expected 'x11:'", lines.pos)
-        x11 = _parse_tensor(lines)
-        if lines.next() != "x21:":
-            raise FormatError("expected 'x21:'", lines.pos)
-        x21 = _parse_tensor(lines)
-        try:
-            modes.append(HorizontalBlocks(x11, x21, gamma12(point.modes[i])))
-        except ValueError as exc:
-            raise FormatError(f"mode {i + 1}: {exc}", lines.pos) from None
+    for i, mb in enumerate(point.modes):
+        _mode_header(lines, i, mb.k)
+        blocks = []
+        for name, rows in (("x11", mb.k), ("x21", mb.n - mb.k)):
+            x = _block(lines, name)
+            if x.shape != (rows, mb.k):
+                raise FormatError(f"mode {i + 1}: {name} has shape {x.shape}, "
+                                  f"want {(rows, mb.k)}", lines.pos)
+            blocks.append(x)
+        modes.append(HorizontalBlocks(*blocks))
     from .homogeneous import ManifoldTangent
     return ManifoldTangent(modes)
 

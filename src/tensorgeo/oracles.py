@@ -9,8 +9,10 @@ transparency and may be O(n^3) or worse.
 
 The horizontal-layer references densify the n x n factors and work in the
 metric's flat coordinates w = X g^-1.  They take compact points and block
-tangents and return block tangents carrying the coupling block, so they
-compare field by field with the closed forms in ``homogeneous``.
+tangents (the leading blocks x11, x21) and return block tangents, so they
+compare field by field with the closed forms in ``homogeneous``.  A block
+tangent's trailing columns are its leading ones times the point's coupling
+block, X1 gamma12.
 """
 
 import math
@@ -260,23 +262,24 @@ def project_horizontal_reference(point, z):
     modes = []
     for mb, w, g in zip(point.modes, ws, g_factors):
         lead = (w @ g)[:, :mb.k][mb.perm]
-        modes.append(HorizontalBlocks(lead[:mb.k], lead[mb.k:], gamma12(mb)))
+        modes.append(HorizontalBlocks(lead[:mb.k], lead[mb.k:]))
     return ManifoldTangent(modes)
 
 
 def horizontality_residual_reference(point, tangent):
     """Dense horizontality residual of a block tangent, O(n^3) per mode.
 
-    The largest coupling-block deviation, and the largest normalized pairing
-    of the lifted w = X g^-1 with an (unprojected) coupled vertical direction.
+    The largest normalized pairing of the lifted w = X g^-1 with an
+    (unprojected) coupled vertical direction, X the densified tangent.
     """
     g_factors = [mb.densify() for mb in point.modes]
     g_invs = [np.linalg.inv(g) for g in g_factors]
     res = 0.0
     ws = []
     for mb, tb, gi in zip(point.modes, tangent.modes, g_invs):
-        res = max(res, float(np.abs(tb.gamma12 - gamma12(mb)).max(initial=0.0)))
-        ws.append(tb.densify_permuted()[perm_inverse(mb.perm)] @ gi)
+        lead = tb.stacked()
+        xhat = np.hstack([lead, lead @ gamma12(mb)])
+        ws.append(xhat[perm_inverse(mb.perm)] @ gi)
     scale = 1.0 + float(np.sqrt(sum(np.sum(w * w) for w in ws)))
     for elem in _coupled_w_basis(point.shape, g_factors, g_invs):
         nrm = np.sqrt(sum(np.sum(v * v) for v in elem))

@@ -104,8 +104,8 @@ def test_geodesic_rejects_nonhorizontal(tmp_path):
     p = cp_random_point(CpShape((5, 4, 4), 2), rng)
     x = cp_random_horizontal(p, rng)
     from tensorgeo.group import HorizontalBlocks
-    bumped = [HorizontalBlocks(tb.x11 + np.diag([0.1, 0.0]), tb.x21,
-                               tb.gamma12) for tb in x.modes]
+    bumped = [HorizontalBlocks(tb.x11 + np.diag([0.1, 0.0]), tb.x21)
+              for tb in x.modes]
     pf, tf = tmp_path / "p.txt", tmp_path / "x.txt"
     tio.save_point(pf, p)
     tio.save_tangent(tf, p, type(x)(bumped))

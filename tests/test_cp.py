@@ -176,7 +176,6 @@ def test_projection_closed_form_at_reference():
         want11[np.arange(2), np.arange(2)] = diag_mean
         assert np.abs(tb.x11 - want11).max() <= 1e-10
         assert np.abs(tb.x21 - zf[2:, :2]).max() <= 1e-10
-        assert np.abs(tb.gamma12).max() == 0.0
 
 
 def test_is_horizontal():
@@ -185,15 +184,10 @@ def test_is_horizontal():
     p = cp_random_point(shape, rng)
     x = cp_random_horizontal(p, rng)
     assert cp_is_horizontal(p, x, tol=1e-9)
-    # perturbing the cached coupling block (i.e. the trailing columns)
-    from tensorgeo.group import HorizontalBlocks
-    bad = type(x)([HorizontalBlocks(tb.x11, tb.x21,
-                                    tb.gamma12 + 1e-3) for tb in x.modes])
-    assert not cp_is_horizontal(p, bad, tol=1e-6)
     # breaking the cross-mode diagonal condition
+    from tensorgeo.group import HorizontalBlocks
     bump = [tb for tb in x.modes]
-    bump[0] = HorizontalBlocks(bump[0].x11 + 1e-2 * np.eye(2), bump[0].x21,
-                               bump[0].gamma12)
+    bump[0] = HorizontalBlocks(bump[0].x11 + 1e-2 * np.eye(2), bump[0].x21)
     assert not cp_is_horizontal(p, type(x)(bump), tol=1e-6)
 
 
@@ -203,11 +197,10 @@ def test_is_horizontal_identity_reduces_to_equal_diagonals():
     from tensorgeo.group import HorizontalBlocks
     rng = np.random.default_rng(7)
     x11 = rng.standard_normal((2, 2))
-    modes = [HorizontalBlocks(x11, rng.standard_normal((2, 2)),
-                              np.zeros((2, 2))) for _ in range(3)]
+    modes = [HorizontalBlocks(x11, rng.standard_normal((2, 2)))
+             for _ in range(3)]
     assert cp_is_horizontal(p, hq.ManifoldTangent(modes), tol=1e-12)
-    modes[1] = HorizontalBlocks(x11 + np.diag([1e-3, 0]), modes[1].x21,
-                                np.zeros((2, 2)))
+    modes[1] = HorizontalBlocks(x11 + np.diag([1e-3, 0]), modes[1].x21)
     assert not cp_is_horizontal(p, hq.ManifoldTangent(modes), tol=1e-6)
 
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from tensorgeo.dense import (DEFAULT_RANK_TOL, basis_completion, mode_apply,
-                             mode_product, multilinear_rank, perm_compose,
-                             perm_inverse, refold, select_submatrix, tt_rank,
-                             unfold)
+                             mode_product, multilinear_rank, perm_inverse,
+                             refold, select_submatrix, tt_rank, unfold)
 from tensorgeo.group import GroupElement
 from tensorgeo.oracles import select_submatrix_reference
 
@@ -247,7 +246,5 @@ def test_basis_completion_rank_deficient():
 def test_perm_helpers():
     rng = np.random.default_rng(12)
     p1 = rng.permutation(6)
-    p2 = rng.permutation(6)
     v = rng.standard_normal(6)
-    assert np.array_equal(v[perm_compose(p2, p1)], v[p1][p2])
     assert np.array_equal(v[p1][perm_inverse(p1)], v)
