@@ -99,8 +99,7 @@ def _suite_gl(rng, tol_scale):
     checks.append(_check("gamma12_defining_relation",
                          np.abs(gam - dense).max(), 1e-12 * tol_scale))
 
-    tb = HorizontalBlocks(rng.standard_normal((k, k)),
-                          rng.standard_normal((n - k, k)))
+    tb = HorizontalBlocks(rng.standard_normal((n, k)))
     stepped, _ = lowrank_geodesic_step(blocks, tb, 0.8)
     ghat = blocks.densify()
     lead = tb.stacked()

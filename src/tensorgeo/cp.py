@@ -2,11 +2,11 @@
 
 Points are cosets of the mode-wise group action on the diagonal reference
 tensor sum_j e_j x ... x e_j.  A point is stored per mode as a permutation
-and the blocks (g11, g21) of the leading r columns; the stabilizer consists
-of block upper-triangular elements whose leading blocks are a shared
-permutation times diagonals with product one.
+and the n x r array of its permuted leading r columns; the stabilizer
+consists of block upper-triangular elements whose leading blocks are a
+shared permutation times diagonals with product one.
 
-Horizontal tangents carry leading blocks (x11, x21) coupled across modes:
+Horizontal tangents carry leading columns X1 (n x r) coupled across modes:
 the diagonal responses c = diag(G1^T X1 M^-1), M = G1^T G1, of
 ``homogeneous.horizontality_residual`` must agree in every mode.  At the
 identity representative this is literally "equal diagonals of x11".
@@ -93,16 +93,6 @@ class CpShape:
 
     def stabilizer_sample(self, rng):
         return _sample_stabilizer(self, rng)
-
-    def witness_element(self, rng, scale=1.0):
-        """Identity plus a shear block in the first non-square mode."""
-        factors = [np.eye(n) for n in self.dims]
-        for i, n in enumerate(self.dims):
-            if n > self.r:
-                factors[i][: self.r, self.r:] = scale * rng.standard_normal(
-                    (self.r, n - self.r))
-                break
-        return GroupElement(factors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,10 +19,13 @@ evaluations: about 12nk^2 + O(k^3 z) per mode, against the 110nk^2/3 of the
 paper's itemized update.  Passing a flop ledger selects the itemized update
 instead, the instrumented path whose every line the audit checks.
 
-Representatives are stored as a row permutation plus the leading-column
-blocks (g11, g21) of the permuted factor; the metric is invariant under left
-multiplication by orthogonal matrices, so all per-mode work happens in the
-permuted frame and results are scattered back.
+Each mode of a representative is stored as a row permutation and one n x k
+array G1 of the permuted factor's leading columns, and each mode of a
+tangent as one n x k array X1 in the same frame.  The metric is invariant
+under left multiplication by orthogonal matrices, so a step works in the
+permuted frame and re-pivots its n x k result there: the new permutation
+is the old one composed with the selection, and the unselected rows keep
+the old frame's order.
 """
 
 from dataclasses import dataclass
@@ -135,34 +138,21 @@ def adjoint(h, x):
 
 @dataclass(frozen=True, eq=False)
 class ModeBlocks:
-    """Leading k columns of one permuted factor: rows perm, blocks g11, g21.
+    """One mode of a representative: a row permutation and one n x k array.
 
-    The ambient factor has first k columns C with C[perm[j]] equal to row j
-    of the stacked block [g11; g21]; the trailing columns are an identity
-    completion in the permuted frame.  g11 must be invertible.
+    Row j of ``g1`` is row perm[j] of the ambient factor's first k columns;
+    its leading k x k block g11 must be invertible, and the trailing columns
+    are an identity completion in this permuted frame.  ``g11`` and ``g21``
+    are views of ``g1``'s first k and last n-k rows, so a write through
+    either one is a write to the point.
     """
     perm: np.ndarray
-    g11: np.ndarray
-    g21: np.ndarray
+    g1: np.ndarray
 
     def __init__(self, perm, g11, g21, invert_tol=INVERTIBILITY_TOL):
         perm = np.asarray(perm)
         if not is_permutation(perm):
             raise ValueError("perm is not a permutation")
-        self._fill(perm, g11, g21, invert_tol)
-
-    @classmethod
-    def _from_selection(cls, perm, g11, g21, invert_tol):
-        """Blocks on a permutation ``select_submatrix`` has just built.
-
-        Such a permutation needs no sort-based check; every other check,
-        the singularity gate on g11 included, still runs.
-        """
-        blocks = object.__new__(cls)
-        blocks._fill(perm, g11, g21, invert_tol)
-        return blocks
-
-    def _fill(self, perm, g11, g21, invert_tol):
         g11 = np.asarray(g11, dtype=float)
         g21 = np.asarray(g21, dtype=float)
         k = g11.shape[0]
@@ -170,71 +160,109 @@ class ModeBlocks:
             raise ValueError("g11 is not square")
         if g21.shape != (len(perm) - k, k):
             raise ValueError("g21 has inconsistent shape")
-        s = np.linalg.svd(g11, compute_uv=False)
+        self._fill(perm, np.vstack((g11, g21)), invert_tol)
+
+    @classmethod
+    def _from_selection(cls, perm, g1, invert_tol):
+        """Blocks on rows ``select_submatrix`` has just ordered.
+
+        Such a permutation needs no sort-based check; the singularity gate
+        on g11 still runs.
+        """
+        blocks = object.__new__(cls)
+        blocks._fill(perm, g1, invert_tol)
+        return blocks
+
+    def _fill(self, perm, g1, invert_tol):
+        s = np.linalg.svd(g1[:g1.shape[1]], compute_uv=False)
         if not np.all(np.isfinite(s)) or s[-1] <= invert_tol * s[0] or s[-1] == 0.0:
             raise ValueError("g11 is numerically singular")
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "g11", g11)
-        object.__setattr__(self, "g21", g21)
+        object.__setattr__(self, "g1", g1)
 
     @property
     def n(self):
-        return len(self.perm)
+        return self.g1.shape[0]
 
     @property
     def k(self):
-        return self.g11.shape[0]
+        return self.g1.shape[1]
+
+    @property
+    def g11(self):
+        return self.g1[:self.k]
+
+    @property
+    def g21(self):
+        return self.g1[self.k:]
 
     def stacked(self):
-        return np.vstack([self.g11, self.g21])
+        """The stored n x k array G1 of the permuted frame (not a copy)."""
+        return self.g1
 
     def leading_columns(self):
         """Ambient n x k leading columns (permuted rows scattered back)."""
         c = np.empty((self.n, self.k))
-        c[self.perm] = self.stacked()
+        c[self.perm] = self.g1
         return c
 
     def densify(self):
         """Full ambient factor with identity completion; test paths only."""
         n, k = self.n, self.k
         full = np.zeros((n, n))
-        full[:k, :k] = self.g11
-        full[k:, :k] = self.g21
+        full[:, :k] = self.g1
         full[k:, k:] = np.eye(n - k)
         return full[perm_inverse(self.perm)]
 
 
 @dataclass(frozen=True, eq=False)
 class HorizontalBlocks:
-    """Leading blocks (x11, x21) of a horizontal tangent factor.
+    """Leading columns X1 (n x k) of a horizontal tangent factor.
 
-    The blocks are the tangent's leading columns X1 in the representative's
-    permuted frame, and they fix the tangent: its lift is w = X1 M^-1 G1^T
-    with M = G1^T G1, which vanishes on the orthogonal complement of
-    span(G1).  The trailing columns follow from the point, so no other
-    block is stored.
+    X1 is read in the representative's permuted frame, and it fixes the
+    tangent: the lift is w = X1 M^-1 G1^T with M = G1^T G1, which vanishes
+    on the orthogonal complement of span(G1).  The trailing columns follow
+    from the point, so nothing else is stored; ``x11`` and ``x21`` are views
+    of X1's first k and last n-k rows.
     """
-    x11: np.ndarray
-    x21: np.ndarray
+    x1: np.ndarray
 
-    def __init__(self, x11, x21):
-        x11 = np.asarray(x11, dtype=float)
-        x21 = np.asarray(x21, dtype=float)
-        k = x11.shape[0]
-        if x11.shape != (k, k) or x21.ndim != 2 or x21.shape[1] != k:
+    def __init__(self, x1):
+        x1 = np.asarray(x1, dtype=float)
+        if x1.ndim != 2 or x1.shape[0] < x1.shape[1]:
             raise ValueError("inconsistent tangent blocks")
-        object.__setattr__(self, "x11", x11)
-        object.__setattr__(self, "x21", x21)
+        object.__setattr__(self, "x1", x1)
 
     @property
     def k(self):
-        return self.x11.shape[0]
+        return self.x1.shape[1]
+
+    @property
+    def x11(self):
+        return self.x1[:self.k]
+
+    @property
+    def x21(self):
+        return self.x1[self.k:]
 
     def stacked(self):
-        return np.vstack([self.x11, self.x21])
+        """The stored n x k array X1 (not a copy)."""
+        return self.x1
 
     def scale(self, s):
-        return HorizontalBlocks(s * self.x11, s * self.x21)
+        return HorizontalBlocks(s * self.x1)
+
+
+def _repivot(perm, cols, tol):
+    """Representative of n x k columns whose row j is ambient row perm[j].
+
+    The selection runs in the given row order, so ties resolve in it and
+    the unselected rows keep it; the coset and the selected rows do not
+    depend on the order.
+    """
+    sel = select_submatrix(cols, tol)
+    return ModeBlocks._from_selection(perm[sel], cols[sel],
+                                      min(tol, INVERTIBILITY_TOL))
 
 
 def reduce_columns(c, tol=REPIVOT_TOL):
@@ -244,15 +272,37 @@ def reduce_columns(c, tol=REPIVOT_TOL):
     re-pivot gate rejects blocks past 1e-10 relative conditioning.
     """
     c = np.asarray(c, dtype=float)
-    p = select_submatrix(c, tol)
-    k = c.shape[1]
-    cp = c[p]
-    return ModeBlocks._from_selection(p, cp[:k], cp[k:],
-                                      min(tol, INVERTIBILITY_TOL))
+    return _repivot(np.arange(len(c)), c, tol)
 
 
 # ---------------------------------------------------------------------------
 # the coupling block Gamma12
+
+def _coupling(blocks, ledger=None):
+    """The k x n matrix [g11^-1 (1 + W)^-1, gamma12], W as in ``gamma12``.
+
+    Its leading block equals (1 - gamma12 g21) g11^-1, so the whole matrix
+    is the right factor B of the itemized step, which reads it from here.
+    The ledger lines are gamma12's.
+    """
+    n, k = blocks.n, blocks.k
+    eye = np.eye(k)
+    g11_inv = np.linalg.solve(blocks.g11, eye)
+    r = blocks.g21 @ g11_inv                     # g21 g11^-1
+    w = r.T @ r
+    s = np.linalg.solve(eye + w, eye)
+    b = np.empty((k, n))
+    b[:, :k] = g11_inv @ (eye - w @ s)
+    b[:, k:] = b[:, :k] @ r.T
+    if ledger is not None:
+        ledger.div(n, k, k)
+        ledger.mult(k, n, k)
+        ledger.div(k, k, k)
+        ledger.mult(k, k, k)
+        ledger.div(k, k, k)
+        ledger.mult(k, k, n)
+    return b
+
 
 def gamma12(blocks, ledger=None):
     """Solve the horizontal coupling relation for the k x (n-k) block.
@@ -262,42 +312,16 @@ def gamma12(blocks, ledger=None):
     g11 is factorized once; its inverse reaches the n-row block by a matmul.
     The recorded cost is 20nk^2/3 + 22k^3/3.
     """
-    n, k = blocks.n, blocks.k
-    g11, g21 = blocks.g11, blocks.g21
-    eye = np.eye(k)
-    g11_inv = np.linalg.solve(g11, eye)
-    r = g21 @ g11_inv                            # g21 g11^-1
-    w = r.T @ r
-    s = np.linalg.solve(eye + w, eye)
-    ws = w @ s
-    left = g11_inv @ (eye - ws)
-    out = left @ r.T
-    if ledger is not None:
-        ledger.div(n, k, k)
-        ledger.mult(k, n, k)
-        ledger.div(k, k, k)
-        ledger.mult(k, k, k)
-        ledger.div(k, k, k)
-        ledger.mult(k, k, n)
-    return out
+    return _coupling(blocks, ledger)[:, blocks.k:]
 
 
 # ---------------------------------------------------------------------------
 # the low-rank geodesic update of one mode
-#
-# An n-row matrix of the permuted frame is held as the pair (leading k rows,
-# trailing n-k rows), the split of the representative itself.
-
-def _tdot(x, y):
-    """x^T y for two split n-row matrices."""
-    return x[0].T @ y[0] + x[1].T @ y[1]
-
 
 def _gram(blocks, tangent):
-    """Q = [G1, X1], split, and its 2k x 2k Gram H = Q^T Q."""
-    q = (np.hstack((blocks.g11, tangent.x11)),
-         np.hstack((blocks.g21, tangent.x21)))
-    return q, _tdot(q, q)
+    """Q = [G1, X1] (n x 2k) and its 2k x 2k Gram H = Q^T Q."""
+    q = np.hstack((blocks.g1, tangent.x1))
+    return q, q.T @ q
 
 
 def _velocity_cores(h, t):
@@ -341,12 +365,13 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     With a ledger the paper-itemized update runs instead, and its recorded
     counts follow the published per-step itemization (110nk^2/3 leading).
     Both psi1 evaluations share one scaling exponent, the larger of the two
-    plans, so the mode has a single z, the same on either path.
+    plans, so the mode has a single z, the same on either path.  Either way
+    the new columns are re-pivoted in the representative's own row order.
 
     Returns (new ModeBlocks, z).
     """
-    n, k = blocks.n, blocks.k
-    if tangent.k != k or tangent.x21.shape[0] != n - k:
+    k = blocks.k
+    if tangent.x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")
     if ledger is not None:
         return _itemized_step(blocks, tangent, t, ledger, label, repivot_tol)
@@ -359,11 +384,9 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     u = pp @ np.vstack((w, s.T @ w))
     c = np.vstack((w - m_inv @ u[k:], t * u[:k]))
     # column-major, so the re-pivot's transposed copy is a contiguous one
-    ambient = np.empty((n, k), order="F")
-    ambient[blocks.perm[:k]] = q[0] @ c
-    ambient[blocks.perm[k:]] = q[1] @ c
+    out = (c.T @ q.T).T
     del q  # the re-pivot runs without Q's n x 2k copy alive
-    return reduce_columns(ambient, repivot_tol), plan.z
+    return _repivot(blocks.perm, out, repivot_tol), plan.z
 
 
 def mode_velocity_norms(blocks, tangent, t=1.0):
@@ -374,37 +397,25 @@ def mode_velocity_norms(blocks, tangent, t=1.0):
 
 # ---------------------------------------------------------------------------
 # the paper-itemized update, the instrumented path of the flop audit
+#
+# A is n x k and B is k x n, both in the representative's permuted frame.
 
-def _tangent_factors(blocks, gam, tangent, t, ledger):
-    """Rank-k factors A, B with t X g^-1 = A B in the permuted frame.
-
-    A = t [x11; x21] is free; B = [(1 - gamma12 g21) g11^-1, gamma12] costs
-    2nk^2 + 8k^3/3.  Returns A and B^T, both split.
-    """
-    n, k = blocks.n, blocks.k
-    u = gam @ blocks.g21
-    first = np.linalg.solve(blocks.g11.T, (np.eye(k) - u).T).T
-    ledger.mult(k, n, k)
-    ledger.div(k, k, k)
-    return (t * tangent.x11, t * tangent.x21), (first.T, gam.T)
-
-
-def _bpap(a, bt, ba):
+def _bpap(a, b, ba):
     """B'A' = [B; A^T] [A, -B^T] = [BA, -BB^T; A^TA, -(BA)^T]."""
     k = ba.shape[0]
     out = np.empty((2 * k, 2 * k))
     out[:k, :k] = ba
-    out[:k, k:] = _tdot(bt, bt)
-    out[k:, :k] = _tdot(a, a)
+    out[:k, k:] = b @ b.T
+    out[k:, :k] = a.T @ a
     out[k:, k:] = ba.T
     out[:, k:] *= -1.0
     return out
 
 
-def _ap_mul(a, bt, x):
-    """A' x = A x_1 - B^T x_2 for a 2k-row x, split."""
+def _ap_mul(a, b, x):
+    """A' x = A x_1 - B^T x_2 for a 2k-row x."""
     k = x.shape[0] // 2
-    return tuple(ai @ x[:k] - bi @ x[k:] for ai, bi in zip(a, bt))
+    return a @ x[:k] - b.T @ x[k:]
 
 
 def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
@@ -418,15 +429,19 @@ def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
     """
     n, k = blocks.n, blocks.k
     with led.step(label + "gamma12"):
-        gam = gamma12(blocks, led)
+        b = _coupling(blocks, led)
     with led.step(label + "build_B"):
-        a, bt = _tangent_factors(blocks, gam, tangent, t, led)
+        # B = [(1 - gamma12 g21) g11^-1, gamma12] came whole with gamma12;
+        # the charge is the published itemization's cost of its first block
+        a = t * tangent.x1
+        led.mult(k, n, k)
+        led.div(k, k, k)
 
     with led.step(label + "BA"):
-        ba = _tdot(bt, a)
+        ba = b @ a
         led.mult(k, n, k)
     with led.step(label + "BpAp"):
-        bpap = _bpap(a, bt, ba)
+        bpap = _bpap(a, b, ba)
         led.mult(2 * k, n, 2 * k)
 
     plan = _shared_plan(ba, bpap)
@@ -435,33 +450,30 @@ def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
     with led.step(label + "psi1_BpAp"):
         pp = psi1(bpap, led, plan)
 
-    g1 = (blocks.g11, blocks.g21)
+    g1 = blocks.g1
     with led.step(label + "term2"):
-        atg = _tdot(a, g1)
-        y = p.T @ atg
-        term2 = (bt[0] @ y, bt[1] @ y)
+        atg = a.T @ g1
+        term2 = b.T @ (p.T @ atg)
         led.mult(k, n, k)
         led.mult(k, k, k)
         led.mult(n, k, k)
     with led.step(label + "term3"):
-        term3 = _ap_mul(a, bt, pp @ np.concatenate((_tdot(bt, g1), atg)))
+        term3 = _ap_mul(a, b, pp @ np.concatenate((b @ g1, atg)))
         led.mult(2 * k, n, k)
         led.mult(2 * k, 2 * k, k)
         led.mult(n, 2 * k, k)
     with led.step(label + "term4"):
-        bpt2 = np.concatenate((_tdot(bt, term2), _tdot(a, term2)))
-        term4 = _ap_mul(a, bt, pp @ bpt2)
+        bpt2 = np.concatenate((b @ term2, a.T @ term2))
+        term4 = _ap_mul(a, b, pp @ bpt2)
         led.mult(n, k, 2 * k)
         led.mult(k, 2 * k, k)
         led.mult(k, k, k)
         led.mult(n, k, k)
-    ambient = np.empty((n, k))
-    for part, rows in enumerate((blocks.perm[:k], blocks.perm[k:])):
-        ambient[rows] = g1[part] + term2[part] + term3[part] + term4[part]
+    out = g1 + term2 + term3 + term4
     led.add(n, k)
     led.add(n, k)
     led.add(n, k)
 
-    out = reduce_columns(ambient, repivot_tol)
+    out = _repivot(blocks.perm, out, repivot_tol)
     led.aux_work(n * k * k)  # row-selection sweep, outside the model
     return out, plan.z

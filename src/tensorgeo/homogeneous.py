@@ -123,11 +123,9 @@ def tangent_from_ambient(point, x_factors):
     Extracts the leading columns in the representative's frame; the caller
     is responsible for the input being horizontal.
     """
-    modes = []
-    for mb, xi in zip(point.modes, x_factors):
-        lead = np.asarray(xi)[:, :mb.k][mb.perm]
-        modes.append(HorizontalBlocks(lead[:mb.k], lead[mb.k:]))
-    return ManifoldTangent(modes)
+    return ManifoldTangent(
+        HorizontalBlocks(np.asarray(xi)[:, :mb.k][mb.perm])
+        for mb, xi in zip(point.modes, x_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,9 @@ def vertical_dimension(shape):
 # ---------------------------------------------------------------------------
 # the horizontal layer in closed form (derivation in the module docstring)
 #
-# The n-row matrices of one mode share one row order, the representative's
-# permuted frame or the ambient one; no pairing depends on which.
+# The n-row matrices of one mode share one row order: the representative's
+# permuted frame, in which G1 and X1 are stored, or the ambient one; every
+# pairing sums over rows, so none depends on which.
 
 @lru_cache(maxsize=16)
 def _coupled_stacks(shape):
@@ -257,11 +256,9 @@ def project_horizontal(point, z):
         raise ValueError("ill-conditioned Gram system: representative is "
                          "numerically degenerate")
     coef = np.linalg.solve(gram, rhs)
-    modes = []
-    for mb, y, g1, z1 in zip(point.modes, ys, g1s, z1s):
-        x1 = z1 - g1 @ np.tensordot(coef, y, axes=1)
-        modes.append(HorizontalBlocks(x1[:mb.k], x1[mb.k:]))
-    return ManifoldTangent(modes)
+    return ManifoldTangent(
+        HorizontalBlocks(z1 - g1 @ np.tensordot(coef, y, axes=1))
+        for y, g1, z1 in zip(ys, g1s, z1s))
 
 
 def horizontality_residual(point, tangent):
@@ -346,13 +343,20 @@ def geodesic(point, tangent, t=1.0, ledger=None, repivot_tol=None):
 
 
 def transport_point(point, h):
-    """Representative of the coset g h: reduce the columns of g h per mode."""
-    cls = type(point)
+    """Representative of the coset g h: reduce the columns of g h per mode.
+
+    The first k columns of g h are G1 h11 + E h21, where E holds the
+    identity completion's unit entries, so h21's rows add into the ambient
+    rows perm[k:] and no n x n factor is formed.
+    """
     cols = []
     for mb, hi in zip(point.modes, getattr(h, "factors", h)):
         k = mb.k
-        cols.append(mb.densify() @ np.asarray(hi)[:, :k])
-    return point_from_columns(point.shape, cols, cls)
+        hi = np.asarray(hi, dtype=float)
+        c = mb.leading_columns() @ hi[:k, :k]
+        c[mb.perm[k:]] += hi[k:, :k]
+        cols.append(c)
+    return point_from_columns(point.shape, cols, type(point))
 
 
 def transport_tangent(x, h):
@@ -417,6 +421,16 @@ def sample_m(shape, rng):
     return AlgebraElement(factors)
 
 
+def witness_element(shape, rng, scale=1.0):
+    """Identity plus a shear block in the first non-square mode."""
+    factors = [np.eye(n) for n in shape.dims]
+    for i, (n, k) in enumerate(zip(shape.dims, shape.ks)):
+        if n > k:
+            factors[i][:k, k:] = scale * rng.standard_normal((k, n - k))
+            break
+    return GroupElement(factors)
+
+
 @dataclass(frozen=True)
 class ReductiveReport:
     manifold: str
@@ -450,7 +464,7 @@ def reductive_check(shape, trials=100, seed=0):
     best = 0.0
     for scale in (1.0, 2.0, 4.0, 8.0, 16.0):
         for _ in range(trials):
-            h = shape.witness_element(rng, scale)
+            h = witness_element(shape, rng, scale)
             x = sample_m(shape, rng)
             d = distance_to_m(shape, adjoint(h, x)) / x.norm()
             best = max(best, d)

@@ -109,12 +109,7 @@ def read_tensor(path):
 
 def _shape_header(point):
     shape = point.shape
-    if shape.name == "cp":
-        ranks = [shape.r]
-    elif shape.name == "tucker":
-        ranks = list(shape.ranks)
-    else:
-        ranks = list(shape.ranks)
+    ranks = [shape.r] if shape.name == "cp" else list(shape.ranks)
     return (f"manifold: {shape.name}\n"
             f"dims: {' '.join(str(n) for n in shape.dims)}\n"
             f"ranks: {' '.join(str(t) for t in ranks)}\n")
@@ -216,7 +211,7 @@ def load_tangent(text, point):
                 raise FormatError(f"mode {i + 1}: {name} has shape {x.shape}, "
                                   f"want {(rows, mb.k)}", lines.pos)
             blocks.append(x)
-        modes.append(HorizontalBlocks(*blocks))
+        modes.append(HorizontalBlocks(np.vstack(blocks)))
     from .homogeneous import ManifoldTangent
     return ManifoldTangent(modes)
 

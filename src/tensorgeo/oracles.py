@@ -9,10 +9,10 @@ transparency and may be O(n^3) or worse.
 
 The horizontal-layer references densify the n x n factors and work in the
 metric's flat coordinates w = X g^-1.  They take compact points and block
-tangents (the leading blocks x11, x21) and return block tangents, so they
-compare field by field with the closed forms in ``homogeneous``.  A block
-tangent's trailing columns are its leading ones times the point's coupling
-block, X1 gamma12.
+tangents (the leading columns X1, n x k per mode) and return block
+tangents, so they compare field by field with the closed forms in
+``homogeneous``.  A block tangent's trailing columns are its leading ones
+times the point's coupling block, X1 gamma12.
 """
 
 import math
@@ -259,11 +259,8 @@ def project_horizontal_reference(point, z):
         for i in range(len(ws)):
             ws[i] = ws[i] - coef[a] * vperp[a][i]
 
-    modes = []
-    for mb, w, g in zip(point.modes, ws, g_factors):
-        lead = (w @ g)[:, :mb.k][mb.perm]
-        modes.append(HorizontalBlocks(lead[:mb.k], lead[mb.k:]))
-    return ManifoldTangent(modes)
+    return ManifoldTangent(HorizontalBlocks((w @ g)[:, :mb.k][mb.perm])
+                           for mb, w, g in zip(point.modes, ws, g_factors))
 
 
 def horizontality_residual_reference(point, tangent):

@@ -120,14 +120,6 @@ class TtShape:
     def stabilizer_sample(self, rng):
         return _sample_stabilizer(self, rng)
 
-    def witness_element(self, rng, scale=1.0):
-        factors = [np.eye(n) for n in self.dims]
-        for i, (n, k) in enumerate(zip(self.dims, self.ks)):
-            if n > k:
-                factors[i][:k, k:] = scale * rng.standard_normal((k, n - k))
-                break
-        return GroupElement(factors)
-
 
 def _contract_cores(cores):
     out = cores[0]

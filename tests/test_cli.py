@@ -104,7 +104,8 @@ def test_geodesic_rejects_nonhorizontal(tmp_path):
     p = cp_random_point(CpShape((5, 4, 4), 2), rng)
     x = cp_random_horizontal(p, rng)
     from tensorgeo.group import HorizontalBlocks
-    bumped = [HorizontalBlocks(tb.x11 + np.diag([0.1, 0.0]), tb.x21)
+    bumped = [HorizontalBlocks(np.vstack((tb.x11 + np.diag([0.1, 0.0]),
+                                          tb.x21)))
               for tb in x.modes]
     pf, tf = tmp_path / "p.txt", tmp_path / "x.txt"
     tio.save_point(pf, p)

@@ -187,7 +187,8 @@ def test_is_horizontal():
     # breaking the cross-mode diagonal condition
     from tensorgeo.group import HorizontalBlocks
     bump = [tb for tb in x.modes]
-    bump[0] = HorizontalBlocks(bump[0].x11 + 1e-2 * np.eye(2), bump[0].x21)
+    bump[0] = HorizontalBlocks(np.vstack((bump[0].x11 + 1e-2 * np.eye(2),
+                                          bump[0].x21)))
     assert not cp_is_horizontal(p, type(x)(bump), tol=1e-6)
 
 
@@ -197,10 +198,11 @@ def test_is_horizontal_identity_reduces_to_equal_diagonals():
     from tensorgeo.group import HorizontalBlocks
     rng = np.random.default_rng(7)
     x11 = rng.standard_normal((2, 2))
-    modes = [HorizontalBlocks(x11, rng.standard_normal((2, 2)))
+    modes = [HorizontalBlocks(np.vstack((x11, rng.standard_normal((2, 2)))))
              for _ in range(3)]
     assert cp_is_horizontal(p, hq.ManifoldTangent(modes), tol=1e-12)
-    modes[1] = HorizontalBlocks(x11 + np.diag([1e-3, 0]), modes[1].x21)
+    modes[1] = HorizontalBlocks(np.vstack((x11 + np.diag([1e-3, 0]),
+                                           modes[1].x21)))
     assert not cp_is_horizontal(p, hq.ManifoldTangent(modes), tol=1e-6)
 
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 import tensorgeo.homogeneous as hq
 from conftest import MANIFOLDS, manifold_shapes, rel_err
 from tensorgeo import CpShape, TtShape
+from tensorgeo.dense import select_submatrix
 from tensorgeo.flops import FlopLedger, gamma12_count, mode_step_items
 from tensorgeo.group import (AlgebraElement, GroupElement, HorizontalBlocks,
-                             ModeBlocks, _bpap, _tangent_factors, _tdot,
-                             adjoint, euclidean_inner, gamma12, gl_exp,
+                             ModeBlocks, _bpap, _coupling, adjoint,
+                             euclidean_inner, gamma12, gl_exp,
                              lowrank_geodesic_step, mode_velocity_norms,
                              reduce_columns, right_invariant_inner)
 from tensorgeo.oracles import dense_geodesic
@@ -188,8 +189,9 @@ def test_gamma12_ledger_line():
 # ---------------------------------------------------------------------------
 
 def _random_tangent(rng, mb):
-    return HorizontalBlocks(rng.standard_normal((mb.k, mb.k)),
-                            rng.standard_normal((mb.n - mb.k, mb.k)))
+    return HorizontalBlocks(np.vstack((
+        rng.standard_normal((mb.k, mb.k)),
+        rng.standard_normal((mb.n - mb.k, mb.k)))))
 
 
 def test_step_t_zero_and_zero_tangent():
@@ -258,6 +260,48 @@ def test_blocks_validation():
     assert np.array_equal(mb.leading_columns(), dense[:, :2])
 
 
+def test_block_views_write_through():
+    # a write into g21 is a write to the stored n x k array
+    mb = ModeBlocks(np.array([2, 0, 1]), 2 * np.eye(2), np.ones((1, 2)))
+    mb.g21[...] = [[3.0, 4.0]]
+    assert np.array_equal(mb.stacked(), [[2, 0], [0, 2], [3, 4]])
+    assert np.array_equal(mb.leading_columns(), [[0, 2], [3, 4], [2, 0]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(manifold_shapes(), st.integers(0, 2**32 - 1), st.floats(0.1, 4.0))
+def test_step_selects_the_rows_of_an_ambient_repivot(case, seed, t):
+    # the step re-pivots in the representative's own row order; the rows it
+    # selects, in pivot order, are those a re-pivot of the ambient columns
+    # selects
+    kind, shape = case
+    rng = np.random.default_rng(seed)
+    p = MANIFOLDS[kind]["point"](shape, rng)
+    x = MANIFOLDS[kind]["tangent"](p, rng)
+    for mb, tb in zip(p.modes, x.modes):
+        for ledger in (None, FlopLedger()):
+            try:
+                stepped, _ = lowrank_geodesic_step(mb, tb, t, ledger)
+            except ValueError:
+                continue
+            k = stepped.k
+            assert np.array_equal(
+                stepped.perm[:k],
+                select_submatrix(stepped.leading_columns())[:k])
+
+
+def test_transport_point_matches_the_dense_product(manifold):
+    # a general h, not a stabilizer element, so its lower-left blocks count
+    cfg = MANIFOLDS[manifold]
+    shape = cfg["shape"]()
+    rng = np.random.default_rng(18)
+    p = cfg["point"](shape, rng)
+    h = [rng.standard_normal((n, n)) + 2 * np.eye(n) for n in shape.dims]
+    q = hq.transport_point(p, h)
+    for mb, g, hi, k in zip(q.modes, hq.densify(p).factors, h, shape.ks):
+        assert rel_err(mb.leading_columns(), (g @ hi)[:, :k]) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the Gram form: against the itemized update, the dense oracle, and in memory
 
@@ -296,9 +340,9 @@ def test_gram_step_matches_itemized_step(case, seed, e):
     x = MANIFOLDS[kind]["tangent"](p, rng)
     t = max(0.01, _time_at_norm(p, x, 1.5 * 2.0 ** e))
     for mb, tb in zip(p.modes, x.modes):
-        a, bt = _tangent_factors(mb, gamma12(mb), tb, t, FlopLedger())
-        ba = _tdot(bt, a)
-        norms = np.linalg.norm(ba), np.linalg.norm(_bpap(a, bt, ba))
+        a, b = t * tb.x1, _coupling(mb)
+        ba = b @ a
+        norms = np.linalg.norm(ba), np.linalg.norm(_bpap(a, b, ba))
         assert np.allclose(mode_velocity_norms(mb, tb, t), norms,
                            rtol=1e-12, atol=0.0)
         gram = _outcome(lambda: lowrank_geodesic_step(mb, tb, t))

@@ -48,8 +48,8 @@ def test_closed_form_matches_dense_references(case, seed, delta):
     mode = int(rng.integers(shape.d))
     bumped = list(x.modes)
     tb = bumped[mode]
-    bumped[mode] = HorizontalBlocks(
-        tb.x11 + delta * rng.standard_normal(tb.x11.shape), tb.x21)
+    bumped[mode] = HorizontalBlocks(np.vstack((
+        tb.x11 + delta * rng.standard_normal(tb.x11.shape), tb.x21)))
     assert _residuals_agree(p, type(x)(bumped))
 
 
