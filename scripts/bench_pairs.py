@@ -32,7 +32,8 @@ HIGHER_IS_BETTER = {"ops_per_s", "success_rate"}
 LAYERS = ("group.lowrank_geodesic_step.self_s",
           "dense.select_submatrix.self_s", "group.reduce_columns.self_s",
           "group.reduce_columns.calls", "group.gamma12.self_s",
-          "group.gamma12.calls", "psi.psi1.self_s")
+          "group.gamma12.calls", "psi.psi1.self_s", "io.dump.self_s",
+          "io.load.self_s")
 
 
 def parse_seeds(items):

@@ -21,11 +21,13 @@ instead, the instrumented path whose every line the audit checks.
 
 Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
-tangent as one n x k array X1 in the same frame.  The metric is invariant
-under left multiplication by orthogonal matrices, so a step works in the
-permuted frame and re-pivots its n x k result there: the new permutation
-is the old one composed with the selection, and the unselected rows keep
-the old frame's order.
+tangent as one n x k array X1 in the same frame.  Both are column-major, as
+is the Gram step's n x k output, so Q = [G1, X1] is two contiguous column
+blocks, and the re-pivot's sweep and row gather read contiguous columns.
+The metric is invariant under left multiplication by orthogonal matrices,
+so a step works in the permuted frame and re-pivots its n x k result
+there: the new permutation is the old one composed with the selection,
+and the unselected rows keep the old frame's order.
 """
 
 from dataclasses import dataclass
@@ -142,9 +144,9 @@ class ModeBlocks:
 
     Row j of ``g1`` is row perm[j] of the ambient factor's first k columns;
     its leading k x k block g11 must be invertible, and the trailing columns
-    are an identity completion in this permuted frame.  ``g11`` and ``g21``
-    are views of ``g1``'s first k and last n-k rows, so a write through
-    either one is a write to the point.
+    are an identity completion in this permuted frame.  ``g1`` is stored
+    column-major.  ``g11`` and ``g21`` are views of its first k and last
+    n-k rows, so a write through either one is a write to the point.
     """
     perm: np.ndarray
     g1: np.ndarray
@@ -160,7 +162,10 @@ class ModeBlocks:
             raise ValueError("g11 is not square")
         if g21.shape != (len(perm) - k, k):
             raise ValueError("g21 has inconsistent shape")
-        self._fill(perm, np.vstack((g11, g21)), invert_tol)
+        g1 = np.empty((len(perm), k), order="F")
+        g1[:k] = g11
+        g1[k:] = g21
+        self._fill(perm, g1, invert_tol)
 
     @classmethod
     def _from_selection(cls, perm, g1, invert_tol):
@@ -222,13 +227,14 @@ class HorizontalBlocks:
     X1 is read in the representative's permuted frame, and it fixes the
     tangent: the lift is w = X1 M^-1 G1^T with M = G1^T G1, which vanishes
     on the orthogonal complement of span(G1).  The trailing columns follow
-    from the point, so nothing else is stored; ``x11`` and ``x21`` are views
-    of X1's first k and last n-k rows.
+    from the point, so nothing else is stored.  X1 is stored column-major (a
+    row-major input is copied once); ``x11`` and ``x21`` are views of its
+    first k and last n-k rows.
     """
     x1: np.ndarray
 
     def __init__(self, x1):
-        x1 = np.asarray(x1, dtype=float)
+        x1 = np.asarray(x1, dtype=float, order="F")
         if x1.ndim != 2 or x1.shape[0] < x1.shape[1]:
             raise ValueError("inconsistent tangent blocks")
         object.__setattr__(self, "x1", x1)
@@ -258,10 +264,12 @@ def _repivot(perm, cols, tol):
 
     The selection runs in the given row order, so ties resolve in it and
     the unselected rows keep it; the coset and the selected rows do not
-    depend on the order.
+    depend on the order.  The rows are gathered along the contiguous axis of
+    the transpose, so column-major columns give a column-major block.
     """
     sel = select_submatrix(cols, tol)
-    return ModeBlocks._from_selection(perm[sel], cols[sel],
+    return ModeBlocks._from_selection(perm[sel],
+                                      cols.T.take(sel, axis=1).T,
                                       min(tol, INVERTIBILITY_TOL))
 
 
@@ -292,9 +300,10 @@ def _coupling(blocks, ledger=None):
     w = r.T @ r
     s = np.linalg.solve(eye + w, eye)
     b = np.empty((k, n))
-    b[:, :k] = g11_inv @ (eye - w @ s)
+    b[:, :k] = g11_inv @ s                       # 1 - W (1 + W)^-1 = S
     b[:, k:] = b[:, :k] @ r.T
     if ledger is not None:
+        # the published itemization, which also charges forming 1 - W S
         ledger.div(n, k, k)
         ledger.mult(k, n, k)
         ledger.div(k, k, k)
@@ -308,7 +317,8 @@ def gamma12(blocks, ledger=None):
     """Solve the horizontal coupling relation for the k x (n-k) block.
 
     Evaluates g11^-1 (1 - W (1 + W)^-1) g11^-T g21^T with the k x k matrix
-    W = g11^-T g21^T g21 g11^-1, so no (n-k) x (n-k) inverse is formed.
+    W = g11^-T g21^T g21 g11^-1, so no (n-k) x (n-k) inverse is formed; the
+    middle factor is (1 + W)^-1 itself, which is what is computed.
     g11 is factorized once; its inverse reaches the n-row block by a matmul.
     The recorded cost is 20nk^2/3 + 22k^3/3.
     """
@@ -319,8 +329,8 @@ def gamma12(blocks, ledger=None):
 # the low-rank geodesic update of one mode
 
 def _gram(blocks, tangent):
-    """Q = [G1, X1] (n x 2k) and its 2k x 2k Gram H = Q^T Q."""
-    q = np.hstack((blocks.g1, tangent.x1))
+    """Q = [G1, X1] (n x 2k, column-major) and its 2k x 2k Gram H = Q^T Q."""
+    q = np.concatenate((blocks.g1, tangent.x1), axis=1)
     return q, q.T @ q
 
 
@@ -383,7 +393,7 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     w = np.eye(k) + m_inv @ (p.T @ s.T)
     u = pp @ np.vstack((w, s.T @ w))
     c = np.vstack((w - m_inv @ u[k:], t * u[:k]))
-    # column-major, so the re-pivot's transposed copy is a contiguous one
+    # column-major like Q: the re-pivot sweeps and gathers contiguous columns
     out = (c.T @ q.T).T
     del q  # the re-pivot runs without Q's n x 2k copy alive
     return _repivot(blocks.perm, out, repivot_tol), plan.z

@@ -256,9 +256,10 @@ def project_horizontal(point, z):
         raise ValueError("ill-conditioned Gram system: representative is "
                          "numerically degenerate")
     coef = np.linalg.solve(gram, rhs)
-    return ManifoldTangent(
-        HorizontalBlocks(z1 - g1 @ np.tensordot(coef, y, axes=1))
-        for y, g1, z1 in zip(ys, g1s, z1s))
+    x1s = [np.empty(z1.shape, order="F") for z1 in z1s]
+    for x1, y, g1, z1 in zip(x1s, ys, g1s, z1s):
+        np.subtract(z1, g1 @ np.tensordot(coef, y, axes=1), out=x1)
+    return ManifoldTangent(HorizontalBlocks(x1) for x1 in x1s)
 
 
 def horizontality_residual(point, tangent):

@@ -23,7 +23,9 @@ class FormatError(ValueError):
 
 
 def _fmt(values):
-    return " ".join(f"{float(v):.17g}" for v in values)
+    """Space-separated 17-significant-digit text of a float array."""
+    v = values.tolist()
+    return ("%.17g " * len(v) % tuple(v))[:-1]
 
 
 class _Lines:
@@ -120,7 +122,7 @@ def dump_point(point):
     for i, mb in enumerate(point.modes):
         out.append(f"mode: {i + 1}\n")
         out.append(f"k: {mb.k}\n")
-        out.append(f"perm: {' '.join(str(int(v) + 1) for v in mb.perm)}\n")
+        out.append(f"perm: {' '.join(map(str, (mb.perm + 1).tolist()))}\n")
         out.append("g11:\n" + dump_matrix(mb.g11))
         out.append("g21:\n" + dump_matrix(mb.g21))
     return "".join(out)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from tensorgeo import dense
 from tensorgeo.dense import (DEFAULT_RANK_TOL, basis_completion, mode_apply,
                              mode_product, multilinear_rank, perm_inverse,
                              refold, select_submatrix, tt_rank, unfold)
@@ -221,6 +222,50 @@ def test_select_submatrix_matches_reference(m):
     for tol in (DEFAULT_RANK_TOL, 0.0):
         assert (_outcome(select_submatrix, m, tol)
                 == _outcome(select_submatrix_reference, m, tol))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pivot_inputs())
+def test_select_submatrix_ignores_the_memory_layout(m):
+    # one matrix as C-ordered, F-ordered and strided views
+    n, r = m.shape
+    padded = np.zeros((2 * n, 3 * r))
+    padded[::2, ::3] = m
+    views = (np.ascontiguousarray(m), np.asfortranarray(m), padded[::2, ::3])
+    for tol in (DEFAULT_RANK_TOL, 0.0):
+        c_ordered, f_ordered, strided = (_outcome(select_submatrix, v, tol)
+                                         for v in views)
+        assert f_ordered == c_ordered
+        assert strided == c_ordered
+
+
+def _tie_rich_matrices(rng, n, r):
+    """Inputs on which the pivot order hinges on exact ties or non-finites."""
+    yield rng.standard_normal((n, r))
+    yield rng.integers(-3, 4, (n, r)).astype(float)
+    yield rng.choice([-1.0, 1.0], (n, r))
+    one_hot = np.zeros((n, r))
+    one_hot[np.arange(n), rng.integers(0, r, n)] = 1.0
+    yield one_hot
+    yield rng.integers(-2, 3, (n, r)).astype(float)[:, rng.integers(0, r, r)]
+    big = rng.integers(-1, 2, (n, r)) * 10.0 ** rng.choice([0, 308], (n, r))
+    yield np.where(rng.random((n, r)) < 0.2,
+                   rng.choice([np.nan, np.inf, -np.inf], (n, r)), big)
+
+
+@pytest.mark.parametrize("cols_per_call", [1, 2, 3])
+def test_select_submatrix_sweep_groups_match_reference(monkeypatch,
+                                                       cols_per_call):
+    # a lowered cache budget makes small inputs take the sweep's grouped
+    # path, as tall ones do at the real budget
+    rng = np.random.default_rng(13)
+    for n, r in ((1, 1), (4, 3), (7, 5), (9, 9), (30, 8), (60, 16)):
+        monkeypatch.setattr(dense, "_SWEEP_ENTRIES", cols_per_call * n)
+        for _ in range(6):
+            for m in _tie_rich_matrices(rng, n, r):
+                for tol in (DEFAULT_RANK_TOL, 0.0):
+                    assert (_outcome(select_submatrix, m, tol)
+                            == _outcome(select_submatrix_reference, m, tol))
 
 
 def test_basis_completion_identity_columns():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import tensorgeo.homogeneous as hq
+import tensorgeo.io as tio
 from conftest import MANIFOLDS, manifold_shapes, rel_err
 from tensorgeo import CpShape, TtShape
 from tensorgeo.dense import select_submatrix
@@ -266,6 +267,23 @@ def test_block_views_write_through():
     mb.g21[...] = [[3.0, 4.0]]
     assert np.array_equal(mb.stacked(), [[2, 0], [0, 2], [3, 4]])
     assert np.array_equal(mb.leading_columns(), [[0, 2], [3, 4], [2, 0]])
+
+
+def test_mode_arrays_are_column_major_and_stored_whole(manifold):
+    # a step, the file parser and the projection all build G1 and X1
+    # column-major, and stacked() hands out the stored array itself
+    cfg = MANIFOLDS[manifold]
+    rng = np.random.default_rng(19)
+    p = cfg["point"](cfg["shape"](), rng)
+    x = hq.random_horizontal(p, rng)
+    stepped, _ = hq.geodesic(p, x, 0.3)
+    loaded = tio.load_point(tio.dump_point(p))
+    for mb in (*stepped.modes, *loaded.modes):
+        assert mb.g1.flags.f_contiguous
+        assert mb.stacked() is mb.g1
+    for tb in x.modes:
+        assert tb.x1.flags.f_contiguous
+        assert tb.stacked() is tb.x1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -7,6 +7,18 @@ from tensorgeo import (CpShape, TtShape, TuckerShape, cp_embed,
                        tt_random_point, tucker_embed, tucker_random_point)
 
 
+def test_fmt_bytes_match_the_per_value_format():
+    rng = np.random.default_rng(21)
+    values = np.concatenate((
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.797e308, -1.797e308],
+        np.arange(-3.0, 4.0), [2.0 ** 53, 1e16, 123456789.0],
+        rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300, 300, 1000)))
+    want = " ".join(f"{float(v):.17g}" for v in values)
+    assert tio._fmt(values) == want
+    assert tio._fmt(values[:1]) == want.split()[0]
+    assert tio._fmt(values[:0]) == ""
+
+
 def test_tensor_roundtrip_exact():
     rng = np.random.default_rng(0)
     t = rng.standard_normal((3, 4, 2))
