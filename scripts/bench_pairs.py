@@ -30,10 +30,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HIGHER_IS_BETTER = {"ops_per_s", "success_rate"}
 LAYERS = ("group.lowrank_geodesic_step.self_s",
-          "dense.select_submatrix.self_s", "group.reduce_columns.self_s",
+          "dense.select_submatrix.self_s", "dense.select_submatrix.calls",
+          "group.reduce_columns.self_s",
           "group.reduce_columns.calls", "group.gamma12.self_s",
-          "group.gamma12.calls", "psi.psi1.self_s", "io.dump.self_s",
-          "io.load.self_s")
+          "group.gamma12.calls", "psi.psi1.self_s", "psi.psi1.calls",
+          "io.dump.self_s", "io.load.self_s", "trace.ops")
 
 
 def parse_seeds(items):

@@ -12,6 +12,7 @@ outputs are deterministic given --seed; wall-time fields are exempt.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -306,7 +307,10 @@ def cmd_geodesic(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    caller: parsing does not change it, and no caller may."""
     ap = argparse.ArgumentParser(
         prog="tensorgeo",
         description="Fixed-rank tensor manifolds: invariant suites, flop "

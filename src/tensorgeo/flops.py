@@ -13,16 +13,25 @@ factor are charged with the full mode dimension n as their row count, and the
 cross term of the geodesic update is charged as if it were evaluated against
 the symmetric factor first; both match the published per-step itemization
 that the audit layer checks against.
+
+Each step scope also records its wall time in ``seconds``, per label.  Times
+are not deterministic, so they sit beside the exact counts, never in them.
 """
 
+import time
 from fractions import Fraction
 
 
 class FlopLedger:
-    """Deterministic counter of model operations, grouped by step label."""
+    """Deterministic counter of model operations, grouped by step label.
+
+    ``seconds`` holds the wall time spent inside ``step`` scopes, summed per
+    label (a nested scope's time also counts for the enclosing one).
+    """
 
     def __init__(self):
         self.per_step = {}
+        self.seconds = {}
         self.additions = Fraction(0)
         self.aux = Fraction(0)  # bookkeeping work outside the model (re-pivoting)
         self._label = "unlabeled"
@@ -33,7 +42,10 @@ class FlopLedger:
         return sum(self.per_step.values(), Fraction(0))
 
     def step(self, label):
-        """Context manager routing subsequent charges to ``label``."""
+        """Context manager routing subsequent charges to ``label``.
+
+        The scope's wall time is added to ``seconds[label]``.
+        """
         return _StepScope(self, label)
 
     def mult(self, a, b, c, label=None):
@@ -61,6 +73,9 @@ class FlopLedger:
         for key, val in other.per_step.items():
             k = prefix + key
             self.per_step[k] = self.per_step.get(k, Fraction(0)) + val
+        for key, val in other.seconds.items():
+            k = prefix + key
+            self.seconds[k] = self.seconds.get(k, 0.0) + val
         self.additions += other.additions
         self.aux += other.aux
         return self
@@ -77,9 +92,13 @@ class _StepScope:
     def __enter__(self):
         self._saved = self.ledger._label
         self.ledger._label = self.label
+        self._start = time.perf_counter()
         return self.ledger
 
     def __exit__(self, *exc):
+        seconds = self.ledger.seconds
+        seconds[self.label] = (seconds.get(self.label, 0.0)
+                               + time.perf_counter() - self._start)
         self.ledger._label = self._saved
         return False
 

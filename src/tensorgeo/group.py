@@ -14,10 +14,11 @@ The production step is the Gram form.  Write w t = A B with A = t X1, X1
 the tangent's leading columns, and G1 the point's.  Horizontality makes
 B^T = G1 M^-1 with M = G1^T G1, so every n-row product the update needs is
 a block of the one Gram H = Q^T Q of Q = [G1, X1] (n x 2k), and the new
-leading columns are Q C for a 2k x k matrix C from H and two psi1
-evaluations: about 12nk^2 + O(k^3 z) per mode, against the 110nk^2/3 of the
-paper's itemized update.  Passing a flop ledger selects the itemized update
-instead, the instrumented path whose every line the audit checks.
+leading columns are Q C for a 2k x k matrix C from H and one stacked psi1
+evaluation of the two velocity cores: about 12nk^2 + O(k^3 z) per mode,
+against the 110nk^2/3 of the paper's itemized update.  Passing a flop
+ledger selects the itemized update instead, the instrumented path whose
+every line the audit checks.
 
 Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
@@ -335,26 +336,30 @@ def _gram(blocks, tangent):
 
 
 def _velocity_cores(h, t):
-    """M^-1, S, BA and B'A' of the lift t X g^-1 = A B from the Gram H.
+    """M^-1, S and the cores [blockdiag(BA, 0), B'A'] of t X g^-1 = A B.
 
     For a horizontal tangent B^T = G1 M^-1 in the permuted frame, with
     M = G1^T G1, so BA = M^-1 S with S = t G1^T X1, B B^T = M^-1 and
-    A^T A = t^2 X1^T X1: every k x k core is a block of H.
+    A^T A = t^2 X1^T X1: every k x k core is a block of the Gram H.  Both
+    cores are 2k x 2k in the stack, BA padded by zeros, so one psi1 call
+    evaluates both: psi1(blockdiag(BA, 0)) = blockdiag(psi1(BA), I).
     """
     k = h.shape[0] // 2
     m_inv = np.linalg.solve(h[:k, :k], np.eye(k))
     s = t * h[:k, k:]
     ba = m_inv @ s
-    bpap = np.empty((2 * k, 2 * k))
+    cores = np.zeros((2, 2 * k, 2 * k))
+    cores[0, :k, :k] = ba
+    bpap = cores[1]
     bpap[:k, :k] = ba
     bpap[:k, k:] = -m_inv
     bpap[k:, :k] = (t * t) * h[k:, k:]
     bpap[k:, k:] = -ba.T
-    return m_inv, s, ba, bpap
+    return m_inv, s, cores
 
 
 def _shared_plan(ba, bpap):
-    """One scaling plan for both psi1 evaluations: the larger exponent."""
+    """One scaling plan for both velocity cores: the larger exponent."""
     norms = np.linalg.norm(ba), np.linalg.norm(bpap)
     return ScalingPlan(max(make_scaling_plan(v).z for v in norms), max(norms))
 
@@ -365,8 +370,8 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
 
     Works entirely with n x k and smaller intermediates.  Without a ledger
     this is the Gram form: with Q = [G1, X1] (n x 2k) and H = Q^T Q, the
-    new leading columns are Q C for a 2k x k matrix C built from H and the
-    two psi1 evaluations alone,
+    new leading columns are Q C for a 2k x k matrix C built from H and
+    psi1 of the two velocity cores alone,
 
         W = I + M^-1 psi1(BA)^T S^T,   U = psi1(B'A') [W; S^T W],
         C = [W - M^-1 U_2;  t U_1],
@@ -374,9 +379,11 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     one Gram and one n x 2k by 2k x k product, about 12nk^2 + O(k^3 z).
     With a ledger the paper-itemized update runs instead, and its recorded
     counts follow the published per-step itemization (110nk^2/3 leading).
-    Both psi1 evaluations share one scaling exponent, the larger of the two
-    plans, so the mode has a single z, the same on either path.  Either way
-    the new columns are re-pivoted in the representative's own row order.
+    The Gram form evaluates psi1 once, on the stack [blockdiag(BA, 0), B'A']
+    under the larger of the two cores' plans; the itemized update makes two
+    labelled calls under that same plan.  So the mode has a single z, the
+    same on either path.  Either way the new columns are re-pivoted in the
+    representative's own row order.
 
     Returns (new ModeBlocks, z).
     """
@@ -386,11 +393,11 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     if ledger is not None:
         return _itemized_step(blocks, tangent, t, ledger, label, repivot_tol)
     q, h = _gram(blocks, tangent)
-    m_inv, s, ba, bpap = _velocity_cores(h, t)
-    plan = _shared_plan(ba, bpap)
-    p = psi1(ba, None, plan)
-    pp = psi1(bpap, None, plan)
-    w = np.eye(k) + m_inv @ (p.T @ s.T)
+    m_inv, s, cores = _velocity_cores(h, t)
+    plan = _shared_plan(cores[0, :k, :k], cores[1])
+    # the plan goes positionally, where a call tracer reads z
+    p, pp = psi1(cores, None, plan)
+    w = np.eye(k) + m_inv @ (p[:k, :k].T @ s.T)
     u = pp @ np.vstack((w, s.T @ w))
     c = np.vstack((w - m_inv @ u[k:], t * u[:k]))
     # column-major like Q: the re-pivot sweeps and gathers contiguous columns
@@ -401,8 +408,10 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
 
 def mode_velocity_norms(blocks, tangent, t=1.0):
     """Frobenius norms of (BA, B'A') for one mode at time t."""
-    _, _, ba, bpap = _velocity_cores(_gram(blocks, tangent)[1], t)
-    return float(np.linalg.norm(ba)), float(np.linalg.norm(bpap))
+    cores = _velocity_cores(_gram(blocks, tangent)[1], t)[2]
+    k = blocks.k
+    return (float(np.linalg.norm(cores[0, :k, :k])),
+            float(np.linalg.norm(cores[1])))
 
 
 # ---------------------------------------------------------------------------

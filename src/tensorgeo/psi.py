@@ -7,13 +7,23 @@ reconstructed through the doubling identity
 
     psi1(2X) = psi1(X) (mexp(X) + 1) / 2.
 
-The scaled evaluation is arranged to make the recorded operation count land
-exactly on the published itemization: a six-multiply power table (five powers
-plus the odd/even assembly of the exponential quotient), two divisions, and
-z-1 squarings plus z-1 doubling products.  To get z-1 doubling products the
-psi1 quotient is evaluated directly at level z-1 by scaling the Pade
-coefficients, which is valid because the scaling exponent guarantees norm
-<= 1/4 at level z, hence <= 1/2 at level z-1.
+``psi1`` evaluates a whole (..., m, m) stack as one chain under one scaling
+plan, so every matrix of the stack gets the same exponent z: one
+(7, b, m, m) table of the powers I, x, ..., x^6 built by five batched
+products; one contraction of that table with a (4, 7) coefficient matrix,
+which gives the numerators and denominators of both Pade quotients at once;
+one batched solve for both quotients, each evaluated as identity plus a
+correction so that its dominant diagonal carries no round-off; and z-1
+batched square-and-double steps.  The psi1 quotient is evaluated directly
+at level z-1 by scaling its coefficients, which is valid because the
+scaling exponent guarantees norm <= 1/4 at level z, hence <= 1/2 at level
+z-1.  ``psi1_pade`` and ``mexp_small`` read the same table and contraction.
+
+The recorded operation count of a 2-D argument lands exactly on the
+published itemization: a six-multiply power table (five powers plus the
+odd/even assembly of the exponential quotient, which the contraction reads
+off the table), two divisions, and z-1 squarings plus z-1 doubling products.
+Stacks are not ledgered.
 
 All kernels are pure; the optional ledger only records counts.
 """
@@ -39,6 +49,18 @@ EXP_PADE = np.array([1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792,
                      1.0 / 15840, 1.0 / 665280])
 
 PADE_NORM_BOUND = 0.5
+
+# Coefficient rows contracted against the power table [I, x, ..., x^6]:
+# numerator-minus-denominator rows first, then the matching denominators.
+# The exp quotient is (V + U)/(V - U) with U and V its odd and even parts,
+# so its rows are 2U and V - U.  Weighting psi1's coefficient j by 2^j
+# evaluates its quotient at 2x, one level below the table's.
+_ALT = (-1.0) ** np.arange(7)
+_POW2 = 2.0 ** np.arange(7)
+_PSI1_ROWS = np.array([PSI1_PADE_DIFF, PSI1_PADE_DEN])
+_EXP_ROWS = np.array([(1.0 - _ALT) * EXP_PADE, _ALT * EXP_PADE])
+_SCALED_ROWS = np.array([_POW2 * PSI1_PADE_DIFF, _EXP_ROWS[0],
+                         _POW2 * PSI1_PADE_DEN, _EXP_ROWS[1]])
 
 
 @dataclass(frozen=True)
@@ -68,49 +90,25 @@ def _check_finite(m):
         raise ValueError("non-finite input")
 
 
-def _power_table(x, ledger=None):
-    """[I, x, x^2, ..., x^6] with five recorded multiplies."""
-    k = x.shape[0]
-    pows = [np.eye(k), x]
-    for _ in range(5):
-        pows.append(pows[-1] @ x)
-        if ledger is not None:
-            ledger.mult(k, k, k)
-    return pows
+def _quotients(x, rows):
+    """Pade quotients of a (b, m, m) stack, one per pair of coefficient rows.
 
-
-def _psi1_pade_from_table(pows, scale=1.0, ledger=None):
-    """The psi1 quotient from a power table, as identity plus a correction.
-
-    Solving den(x) y = (num - den)(x) and returning 1 + y keeps the
-    dominant unit diagonal exact.  ``scale`` evaluates the quotient at
-    ``scale * x`` by weighting the coefficient of x^j with scale^j; the
-    linear combinations are free in the cost model, the division is charged.
+    ``rows`` holds q numerator-minus-denominator rows, then the q matching
+    denominator rows.  They are contracted against the (7, b, m, m) power
+    table in one product, and one batched solve of den y = (num - den)
+    gives each quotient as 1 + y.  Returns a (q, b, m, m) array.
     """
-    k = pows[0].shape[0]
-    w = scale ** np.arange(7)
-    num = sum(c * s * p for c, s, p in zip(PSI1_PADE_DIFF[1:], w[1:], pows[1:]))
-    den = sum(c * s * p for c, s, p in zip(PSI1_PADE_DEN, w, pows))
-    if ledger is not None:
-        ledger.div(k, k, k)
-    return pows[0] + np.linalg.solve(den, num)
-
-
-def _exp_pade_from_table(x, pows, ledger=None):
-    """(6,6) Pade exponential via the odd/even split; one multiply, one division.
-
-    Evaluated as 1 + (V - U)^-1 (2U), identity plus a correction.
-    """
-    k = x.shape[0]
-    odd = EXP_PADE[1] * pows[0] + EXP_PADE[3] * pows[2] + EXP_PADE[5] * pows[4]
-    u = x @ odd
-    if ledger is not None:
-        ledger.mult(k, k, k)
-    v = EXP_PADE[0] * pows[0] + EXP_PADE[2] * pows[2] + EXP_PADE[4] * pows[4] \
-        + EXP_PADE[6] * pows[6]
-    if ledger is not None:
-        ledger.div(k, k, k)
-    return pows[0] + np.linalg.solve(v - u, 2.0 * u)
+    b, m, _ = x.shape
+    pows = np.empty((7, b, m, m))
+    pows[0] = np.eye(m)
+    pows[1] = x
+    for j in range(1, 6):
+        np.matmul(pows[j], x, out=pows[j + 1])
+    q = len(rows) // 2
+    sums = (rows @ pows.reshape(7, -1)).reshape(2 * q, b, m, m)
+    out = np.linalg.solve(sums[q:], sums[:q])
+    out += pows[0]
+    return out
 
 
 def psi1_pade(m):
@@ -120,34 +118,52 @@ def psi1_pade(m):
     nrm = np.linalg.norm(m)
     if nrm > PADE_NORM_BOUND * (1 + 1e-12):
         raise ValueError(f"norm {nrm} exceeds the Pade bound 1/2")
-    return _psi1_pade_from_table(_power_table(m))
+    return _quotients(m[None], _PSI1_ROWS)[0, 0]
 
 
 def psi1(m, ledger=None, plan=None):
-    """psi1 of a square matrix to near machine precision, any norm.
+    """psi1 of a square matrix or a stack of them, to near machine precision.
 
-    ``plan`` overrides the scaling plan (it must scale at least as strongly
-    as the matrix requires); plans with z = 1 are rejected because the
-    doubling chain starts one level above the Pade evaluation.
+    Any norm is accepted.  A (..., m, m) stack is evaluated as one chain
+    under one plan, by default the plan of its largest norm; each of its
+    matrices must be within that plan's Pade bound.  ``plan`` overrides the
+    scaling plan (it must scale at least as strongly as the matrix
+    requires); plans with z = 1 are rejected because the doubling chain
+    starts one level above the Pade evaluation.  Only a 2-D argument may be
+    ledgered.
     """
     m = np.asarray(m, dtype=float)
-    _check_finite(m)
+    if m.ndim > 2 and ledger is not None:
+        raise ValueError("a ledger records psi1 of a single matrix only")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("psi1 needs square matrices")
+    norms = (np.linalg.norm(m, axis=(-2, -1)) if m.ndim > 2
+             else np.linalg.norm(m))
+    if not np.isfinite(norms).all():
+        # a finite norm means finite entries; an infinite one may come from
+        # finite entries whose squares overflow
+        _check_finite(m)
     if plan is None:
-        plan = make_scaling_plan(np.linalg.norm(m))
+        plan = make_scaling_plan(norms.max())
     z = plan.z
     if z == 1:
         raise ValueError("plans with z = 1 are not used; scale to z >= 2")
-    x = m / 2.0 ** z
-    nrm_lvl = np.linalg.norm(x) * (2.0 if z else 1.0)
-    if nrm_lvl > PADE_NORM_BOUND * (1 + 1e-12):
+    if norms.max() * 2.0 ** -z * (2.0 if z else 1.0) \
+            > PADE_NORM_BOUND * (1 + 1e-12):
         raise ValueError("scaling plan too weak for this argument")
-    pows = _power_table(x, ledger)
+    k = m.shape[-1]
+    if ledger is not None:
+        # five powers, plus the exp quotient's odd/even assembly when scaled,
+        # and one division per quotient
+        for _ in range(5 if z == 0 else 6):
+            ledger.mult(k, k, k)
+        for _ in range(1 if z == 0 else 2):
+            ledger.div(k, k, k)
+    x = (m / 2.0 ** z).reshape(-1, k, k)
     if z == 0:
-        return _psi1_pade_from_table(pows, ledger=ledger)
+        return _quotients(x, _PSI1_ROWS)[0].reshape(m.shape)
     # psi1 at level z-1 via coefficient scaling, mexp at level z
-    p = _psi1_pade_from_table(pows, scale=2.0, ledger=ledger)
-    e = _exp_pade_from_table(x, pows, ledger)
-    k = m.shape[0]
+    p, e = _quotients(x, _SCALED_ROWS)
     eye = np.eye(k)
     for _ in range(z - 1):
         e = e @ e
@@ -156,7 +172,7 @@ def psi1(m, ledger=None, plan=None):
             ledger.mult(k, k, k)
             ledger.mult(k, k, k)
             ledger.add(k, k)
-    return p
+    return p.reshape(m.shape)
 
 
 def mexp_small(m):
@@ -164,12 +180,7 @@ def mexp_small(m):
     m = np.asarray(m, dtype=float)
     _check_finite(m)
     z = make_scaling_plan(np.linalg.norm(m)).z
-    x = m / 2.0 ** z
-    k = m.shape[0]
-    pows = [np.eye(k), x]
-    for _ in range(5):
-        pows.append(pows[-1] @ x)
-    e = _exp_pade_from_table(x, pows)
+    e = _quotients((m / 2.0 ** z)[None], _EXP_ROWS)[0, 0]
     for _ in range(z):
         e = e @ e
     return e

@@ -8,7 +8,7 @@ import pytest
 import tensorgeo.io as tio
 from tensorgeo import CpShape, cp_embed, cp_random_horizontal, cp_random_point
 from tensorgeo.audit import CSV_HEADER
-from tensorgeo.cli import main
+from tensorgeo.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -31,6 +31,27 @@ def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_survives_errors():
+    # main reuses one parser; a usage error between calls leaves it intact
+    assert build_parser() is build_parser()
+    flops = ("flops", "--manifold", "tt", "--dims", "8", "12", "8",
+             "--ranks", "2", "2", "--z", "2", "3", "2", "--format", "json")
+    code, first = run_cli(*flops)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["flops", "--manifold", "cp", "--dims", "8"])
+    assert exc.value.code == 2
+    code, out = run_cli("verify", "psi", "--seed", "1")
+    assert code == 0 and json.loads(out)["passed"]
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "ten"])
+    assert exc.value.code == 2
+    assert run_cli(*flops) == (0, first)
+    args = build_parser().parse_args(["verify", "cp"])
+    assert (args.command, args.suite, args.seed, args.out) \
+        == ("verify", "cp", 0, None)
 
 
 def test_verify_deterministic_given_seed():

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import tensorgeo.homogeneous as hq
+from conftest import MANIFOLDS
 from tensorgeo.flops import (FlopLedger, ba_count, bpap_count, build_b_count,
                              gamma12_count, geodesic_formula, mode_step_items,
                              mode_step_total, psi1_count, term2_count,
@@ -28,6 +31,23 @@ def test_step_scope_and_merge():
     led.merge(other)
     assert led.per_step["x"] == Fraction(18)
     assert led.additions == Fraction(16)
+
+
+def test_step_scopes_record_seconds_and_merge_sums_them():
+    cfg = MANIFOLDS["tucker"]
+    rng = np.random.default_rng(3)
+    p = cfg["point"](cfg["shape"](), rng)
+    x = cfg["tangent"](p, rng)
+    led = FlopLedger()
+    hq.geodesic(p, x, 1.0, led)
+    assert led.per_step and set(led.per_step) <= set(led.seconds)
+    assert all(s >= 0.0 for s in led.seconds.values())
+    merged = FlopLedger().merge(led, "a.").merge(led, "a.").merge(led)
+    for key, s in led.seconds.items():
+        assert merged.seconds["a." + key] == 2 * s
+        assert merged.seconds[key] == s
+    for key, count in led.per_step.items():
+        assert merged.per_step["a." + key] == 2 * count
 
 
 def test_additions_excluded_from_headline():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import tensorgeo.group as group
 import tensorgeo.homogeneous as hq
 import tensorgeo.io as tio
 from conftest import MANIFOLDS, manifold_shapes, rel_err
@@ -240,6 +241,31 @@ def test_step_shares_one_exponent():
     want = max(make_scaling_plan(small).z, make_scaling_plan(big).z)
     _, z = lowrank_geodesic_step(mb, tb, 0.7)
     assert z == want
+
+
+def test_step_calls_psi1_once_per_mode_without_a_ledger(monkeypatch):
+    # the Gram form stacks both cores into one call and hands it the plan
+    # positionally; the itemized update keeps its two labelled calls
+    calls = []
+    psi1 = group.psi1
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return psi1(*args, **kwargs)
+
+    monkeypatch.setattr(group, "psi1", counted)
+    rng = np.random.default_rng(15)
+    mb = _random_blocks(rng, 14, 3)
+    tb = _random_tangent(rng, mb)
+    _, z = lowrank_geodesic_step(mb, tb, 5.0)
+    assert len(calls) == 1
+    (cores, ledger, plan), kwargs = calls[0]
+    assert cores.shape == (2, 6, 6) and ledger is None and not kwargs
+    assert plan.z == z > 0
+    calls.clear()
+    _, z_item = lowrank_geodesic_step(mb, tb, 5.0, FlopLedger())
+    assert len(calls) == 2 and z_item == z
+    assert [args[0].shape for args, _ in calls] == [(3, 3), (6, 6)]
 
 
 def test_step_rejects_mismatched_tangent():

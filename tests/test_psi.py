@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from tensorgeo.flops import FlopLedger, psi1_count
 from tensorgeo.oracles import mexp_dense, psi1_series
@@ -128,6 +130,76 @@ def test_psi1_ledger_exact():
     led = FlopLedger()
     psi1(m, led)
     assert led.total == psi1_count(4, 0)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one chain under one plan
+
+def _norm_for_z(z):
+    """A norm whose plan has exponent z: 1/4 for z = 0, else mid-octave."""
+    return 0.25 if z == 0 else 1.5 * 2.0 ** (z - 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 32), st.integers(1, 4), st.sampled_from(range(0, 13, 2)),
+       st.integers(0, 2**32 - 1))
+def test_psi1_stack_matches_each_matrix_under_the_shared_plan(m, b, z, seed):
+    rng = np.random.default_rng(seed)
+    top = _norm_for_z(z)
+    stack = np.stack([_random_with_norm(rng, m, top * rng.uniform(0.0, 1.0))
+                      for _ in range(b - 1)]
+                     + [_random_with_norm(rng, m, top)])
+    plan = make_scaling_plan(top)
+    assert plan.z == z
+    # at z = 12 a 1 x 1 or 2 x 2 draw can have psi1 past the double range
+    with np.errstate(over="ignore"):
+        wants = [psi1(x, None, plan) for x in stack]
+    assume(all(np.all(np.isfinite(w)) for w in wants))
+    got = psi1(stack, None, plan)
+    assert got.shape == stack.shape
+    for g, want in zip(got, wants):
+        assert np.linalg.norm(g - want) <= 1e-14 * np.linalg.norm(want)
+    # by default a stack takes the plan of its largest norm
+    assert np.array_equal(psi1(stack), got)
+
+
+@pytest.mark.parametrize("z", [0, 2, 5, 9])
+def test_psi1_of_a_zero_padded_block_is_padded_by_identity(z):
+    rng = np.random.default_rng(20 + z)
+    k = 5
+    x = _random_with_norm(rng, k, _norm_for_z(z))
+    padded = np.zeros((2 * k, 2 * k))
+    padded[:k, :k] = x
+    plan = make_scaling_plan(np.linalg.norm(x))
+    got = psi1(np.stack((padded, padded.T)), None, plan)[0]
+    assert np.all(got[:k, k:] == 0.0) and np.all(got[k:, :k] == 0.0)
+    assert np.array_equal(got[k:, k:], np.eye(k))
+    want = psi1(x, None, plan)
+    assert np.linalg.norm(got[:k, :k] - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _message(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+def test_psi1_stack_errors_match_the_single_matrix_ones():
+    rng = np.random.default_rng(21)
+    x = _random_with_norm(rng, 3, 3.0)
+    weak = ScalingPlan(2, 1.0)
+    stack = np.stack((0.1 * x, x))
+    assert _message(lambda: psi1(stack, None, weak)) \
+        == _message(lambda: psi1(x, None, weak)) \
+        == "scaling plan too weak for this argument"
+    bad = stack.copy()
+    bad[0, 1, 2] = np.inf
+    assert _message(lambda: psi1(bad)) == _message(lambda: psi1(bad[0])) \
+        == "non-finite input"
+    assert _message(lambda: psi1(stack, None, ScalingPlan(1, 1.0))) \
+        == _message(lambda: psi1(x, None, ScalingPlan(1, 1.0)))
+    with pytest.raises(ValueError):
+        psi1(stack, FlopLedger())
 
 
 # ---------------------------------------------------------------------------
