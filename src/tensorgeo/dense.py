@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -109,106 +110,51 @@ def is_permutation(p):
 # ---------------------------------------------------------------------------
 # representative selection
 
-# Budget of one numpy call of the pivot sweep, in float64 entries: each call
-# updates max(1, _SWEEP_ENTRIES // n) free columns, so a tall block is swept
-# one core-cache-resident column at a time while a short one takes all its
-# free columns in one call.
-_SWEEP_ENTRIES = 1 << 15
-
-
-def _fold_row_max(a, rowmax, first):
-    """Fold the row maxima of the |entries| ``a`` (g x n) into rowmax.
-
-    ``first`` starts the fold afresh.  NaN propagates, so a row holding one
-    reads NaN, which the pivot search takes as the largest entry.
-    """
-    if first:
-        np.maximum.reduce(a, 0, None, rowmax)
-    else:
-        np.maximum(rowmax, a[0] if len(a) == 1 else np.maximum.reduce(a),
-                   out=rowmax)
-
-
 def select_submatrix(m, tol=DEFAULT_RANK_TOL):
     """Row permutation making the leading r x r block of ``m[p]`` invertible.
 
-    Gaussian elimination with complete pivoting: each step takes the largest
-    remaining entry in absolute value over all free rows and columns, then
-    eliminates its column.  Ties resolve to the lowest row, then the lowest
-    column, in the original order (a NaN counts as the largest entry).  The
-    selected rows come first, in pivot order, then the other rows in
-    ascending order.  Raises if the numerical column rank of ``m`` is below
-    r; ``tol = 0`` accepts any strictly nonzero pivot.
+    Gaussian elimination with partial pivoting, by LAPACK's ``dgetrf``: step
+    j takes, in column j of the current Schur complement, the largest
+    |entry| among the rows not yet selected, the first in the current row
+    order on a tie (a tie that rounding creates resolves as the blocked
+    update rounds it), and swaps that row into position j.  The selected
+    rows come first, in pivot order, then the other rows as the r swaps
+    leave them: a row displaced from position j takes the place of the row
+    that replaced it.  So only the positions below r and the selected rows'
+    own positions differ from the identity.
 
-    The free columns are held as rows, contiguous for a column-major input:
-    the input's transpose at first, then one new array, which the first
-    step writes and the later ones update in place.  The sweep that updates
-    them also folds every row's largest |entry| into an n-vector, which the
-    next pivot search reads; the tolerance is relative to the largest of
-    the first sweep's row maxima.  One numpy call of a sweep covers
-    max(1, B // n) columns for a fixed budget of B entries, so at large n
-    each column is updated, measured and folded while it sits in the core's
-    cache, and at small n a step is one call per operation.  Each Schur
-    entry is rounded as c - (x / piv) * y.  O(n r^2) in all.
+    Raises if the numerical column rank of ``m`` is below r: a pivot is
+    rejected when it is at most ``tol`` times the largest |entry| of ``m``;
+    ``tol = 0`` accepts any pivot that is neither zero nor subnormal once the
+    input is scaled into [1/2, 1).  Non-finite entries raise their own
+    error.  O(n r^2); the n x r column-major copy that LU overwrites is the
+    only n-sized workspace.
     """
+    from scipy.linalg.lapack import dgetrf
     m = np.asarray(m, dtype=float)
     n, r = m.shape
     if r > n:
         raise ValueError("more columns than rows")
-    # c[q, i] is row i's entry in the q-th free column, the free columns in
-    # their original order: the input itself until the first step writes
-    # the remaining ones into a new array, which later steps update in
-    # place.  Eliminated rows are not dropped: after a finite pivot the
-    # update leaves them exactly zero (all of c is finite then, as the pivot
-    # is its largest entry), so they win no search a free row could win,
-    # and an all-zero search fails either way.
-    c = m.T
-    g = max(1, _SWEEP_ENTRIES // max(n, 1))
-    work = np.empty((min(g, r), n))
-    rowmax = np.empty(n)
-    # r = 0 folds one empty block, which raises numpy's zero-size error
-    for p in range(0, max(r, 1), g):
-        _fold_row_max(np.abs(c[p:p + g], work[:min(g, r - p)]), rowmax,
-                      p == 0)
-    scale = float(rowmax.max())
+    hi, lo = float(m.max()), float(m.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ValueError("non-finite input")
+    scale = max(hi, -lo)
     if scale == 0.0:
         raise ValueError("rank-deficient input: zero matrix")
-    t = np.empty(n)
-    selected = np.empty(r, dtype=np.intp)
-    for step in range(r):
-        f = r - step - 1                         # free columns after the step
-        i = rowmax.argmax()
-        # a step whose free columns took one call finds them measured in work
-        j = (work[:f + 1, i] if g > f else np.abs(c[:f + 1, i])).argmax()
-        piv = c.item(j, i)
-        if abs(piv) <= tol * scale or piv == 0.0:
-            raise ValueError("rank-deficient input: no acceptable pivot")
-        selected[step] = i
-        y = np.concatenate((c[:j, i], c[j + 1:f + 1, i]))
-        np.divide(c[j], piv, t)
-        # the first step's output has a spare row, so that once freed it can
-        # hold an n x r array, such as the re-pivot's gather that follows
-        out = np.empty((r, n))[:f] if step == 0 else c
-        # the columns past j move up one place as they are updated, so the
-        # free columns stay contiguous and in their original order
-        for p in range(0, f, g):
-            e = p + g if p + g < f else f
-            q = p if j < p else (e if j > e else j)      # j clamped to [p, e]
-            tmp = np.multiply(y[p:e, None], t, work[:e - p])
-            np.subtract(c[p:q], tmp[:q - p], out[p:q])
-            np.subtract(c[q + 1:e + 1], tmp[q - p:], out[q:e])
-            _fold_row_max(np.abs(out[p:e], tmp), rowmax, p == 0)
-        c = out
-        if not math.isfinite(piv):
-            # 0 * inf is NaN: restore the zeros of the eliminated rows; their
-            # stale measurements in work matter only to a search that lands
-            # on one of them, which happens only when every free entry is
-            # zero, so that search fails whichever column it picks
-            c[:, selected[:step + 1]] = 0.0
-            rowmax[selected[:step + 1]] = 0.0
-    free = np.ones(n, dtype=bool)
-    free[selected] = False
-    return np.concatenate((selected, np.flatnonzero(free)))
+    # an exact power of two brings the largest |entry| into [1/2, 1), so
+    # the gate reads the same pivots at any input scale, and a subnormal
+    # pivot, which dgetrf may leave unfactored, means numerical rank loss
+    e = math.frexp(scale)[1]
+    lu = np.empty((n, r), order="F")
+    np.ldexp(m, -e, out=lu)
+    lu, swaps, _ = dgetrf(lu, overwrite_a=1)
+    pivot = float(np.abs(lu.diagonal()).min())
+    if pivot <= tol * math.ldexp(scale, -e) or not pivot >= _TINY:
+        raise ValueError("rank-deficient input: no acceptable pivot")
+    p = np.arange(n)
+    for j, i in enumerate(swaps.tolist()):
+        p[j], p[i] = p[i], p[j]
+    return p
 
 
 def basis_completion(f, tol=DEFAULT_RANK_TOL):

@@ -5,8 +5,8 @@ matrix multiplication and ``8*a*b*c/3`` for a matrix division with the same
 dimension signature (an LU factorization plus triangular solves).  Counts are
 kept as exact rationals so that audits can assert equality, not closeness.
 O(a*b) matrix additions are tracked in a separate counter and excluded from
-the headline total, as are the row-selection sweeps used to re-pivot
-representatives.
+the headline total, as is the partial-pivoting LU that re-pivots
+representatives (its n k^2 - k^3/3 goes to ``aux``).
 
 Two accounting conventions are deliberate.  Tall blocks paired with a k x k
 factor are charged with the full mode dimension n as their row count, and the
@@ -33,7 +33,7 @@ class FlopLedger:
         self.per_step = {}
         self.seconds = {}
         self.additions = Fraction(0)
-        self.aux = Fraction(0)  # bookkeeping work outside the model (re-pivoting)
+        self.aux = Fraction(0)  # work outside the model (the re-pivot's LU)
         self._label = "unlabeled"
 
     @property

@@ -24,14 +24,16 @@ Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
 tangent as one n x k array X1 in the same frame.  Both are column-major, as
 is the Gram step's n x k output, so Q = [G1, X1] is two contiguous column
-blocks, and the re-pivot's sweep and row gather read contiguous columns.
-The metric is invariant under left multiplication by orthogonal matrices,
-so a step works in the permuted frame and re-pivots its n x k result
-there: the new permutation is the old one composed with the selection,
-and the unselected rows keep the old frame's order.
+blocks, and the re-pivot's LU reads contiguous columns.  The metric is
+invariant under left multiplication by orthogonal matrices, so a step works
+in the permuted frame and re-pivots its n x k result there: the LU's k row
+swaps are applied to the result in place, and the new permutation is the
+old one composed with them.  So the unselected rows keep the old frame's
+order, except for the at most k rows the swaps displace.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -263,14 +265,18 @@ class HorizontalBlocks:
 def _repivot(perm, cols, tol):
     """Representative of n x k columns whose row j is ambient row perm[j].
 
-    The selection runs in the given row order, so ties resolve in it and
-    the unselected rows keep it; the coset and the selected rows do not
-    depend on the order.  The rows are gathered along the contiguous axis of
-    the transpose, so column-major columns give a column-major block.
+    ``cols`` is the caller's own array, and its rows are reordered in
+    place.  The selection is k row swaps, so only its first k positions and
+    the selected rows' old positions change: those rows alone are gathered
+    and written back.  The new permutation is the old one composed with the
+    selection.  The selection runs in the given row order, so ties resolve
+    in it; the coset and the selected rows do not depend on it.
     """
     sel = select_submatrix(cols, tol)
-    return ModeBlocks._from_selection(perm[sel],
-                                      cols.T.take(sel, axis=1).T,
+    k = cols.shape[1]
+    rows = np.concatenate((np.arange(k), sel[:k]))
+    cols[rows] = cols[sel[rows]]
+    return ModeBlocks._from_selection(perm[sel], cols,
                                       min(tol, INVERTIBILITY_TOL))
 
 
@@ -278,9 +284,10 @@ def reduce_columns(c, tol=REPIVOT_TOL):
     """Representative of an ambient n x k full-rank leading-column matrix.
 
     ``tol = 0`` accepts any strictly nonsingular leading block; the default
-    re-pivot gate rejects blocks past 1e-10 relative conditioning.
+    re-pivot gate rejects blocks past 1e-10 relative conditioning.  ``c`` is
+    copied, column-major, before its rows are swapped.
     """
-    c = np.asarray(c, dtype=float)
+    c = np.array(c, dtype=float, order="F")
     return _repivot(np.arange(len(c)), c, tol)
 
 
@@ -400,7 +407,7 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     w = np.eye(k) + m_inv @ (p[:k, :k].T @ s.T)
     u = pp @ np.vstack((w, s.T @ w))
     c = np.vstack((w - m_inv @ u[k:], t * u[:k]))
-    # column-major like Q: the re-pivot sweeps and gathers contiguous columns
+    # column-major like Q: the re-pivot's LU copies contiguous columns
     out = (c.T @ q.T).T
     del q  # the re-pivot runs without Q's n x 2k copy alive
     return _repivot(blocks.perm, out, repivot_tol), plan.z
@@ -488,11 +495,16 @@ def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
         led.mult(k, 2 * k, k)
         led.mult(k, k, k)
         led.mult(n, k, k)
-    out = g1 + term2 + term3 + term4
+    # column-major like the Gram step's output, summed in the same order
+    out = np.add(g1, term2, order="F")
+    out += term3
+    out += term4
     led.add(n, k)
     led.add(n, k)
     led.add(n, k)
 
-    out = _repivot(blocks.perm, out, repivot_tol)
-    led.aux_work(n * k * k)  # row-selection sweep, outside the model
+    with led.step(label + "repivot"):
+        out = _repivot(blocks.perm, out, repivot_tol)
+        # partial-pivoting LU of the n x k columns, outside the model
+        led.aux_work(n * k * k - Fraction(k**3, 3))
     return out, plan.z

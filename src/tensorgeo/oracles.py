@@ -96,47 +96,36 @@ def dense_geodesic(g, x, t=1.0):
 # row selection
 
 def select_submatrix_reference(m, tol=DEFAULT_RANK_TOL):
-    """Loop form of ``dense.select_submatrix``: same permutation or same error.
+    """Loop form of ``dense.select_submatrix``'s rule: partial-pivoting LU.
 
-    Each pivot gathers the free rows and columns, runs the rook search
-    (alternate row and column maxima until the entry is maximal in both;
-    ties to the lowest index), and eliminates the free rows one gather and
-    scatter at a time.  O(n r^2) with per-pivot fancy indexing.
+    The input is scaled by the same power of two.  Column j then takes the
+    first largest |entry| among the rows not yet selected, in their current
+    order, swaps that row into place and eliminates below it, one rank-one
+    update per column.  Same errors under the same gate; the permutation is
+    the same wherever LAPACK's blocked update rounds no tie the other way.
+    O(n r^2).
     """
     m = np.asarray(m, dtype=float)
     n, r = m.shape
     if r > n:
         raise ValueError("more columns than rows")
-    c = m.copy()
-    scale = np.abs(c).max()
+    if not np.isfinite(m).all():
+        raise ValueError("non-finite input")
+    scale = np.abs(m).max()
     if scale == 0.0:
         raise ValueError("rank-deficient input: zero matrix")
-    row_free = np.ones(n, dtype=bool)
-    col_free = np.ones(r, dtype=bool)
-    selected = []
-    for _ in range(r):
-        work = np.where(row_free)[0]
-        cols = np.where(col_free)[0]
-        sub = np.abs(c[np.ix_(work, cols)])
-        # rook search from the globally largest free entry
-        fi, fj = np.unravel_index(np.argmax(sub), sub.shape)
-        i, j = work[fi], cols[fj]
-        while True:
-            j_new = cols[np.argmax(np.abs(c[i, cols]))]
-            i_new = work[np.argmax(np.abs(c[work, j_new]))]
-            if i_new == i and j_new == j:
-                break
-            i, j = i_new, j_new
-        if abs(c[i, j]) <= tol * scale or c[i, j] == 0.0:
+    c = np.ldexp(m, -math.frexp(scale)[1])
+    gate = tol * np.abs(c).max()
+    order = np.arange(n)
+    for j in range(r):
+        i = j + int(np.argmax(np.abs(c[j:, j])))
+        c[[j, i]] = c[[i, j]]
+        order[[j, i]] = order[[i, j]]
+        piv = c[j, j]
+        if abs(piv) <= gate or abs(piv) < np.finfo(float).tiny:
             raise ValueError("rank-deficient input: no acceptable pivot")
-        selected.append(i)
-        row_free[i] = False
-        col_free[j] = False
-        rest = row_free.nonzero()[0]
-        if len(rest):
-            c[rest] -= np.outer(c[rest, j] / c[i, j], c[i])
-    remaining = [i for i in range(n) if row_free[i]]
-    return np.array(selected + remaining)
+        c[j + 1:, j + 1:] -= np.outer(c[j + 1:, j] / piv, c[j, j + 1:])
+    return order
 
 
 # ---------------------------------------------------------------------------

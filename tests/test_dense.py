@@ -1,4 +1,8 @@
 import itertools
+import math
+import pathlib
+import subprocess
+import sys
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -6,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from tensorgeo import dense
+import tensorgeo
 from tensorgeo.dense import (DEFAULT_RANK_TOL, basis_completion, mode_apply,
                              mode_product, multilinear_rank, perm_inverse,
                              refold, select_submatrix, tt_rank, unfold)
@@ -135,7 +139,8 @@ def test_select_submatrix_swapped_identity():
 
 
 def test_select_submatrix_keeps_dominant_leading_block():
-    # worked by hand: rook pivots land on (0,0) then (1,1)
+    # worked by hand: column 0 pivots on row 0 (10 > 1), and column 1 of the
+    # Schur complement, (9, 0.9), on row 1
     m = np.array([[10.0, 0.0], [0.0, 9.0], [1.0, 1.0]])
     assert np.array_equal(select_submatrix(m), [0, 1, 2])
 
@@ -181,7 +186,7 @@ def test_select_submatrix_deterministic():
 
 @st.composite
 def _pivot_inputs(draw):
-    """Matrices rich in exact ties and rank deficiency, plus tall ones."""
+    """(kind, matrix): rich in exact ties and rank deficiency, or tall."""
     kind = draw(st.sampled_from(["random", "integer", "sign", "one_hot",
                                  "duplicated", "zero", "nonfinite", "tall"]))
     n = draw(st.integers(1, 2000 if kind == "tall" else 12))
@@ -190,22 +195,23 @@ def _pivot_inputs(draw):
         elements = {"random": st.floats(-1e3, 1e3, allow_nan=False),
                     "integer": st.integers(-3, 3).map(float),
                     "sign": st.sampled_from([-1.0, 1.0])}[kind]
-        return draw(hnp.arrays(float, (n, r), elements=elements))
+        return kind, draw(hnp.arrays(float, (n, r), elements=elements))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "one_hot":
         m = np.zeros((n, r))
         m[np.arange(n), rng.integers(0, r, n)] = 1.0
-        return m
+        return kind, m
     if kind == "duplicated":
         base = rng.integers(-2, 3, (n, r)).astype(float)
-        return base[:, rng.integers(0, r, r)]
+        return kind, base[:, rng.integers(0, r, r)]
     if kind == "zero":
-        return np.zeros((n, r))
+        return kind, np.zeros((n, r))
     if kind == "nonfinite":
         m = rng.integers(-1, 2, (n, r)) * 10.0 ** rng.choice([0, 308], (n, r))
-        return np.where(rng.random((n, r)) < 0.2,
-                        rng.choice([np.nan, np.inf, -np.inf], (n, r)), m)
-    return rng.standard_normal((n, r)) * rng.uniform(0.1, 10.0, r)
+        return kind, np.where(rng.random((n, r)) < 0.2,
+                              rng.choice([np.nan, np.inf, -np.inf], (n, r)),
+                              m)
+    return kind, rng.standard_normal((n, r)) * rng.uniform(0.1, 10.0, r)
 
 
 def _outcome(select, m, tol):
@@ -216,18 +222,72 @@ def _outcome(select, m, tol):
         return str(exc)
 
 
+def _assert_partial_pivoting(m, perm, tol):
+    """An unpivoted LU of m[perm] meets no entry larger than its pivot.
+
+    Every multiplier is at most 1 + 1e-12 in size, and every pivot passes
+    the gate, in the same power-of-two scaling as the selection.
+    """
+    n, r = m.shape
+    assert sorted(perm) == list(range(n))
+    c = np.ldexp(m[perm], -math.frexp(np.abs(m).max())[1])
+    gate = tol * np.abs(c).max()
+    for j in range(r):
+        piv = c[j, j]
+        assert abs(piv) > gate and abs(piv) >= np.finfo(float).tiny
+        lower = c[j + 1:, j] / piv
+        assert np.all(np.abs(lower) <= 1.0 + 1e-12)
+        c[j + 1:, j + 1:] -= np.outer(lower, c[j, j + 1:])
+
+
+NO_PIVOT = "rank-deficient input: no acceptable pivot"
+
+
+def _assert_agrees_with_reference(m):
+    """The selection against the loop reference, where ties may round apart.
+
+    Both raise the same error, or the selection's order has the partial
+    pivoting property.  The pivots do not depend on tol, so tol = 0 returns
+    the default gate's order where that succeeds.  On an input the default
+    gate rejects, a pivot that is exactly zero in one rounding can be a
+    rounding-level nonzero in the other, so at tol = 0 each side either
+    rejects a pivot or returns a permutation.
+    """
+    default = _outcome(select_submatrix, m, DEFAULT_RANK_TOL)
+    for tol in (DEFAULT_RANK_TOL, 0.0):
+        ours = _outcome(select_submatrix, m, tol)
+        ref = _outcome(select_submatrix_reference, m, tol)
+        if isinstance(ours, str) and isinstance(ref, str):
+            assert ours == ref
+        elif isinstance(default, list):
+            assert ours == default
+            _assert_partial_pivoting(m, np.array(ours), tol)
+        else:
+            assert tol == 0.0 and default == NO_PIVOT
+            for out in (ours, ref):
+                assert out == NO_PIVOT or sorted(out) == list(range(len(m)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(_pivot_inputs())
-def test_select_submatrix_matches_reference(m):
-    for tol in (DEFAULT_RANK_TOL, 0.0):
-        assert (_outcome(select_submatrix, m, tol)
-                == _outcome(select_submatrix_reference, m, tol))
+def test_select_submatrix_matches_reference(case):
+    # bit-equal orders where no exact tie can arise; elsewhere the blocked
+    # LU and the loop may round a tie apart (hypothesis' float arrays repeat
+    # a fill value, so "random" is tie-rich too)
+    kind, m = case
+    if kind == "tall":
+        for tol in (DEFAULT_RANK_TOL, 0.0):
+            assert (_outcome(select_submatrix, m, tol)
+                    == _outcome(select_submatrix_reference, m, tol))
+    else:
+        _assert_agrees_with_reference(m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_pivot_inputs())
-def test_select_submatrix_ignores_the_memory_layout(m):
+def test_select_submatrix_ignores_the_memory_layout(case):
     # one matrix as C-ordered, F-ordered and strided views
+    _, m = case
     n, r = m.shape
     padded = np.zeros((2 * n, 3 * r))
     padded[::2, ::3] = m
@@ -237,6 +297,19 @@ def test_select_submatrix_ignores_the_memory_layout(m):
                                          for v in views)
         assert f_ordered == c_ordered
         assert strided == c_ordered
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pivot_inputs())
+def test_select_submatrix_moves_only_the_swapped_rows(case):
+    # r row swaps move only the first r positions and the positions the
+    # selected rows came from, which is all the re-pivot writes back
+    _, m = case
+    p = _outcome(select_submatrix, m, 0.0)
+    if isinstance(p, list):
+        r = m.shape[1]
+        moved = np.flatnonzero(np.array(p) != np.arange(len(p)))
+        assert set(moved.tolist()) <= set(range(r)) | set(p[:r])
 
 
 def _tie_rich_matrices(rng, n, r):
@@ -253,19 +326,45 @@ def _tie_rich_matrices(rng, n, r):
                    rng.choice([np.nan, np.inf, -np.inf], (n, r)), big)
 
 
-@pytest.mark.parametrize("cols_per_call", [1, 2, 3])
-def test_select_submatrix_sweep_groups_match_reference(monkeypatch,
-                                                       cols_per_call):
-    # a lowered cache budget makes small inputs take the sweep's grouped
-    # path, as tall ones do at the real budget
+def test_select_submatrix_tie_rich_matrices_agree_with_reference():
     rng = np.random.default_rng(13)
     for n, r in ((1, 1), (4, 3), (7, 5), (9, 9), (30, 8), (60, 16)):
-        monkeypatch.setattr(dense, "_SWEEP_ENTRIES", cols_per_call * n)
         for _ in range(6):
             for m in _tie_rich_matrices(rng, n, r):
-                for tol in (DEFAULT_RANK_TOL, 0.0):
-                    assert (_outcome(select_submatrix, m, tol)
-                            == _outcome(select_submatrix_reference, m, tol))
+                _assert_agrees_with_reference(m)
+
+
+def test_select_submatrix_rejects_non_finite_input():
+    # a NaN is not taken for the largest pivot: the selection says why
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4)[:, :2].copy()
+        m[3, 1] = bad
+        for tol in (DEFAULT_RANK_TOL, 0.0):
+            with pytest.raises(ValueError, match="^non-finite input$"):
+                select_submatrix(m, tol)
+
+
+def test_select_submatrix_rejects_subnormal_pivots():
+    # rank one at a subnormal scale: the prescale lifts it into [1/2, 1),
+    # where the second pivot is exactly zero
+    d = 2.2e-309
+    with pytest.raises(ValueError, match="no acceptable pivot"):
+        select_submatrix(np.full((2, 2), d), 0.0)
+    # a pivot that stays subnormal after the prescale is rejected at tol = 0
+    # although it is nonzero
+    with pytest.raises(ValueError, match="no acceptable pivot"):
+        select_submatrix(np.diag([1.0, 1e-310]), 0.0)
+    assert select_submatrix(np.diag([1.0, 1e-300]), 0.0).tolist() == [0, 1]
+    assert select_submatrix(np.diag([d, d / 4]), 0.0).tolist() == [0, 1]
+
+
+def test_import_loads_no_scipy_linalg():
+    # the selection imports LAPACK's LU on first use: a bare import of the
+    # package stays free of scipy.linalg's import time
+    src = str(pathlib.Path(tensorgeo.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tensorgeo; "
+            "sys.exit('scipy.linalg' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
 
 
 def test_basis_completion_identity_columns():

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,7 +12,8 @@ import tensorgeo.io as tio
 from conftest import MANIFOLDS, manifold_shapes, rel_err
 from tensorgeo import CpShape, TtShape
 from tensorgeo.dense import select_submatrix
-from tensorgeo.flops import FlopLedger, gamma12_count, mode_step_items
+from tensorgeo.flops import (FlopLedger, gamma12_count, mode_step_items,
+                             mode_step_total)
 from tensorgeo.group import (AlgebraElement, GroupElement, HorizontalBlocks,
                              ModeBlocks, _bpap, _coupling, adjoint,
                              euclidean_inner, gamma12, gl_exp,
@@ -230,6 +232,50 @@ def test_step_ledger_items_exact():
     _, z = lowrank_geodesic_step(mb, tb, 1.0, led, label="m.")
     for item, want in mode_step_items(n, k, z):
         assert led.per_step[f"m.{item}"] == want, item
+
+
+def test_step_ledger_times_the_repivot_outside_the_model():
+    # the re-pivot has a timed label of its own but no model charge: the
+    # per-step counts and the headline total are the itemization's alone,
+    # and the LU's n k^2 - k^3/3 goes to the auxiliary counter
+    rng = np.random.default_rng(12)
+    n, k = 30, 3
+    mb = _random_blocks(rng, n, k)
+    tb = _random_tangent(rng, mb)
+    led = FlopLedger()
+    _, z = lowrank_geodesic_step(mb, tb, 1.0, led, label="m.")
+    items = mode_step_items(n, k, z)
+    assert led.per_step == {f"m.{item}": count for item, count in items}
+    assert led.total == mode_step_total(n, k, z)
+    assert led.seconds["m.repivot"] >= 0.0 and "m.repivot" not in led.per_step
+    assert led.aux == n * k * k - Fraction(k ** 3, 3)
+
+
+def test_reduce_columns_leaves_its_argument_alone():
+    rng = np.random.default_rng(20)
+    c = rng.standard_normal((30, 4))
+    for arg in (c, np.asfortranarray(c)):
+        before = arg.copy()
+        mb = reduce_columns(arg)
+        assert not np.array_equal(mb.perm, np.arange(30))   # rows did move
+        assert arg.tobytes() == before.tobytes()
+        assert np.array_equal(mb.leading_columns(), c)
+
+
+def test_step_leaves_its_point_and_tangent_alone(manifold):
+    # the re-pivot swaps rows in place, in the step's own output only
+    cfg = MANIFOLDS[manifold]
+    rng = np.random.default_rng(21)
+    p = cfg["point"](cfg["shape"](), rng)
+    x = hq.random_horizontal(p, rng)
+    for mb, tb in zip(p.modes, x.modes):
+        perm, g1, x1 = mb.perm.copy(), mb.g1.copy(), tb.x1.copy()
+        for ledger in (None, FlopLedger()):
+            stepped, _ = lowrank_geodesic_step(mb, tb, 0.7, ledger)
+            assert not np.array_equal(stepped.perm, perm)   # rows did move
+            assert mb.perm.tobytes() == perm.tobytes()
+            assert mb.g1.tobytes() == g1.tobytes()
+            assert tb.x1.tobytes() == x1.tobytes()
 
 
 def test_step_shares_one_exponent():
