@@ -13,8 +13,12 @@ speed lands on both.  Per workload the output records the seeds, every
 run's end-to-end metrics and failed/attempted counts, each side's median
 and quartiles, how many pairs the change won on each metric (ties count for
 neither), and the traced self time of the layers in ``LAYERS`` on both
-sides.  The output file keeps a list of such series: a run appends its
-series to the file's list, so the file holds every run made.
+sides.  Each traced run also records its exact counts, the ``psi.z_hist.*``
+histogram of scaling exponents and the ``ops.failed.*`` failures by kind.
+Per seed, the script prints and records whether the two sides' timed runs
+attempted and failed the same number of ops, and whether their traced
+counts are equal.  The output file keeps a list of such series: a run
+appends its series to the file's list, so the file holds every run made.
 """
 
 import argparse
@@ -35,6 +39,7 @@ LAYERS = ("group.lowrank_geodesic_step.self_s",
           "group.reduce_columns.calls", "group.gamma12.self_s",
           "group.gamma12.calls", "psi.psi1.self_s", "psi.psi1.calls",
           "io.dump.self_s", "io.load.self_s", "trace.ops")
+COUNT_PREFIXES = ("psi.z_hist.", "ops.failed.")
 
 
 def parse_seeds(items):
@@ -88,6 +93,22 @@ def paired(sides, workload, seeds, seconds, trace):
     return runs
 
 
+def counts(run):
+    """A traced run's exact counts: z histogram and failures by kind."""
+    return {k: v for k, v in run["metrics"].items()
+            if k.startswith(COUNT_PREFIXES)}
+
+
+def matches(runs, workload, key, what):
+    """Per seed, whether ``key`` of a run is the same on both sides."""
+    same = []
+    for base, change in zip(runs["base"], runs["change"]):
+        same.append(key(base) == key(change))
+        print(f"{workload} seed {base['seed']}: {what} "
+              + ("match" if same[-1] else "differ"), flush=True)
+    return same
+
+
 def quartiles(values):
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -138,12 +159,22 @@ def main(argv=None):
         sides = {"base": base_root, "change": ROOT}
         for workload in args.workloads:
             runs = paired(sides, workload, seeds, args.seconds, 0)
-            entry = {"seeds": seeds, "summary": summarize(runs), "runs": runs}
+            entry = {"seeds": seeds, "summary": summarize(runs),
+                     "outcomes_match": matches(
+                         runs, workload,
+                         lambda r: (r["attempted"], r["failed"]),
+                         "failed/attempted"),
+                     "runs": runs}
             if trace_seeds:
                 traced = paired(sides, workload, trace_seeds, args.seconds, 1)
-                entry["trace"] = {"seeds": trace_seeds} | {
+                entry["trace"] = {
+                    "seeds": trace_seeds,
+                    "counts_match": matches(traced, workload, counts,
+                                            "z_hist and failure counts")} | {
                     name: {layer: [r["metrics"][layer] for r in traced[name]]
-                           for layer in LAYERS} for name in sides}
+                           for layer in LAYERS}
+                    | {"counts": [counts(r) for r in traced[name]]}
+                    for name in sides}
             result["workloads"][workload] = entry
             with open(args.out, "w") as fh:
                 json.dump({"series": previous + [result]}, fh, indent=1)

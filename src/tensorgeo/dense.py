@@ -10,12 +10,32 @@ Permutations are int arrays ``p`` acting on rows as ``(P m)[i] = m[p[i]]``,
 so ``m[p]`` applies the permutation and ``p`` is its own description.
 """
 
+import functools
 import math
 
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
 _TINY = np.finfo(float).tiny
+
+
+@functools.cache
+def lapack():
+    """``scipy.linalg.lapack``, imported on first use.
+
+    ``import tensorgeo`` stays free of scipy.linalg's import time; after the
+    first call a LAPACK routine is one attribute read away.
+    """
+    from scipy.linalg import lapack
+    return lapack
+
+
+@functools.lru_cache(maxsize=64)
+def identity(k):
+    """The k x k identity, read-only and shared by every caller."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +150,6 @@ def select_submatrix(m, tol=DEFAULT_RANK_TOL):
     error.  O(n r^2); the n x r column-major copy that LU overwrites is the
     only n-sized workspace.
     """
-    from scipy.linalg.lapack import dgetrf
     m = np.asarray(m, dtype=float)
     n, r = m.shape
     if r > n:
@@ -147,7 +166,7 @@ def select_submatrix(m, tol=DEFAULT_RANK_TOL):
     e = math.frexp(scale)[1]
     lu = np.empty((n, r), order="F")
     np.ldexp(m, -e, out=lu)
-    lu, swaps, _ = dgetrf(lu, overwrite_a=1)
+    lu, swaps, _ = lapack().dgetrf(lu, overwrite_a=1)
     pivot = float(np.abs(lu.diagonal()).min())
     if pivot <= tol * math.ldexp(scale, -e) or not pivot >= _TINY:
         raise ValueError("rank-deficient input: no acceptable pivot")

@@ -20,6 +20,13 @@ against the 110nk^2/3 of the paper's itemized update.  Passing a flop
 ledger selects the itemized update instead, the instrumented path whose
 every line the audit checks.
 
+On small k the k x k phase costs numpy's call overhead more than flops, so
+the step calls LAPACK directly where numpy would wrap the same routine:
+M^-1 is ``dgesv``'s LU solve against a shared identity, and the g11 gate
+on every new representative reads its singular values from ``dgesdd``.
+Both raise numpy's texts on failure ("Singular matrix", "SVD did not
+converge").
+
 Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
 tangent as one n x k array X1 in the same frame.  Both are column-major, as
@@ -37,8 +44,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dense import perm_inverse, is_permutation, select_submatrix
-from .psi import ScalingPlan, mexp_small, psi1, make_scaling_plan
+from .dense import (identity, is_permutation, lapack, perm_inverse,
+                    select_submatrix)
+from .psi import ScalingPlan, make_scaling_plan, max_norm, mexp_small, psi1
 
 INVERTIBILITY_TOL = 1e-12
 REPIVOT_TOL = 1e-10
@@ -168,22 +176,29 @@ class ModeBlocks:
         g1 = np.empty((len(perm), k), order="F")
         g1[:k] = g11
         g1[k:] = g21
+        if not np.isfinite(g1).all():
+            raise ValueError("non-finite input")
         self._fill(perm, g1, invert_tol)
 
     @classmethod
     def _from_selection(cls, perm, g1, invert_tol):
         """Blocks on rows ``select_submatrix`` has just ordered.
 
-        Such a permutation needs no sort-based check; the singularity gate
-        on g11 still runs.
+        Such a permutation needs no sort-based check, and such rows have
+        passed its finiteness check; the singularity gate on g11 still runs.
         """
         blocks = object.__new__(cls)
         blocks._fill(perm, g1, invert_tol)
         return blocks
 
     def _fill(self, perm, g1, invert_tol):
-        s = np.linalg.svd(g1[:g1.shape[1]], compute_uv=False)
-        if not np.all(np.isfinite(s)) or s[-1] <= invert_tol * s[0] or s[-1] == 0.0:
+        # LAPACK's divide-and-conquer SVD, the routine np.linalg.svd calls;
+        # the rows are finite here, so a nonzero info is its non-convergence
+        _, s, _, info = lapack().dgesdd(g1[:g1.shape[1]], compute_uv=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if (not np.isfinite(s).all() or s[-1] <= invert_tol * s[0]
+                or s[-1] == 0.0):
             raise ValueError("g11 is numerically singular")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "g1", g1)
@@ -240,6 +255,8 @@ class HorizontalBlocks:
         x1 = np.asarray(x1, dtype=float, order="F")
         if x1.ndim != 2 or x1.shape[0] < x1.shape[1]:
             raise ValueError("inconsistent tangent blocks")
+        if not np.isfinite(x1).all():
+            raise ValueError("non-finite input")
         object.__setattr__(self, "x1", x1)
 
     @property
@@ -352,7 +369,10 @@ def _velocity_cores(h, t):
     evaluates both: psi1(blockdiag(BA, 0)) = blockdiag(psi1(BA), I).
     """
     k = h.shape[0] // 2
-    m_inv = np.linalg.solve(h[:k, :k], np.eye(k))
+    # LAPACK's LU solve, the routine np.linalg.solve calls
+    _, _, m_inv, info = lapack().dgesv(h[:k, :k], identity(k))
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
     s = t * h[:k, k:]
     ba = m_inv @ s
     cores = np.zeros((2, 2 * k, 2 * k))
@@ -367,7 +387,7 @@ def _velocity_cores(h, t):
 
 def _shared_plan(ba, bpap):
     """One scaling plan for both velocity cores: the larger exponent."""
-    norms = np.linalg.norm(ba), np.linalg.norm(bpap)
+    norms = max_norm(ba), max_norm(bpap)
     return ScalingPlan(max(make_scaling_plan(v).z for v in norms), max(norms))
 
 
@@ -404,9 +424,9 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     plan = _shared_plan(cores[0, :k, :k], cores[1])
     # the plan goes positionally, where a call tracer reads z
     p, pp = psi1(cores, None, plan)
-    w = np.eye(k) + m_inv @ (p[:k, :k].T @ s.T)
-    u = pp @ np.vstack((w, s.T @ w))
-    c = np.vstack((w - m_inv @ u[k:], t * u[:k]))
+    w = identity(k) + m_inv @ (p[:k, :k].T @ s.T)
+    u = pp @ np.concatenate((w, s.T @ w))
+    c = np.concatenate((w - m_inv @ u[k:], t * u[:k]))
     # column-major like Q: the re-pivot's LU copies contiguous columns
     out = (c.T @ q.T).T
     del q  # the re-pivot runs without Q's n x 2k copy alive
@@ -417,8 +437,7 @@ def mode_velocity_norms(blocks, tangent, t=1.0):
     """Frobenius norms of (BA, B'A') for one mode at time t."""
     cores = _velocity_cores(_gram(blocks, tangent)[1], t)[2]
     k = blocks.k
-    return (float(np.linalg.norm(cores[0, :k, :k])),
-            float(np.linalg.norm(cores[1])))
+    return max_norm(cores[0, :k, :k]), max_norm(cores[1])
 
 
 # ---------------------------------------------------------------------------

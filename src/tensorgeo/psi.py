@@ -19,6 +19,13 @@ at level z-1 by scaling its coefficients, which is valid because the
 scaling exponent guarantees norm <= 1/4 at level z, hence <= 1/2 at level
 z-1.  ``psi1_pade`` and ``mexp_small`` read the same table and contraction.
 
+``psi1`` enters through one reduction, ``max_norm``: an einsum of the
+squared entries per matrix and its maximum.  It is finite exactly when every
+entry is finite and no sum of squares overflows, so the one number serves
+the finiteness check, the default plan and the check that a given plan is
+strong enough; finite entries whose squares overflow raise the plan's error,
+without an overflow warning.
+
 The recorded operation count of a 2-D argument lands exactly on the
 published itemization: a six-multiply power table (five powers plus the
 odd/even assembly of the exponential quotient, which the contraction reads
@@ -32,6 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dense import identity
 
 # degree (6,6) Pade coefficients of psi1, low order first
 PSI1_PADE_NUM = np.array([1.0, 1.0 / 26, 5.0 / 156, 1.0 / 858, 1.0 / 5720,
@@ -90,6 +99,18 @@ def _check_finite(m):
         raise ValueError("non-finite input")
 
 
+def max_norm(m):
+    """Largest Frobenius norm of a (..., m, m) stack, or the norm of a matrix.
+
+    One reduction over the entries.  The result is finite exactly when every
+    entry is finite and no sum of squares overflows: it is inf or nan
+    otherwise, and no warning is raised.
+    """
+    sq = np.einsum("...ij,...ij->...", m, m)
+    # a matrix gives a numpy scalar, whose .max() costs more than the sum
+    return math.sqrt(sq.max() if sq.ndim else sq)
+
+
 def _quotients(x, rows):
     """Pade quotients of a (b, m, m) stack, one per pair of coefficient rows.
 
@@ -100,7 +121,7 @@ def _quotients(x, rows):
     """
     b, m, _ = x.shape
     pows = np.empty((7, b, m, m))
-    pows[0] = np.eye(m)
+    pows[0] = identity(m)
     pows[1] = x
     for j in range(1, 6):
         np.matmul(pows[j], x, out=pows[j + 1])
@@ -137,19 +158,17 @@ def psi1(m, ledger=None, plan=None):
         raise ValueError("a ledger records psi1 of a single matrix only")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("psi1 needs square matrices")
-    norms = (np.linalg.norm(m, axis=(-2, -1)) if m.ndim > 2
-             else np.linalg.norm(m))
-    if not np.isfinite(norms).all():
+    top = max_norm(m)
+    if not math.isfinite(top):
         # a finite norm means finite entries; an infinite one may come from
         # finite entries whose squares overflow
         _check_finite(m)
     if plan is None:
-        plan = make_scaling_plan(norms.max())
+        plan = make_scaling_plan(top)
     z = plan.z
     if z == 1:
         raise ValueError("plans with z = 1 are not used; scale to z >= 2")
-    if norms.max() * 2.0 ** -z * (2.0 if z else 1.0) \
-            > PADE_NORM_BOUND * (1 + 1e-12):
+    if top * 2.0 ** -z * (2.0 if z else 1.0) > PADE_NORM_BOUND * (1 + 1e-12):
         raise ValueError("scaling plan too weak for this argument")
     k = m.shape[-1]
     if ledger is not None:
@@ -164,7 +183,7 @@ def psi1(m, ledger=None, plan=None):
         return _quotients(x, _PSI1_ROWS)[0].reshape(m.shape)
     # psi1 at level z-1 via coefficient scaling, mexp at level z
     p, e = _quotients(x, _SCALED_ROWS)
-    eye = np.eye(k)
+    eye = identity(k)
     for _ in range(z - 1):
         e = e @ e
         p = 0.5 * (p @ (e + eye))

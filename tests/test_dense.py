@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 import tensorgeo
-from tensorgeo.dense import (DEFAULT_RANK_TOL, basis_completion, mode_apply,
-                             mode_product, multilinear_rank, perm_inverse,
-                             refold, select_submatrix, tt_rank, unfold)
+from tensorgeo.dense import (DEFAULT_RANK_TOL, basis_completion, identity,
+                             mode_apply, mode_product, multilinear_rank,
+                             perm_inverse, refold, select_submatrix, tt_rank,
+                             unfold)
 from tensorgeo.group import GroupElement
 from tensorgeo.oracles import select_submatrix_reference
 
@@ -359,12 +360,19 @@ def test_select_submatrix_rejects_subnormal_pivots():
 
 
 def test_import_loads_no_scipy_linalg():
-    # the selection imports LAPACK's LU on first use: a bare import of the
-    # package stays free of scipy.linalg's import time
+    # LAPACK is imported on first use: a bare import of the package stays
+    # free of scipy.linalg's import time
     src = str(pathlib.Path(tensorgeo.__file__).parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import tensorgeo; "
             "sys.exit('scipy.linalg' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
+
+
+def test_identity_is_shared_and_read_only():
+    eye = identity(3)
+    assert eye is identity(3) and np.array_equal(eye, np.eye(3))
+    with pytest.raises(ValueError):
+        eye[0, 1] = 1.0
 
 
 def test_basis_completion_identity_columns():

@@ -333,6 +333,63 @@ def test_blocks_validation():
     assert np.array_equal(mb.leading_columns(), dense[:, :2])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ModeBlocks(np.arange(3), np.eye(2), [[np.nan, 1.0]]),
+    lambda: ModeBlocks(np.arange(3), [[np.nan, 0.0], [0.0, 1.0]],
+                       np.zeros((1, 2))),
+    lambda: HorizontalBlocks([[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+], ids=["g21_nan", "g11_nan", "x1_inf"])
+def test_blocks_reject_non_finite_input(make):
+    # typed before the g11 gate, as select_submatrix and psi1 type it
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == "non-finite input"
+
+
+def _gate(g11):
+    g1 = np.asfortranarray(g11, dtype=float)
+    return ModeBlocks._from_selection(np.arange(len(g1)), g1,
+                                      group.INVERTIBILITY_TOL)
+
+
+@pytest.mark.parametrize("g11", [np.diag([1.0, 1e-12]), np.zeros((2, 2)),
+                                 np.diag([np.inf, 1.0])],
+                         ids=["ratio_at_tol", "zero", "inf"])
+def test_g11_gate_rejects(g11):
+    with pytest.raises(ValueError, match="^g11 is numerically singular$"):
+        _gate(g11)
+
+
+@pytest.mark.parametrize("g11", [np.diag([1.0, 1.01e-12]),
+                                 np.diag([1e-310, 1e-310]),
+                                 np.diag([1e300, 1e300])],
+                         ids=["ratio_past_tol", "subnormal", "huge"])
+def test_g11_gate_accepts(g11):
+    assert np.array_equal(_gate(g11).g11, g11)
+
+
+def test_g11_gate_runs_on_a_block_the_selection_accepted():
+    # every LU pivot of [[1, -a], [0, 1]] is 1, but its singular value
+    # ratio is about 1/a^2: just past INVERTIBILITY_TOL at a = 1.01e6.
+    # The default re-pivot gate then rejects it in _from_selection; tol = 0
+    # lowers that gate to exact singularity and accepts it.
+    for a, ok in ((0.99e6, True), (1.01e6, False)):
+        c = np.array([[1.0, -a], [0.0, 1.0], [0.0, 0.0]])
+        assert select_submatrix(c).tolist() == [0, 1, 2]
+        if ok:
+            reduce_columns(c)
+        else:
+            with pytest.raises(ValueError,
+                               match="^g11 is numerically singular$"):
+                reduce_columns(c)
+        assert np.array_equal(reduce_columns(c, tol=0).g1, c)
+
+
+def test_velocity_cores_report_a_singular_gram_as_numpy_does():
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        group._velocity_cores(np.zeros((4, 4)), 1.0)
+
+
 def test_block_views_write_through():
     # a write into g21 is a write to the stored n x k array
     mb = ModeBlocks(np.array([2, 0, 1]), 2 * np.eye(2), np.ones((1, 2)))

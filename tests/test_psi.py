@@ -1,3 +1,5 @@
+import warnings
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -182,6 +184,20 @@ def _message(call):
     with pytest.raises(ValueError) as exc:
         call()
     return str(exc.value)
+
+
+@pytest.mark.parametrize("m", [np.full((2, 2), 1e200),
+                               np.full((3, 2, 2), 1e200)],
+                         ids=["matrix", "stack"])
+def test_psi1_finite_entries_whose_squares_overflow(m):
+    # the entries are finite, so the error is the norm's, and no overflow
+    # warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _message(lambda: psi1(m)) \
+            == "norm must be finite and nonnegative"
+        assert _message(lambda: psi1(m, None, ScalingPlan(8, 1.0))) \
+            == "scaling plan too weak for this argument"
 
 
 def test_psi1_stack_errors_match_the_single_matrix_ones():
