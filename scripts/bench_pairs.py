@@ -167,14 +167,16 @@ def main(argv=None):
                      "runs": runs}
             if trace_seeds:
                 traced = paired(sides, workload, trace_seeds, args.seconds, 1)
-                entry["trace"] = {
-                    "seeds": trace_seeds,
-                    "counts_match": matches(traced, workload, counts,
-                                            "z_hist and failure counts")} | {
-                    name: {layer: [r["metrics"][layer] for r in traced[name]]
-                           for layer in LAYERS}
-                    | {"counts": [counts(r) for r in traced[name]]}
-                    for name in sides}
+                trace = {"seeds": trace_seeds,
+                         "counts_match": matches(
+                             traced, workload, counts,
+                             "z_hist and failure counts")}
+                for name in sides:
+                    trace[name] = {layer: [r["metrics"][layer]
+                                           for r in traced[name]]
+                                   for layer in LAYERS}
+                    trace[name]["counts"] = [counts(r) for r in traced[name]]
+                entry["trace"] = trace
             result["workloads"][workload] = entry
             with open(args.out, "w") as fh:
                 json.dump({"series": previous + [result]}, fh, indent=1)
