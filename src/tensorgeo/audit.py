@@ -14,12 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import homogeneous as hq
-from .cp import CpShape, cp_random_horizontal, cp_random_point
+from .cp import cp_random_point
 from .flops import FlopLedger, geodesic_formula, mode_step_items
 from .group import (HorizontalBlocks, ModeBlocks, lowrank_geodesic_step,
                     mode_velocity_norms, reduce_columns)
-from .tt import TtShape, tt_random_horizontal, tt_random_point
-from .tucker import TuckerShape, tucker_random_horizontal, tucker_random_point
+from .tt import tt_random_point
+from .tucker import tucker_random_point
 
 STEP_LABELS = {
     "gamma12": "build Gamma12",
@@ -36,29 +36,13 @@ STEP_LABELS = {
 CSV_HEADER = "manifold,n,r,z,flops_model,time_median_s,seed"
 
 
-def make_shape(manifold, dims, ranks):
-    if manifold == "cp":
-        if len(ranks) != 1:
-            raise ValueError("cp shapes take a single rank")
-        return CpShape(dims, ranks[0])
-    if manifold == "tucker":
-        return TuckerShape(dims, ranks)
-    if manifold == "tt":
-        return TtShape(dims, ranks)
-    raise ValueError(f"unknown manifold '{manifold}'")
+_RANDOM_POINT = {"cp": cp_random_point, "tucker": tucker_random_point,
+                 "tt": tt_random_point}
 
 
 def random_point_and_tangent(shape, rng):
-    if shape.name == "cp":
-        p = cp_random_point(shape, rng)
-        x = cp_random_horizontal(p, rng)
-    elif shape.name == "tucker":
-        p = tucker_random_point(shape, rng)
-        x = tucker_random_horizontal(p, rng)
-    else:
-        p = tt_random_point(shape, rng)
-        x = tt_random_horizontal(p, rng)
-    return p, x
+    p = _RANDOM_POINT[shape.name](shape, rng)
+    return p, hq.random_horizontal(p, rng)
 
 
 def pin_mode_exponents(point, tangent, z_targets):
@@ -94,8 +78,7 @@ def pin_mode_exponents(point, tangent, z_targets):
                 hi = mid
         new_blocks.append(mb)
         new_tb.append(tb.scale(hi))
-    return (type(point)(point.shape, tuple(new_blocks)),
-            type(tangent)(new_tb))
+    return hq.Point(point.shape, new_blocks), hq.ManifoldTangent(new_tb)
 
 
 @dataclass
@@ -134,7 +117,7 @@ class AuditResult:
 
 def audit_geodesic(manifold, dims, ranks, z_targets, seed=0, t=1.0):
     """One instrumented geodesic with pinned exponents, line-by-line audit."""
-    shape = make_shape(manifold, tuple(dims), tuple(ranks))
+    shape = hq.make_shape(manifold, tuple(dims), tuple(ranks))
     if len(z_targets) != len(shape.dims):
         raise ValueError("need one z per mode")
     rng = np.random.default_rng(seed)

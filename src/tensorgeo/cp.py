@@ -1,10 +1,14 @@
 """The manifold of tensors with fixed CP rank and maximal multilinear rank.
 
 Points are cosets of the mode-wise group action on the diagonal reference
-tensor sum_j e_j x ... x e_j.  A point is stored per mode as a permutation
-and the n x r array of its permuted leading r columns; the stabilizer
-consists of block upper-triangular elements whose leading blocks are a
-shared permutation times diagonals with product one.
+tensor sum_j e_j x ... x e_j, stored as ``homogeneous.Point`` (per mode a
+permutation and the n x r array of its permuted leading r columns); the
+stabilizer consists of block upper-triangular elements whose leading blocks
+are a shared permutation times diagonals with product one.  What stays here
+is what differs from Tucker and TT: the shape (ks, reference tensor,
+embedding, coupled basis) and the leading blocks of a stabilizer sample.
+``CpPoint`` and ``CpTangent`` are names for ``homogeneous.Point`` and
+``homogeneous.ManifoldTangent``.
 
 Horizontal tangents carry leading columns X1 (n x r) coupled across modes:
 the diagonal responses c = diag(G1^T X1 M^-1), M = G1^T G1, of
@@ -18,7 +22,6 @@ import numpy as np
 
 from . import homogeneous as hq
 from .flops import geodesic_formula
-from .group import GroupElement
 
 __all__ = [
     "CpShape", "CpPoint", "CpTangent", "CpStabilizerSample",
@@ -95,14 +98,8 @@ class CpShape:
         return _sample_stabilizer(self, rng)
 
 
-@dataclass(frozen=True, eq=False)
-class CpPoint:
-    shape: CpShape
-    modes: tuple
-
-
-class CpTangent(hq.ManifoldTangent):
-    pass
+CpPoint = hq.Point
+CpTangent = hq.ManifoldTangent
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +113,10 @@ class CpStabilizerSample:
     trailing: tuple
 
     def group_element(self):
-        factors = []
         qmat = np.eye(len(self.q))[self.q]
-        for dvec, m, a in zip(self.diagonals, self.shears, self.trailing):
-            r = len(dvec)
-            n = r + a.shape[0]
-            h = np.zeros((n, n))
-            h[:r, :r] = np.diag(dvec) @ qmat
-            h[:r, r:] = m
-            h[r:, r:] = a
-            factors.append(h)
-        return GroupElement(factors)
+        return hq.stabilizer_element(
+            [np.diag(dvec) @ qmat for dvec in self.diagonals], self.shears,
+            self.trailing)
 
 
 def _sample_stabilizer(shape, rng):
@@ -138,12 +128,8 @@ def _sample_stabilizer(shape, rng):
     last = 1.0 / np.prod(diags, axis=0)
     diags.append(last)
     q = rng.permutation(r)
-    shears, trailing = [], []
-    for n in shape.dims:
-        shears.append(rng.standard_normal((r, n - r)))
-        a = np.eye(n - r) + 0.4 * rng.standard_normal((n - r, n - r))
-        trailing.append(a)
-    return CpStabilizerSample(tuple(diags), q, tuple(shears), tuple(trailing))
+    return CpStabilizerSample(tuple(diags), q,
+                              *hq.free_stabilizer_blocks(shape, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +148,7 @@ def cp_point_from_factors(factors):
     factors = [np.asarray(v, dtype=float) for v in factors]
     r = factors[0].shape[1]
     shape = CpShape(tuple(v.shape[0] for v in factors), r)
-    return hq.point_from_columns(shape, factors, CpPoint)
+    return hq.point_from_columns(shape, factors)
 
 
 def cp_embed(p):
@@ -181,7 +167,7 @@ def cp_vertical_basis(p):
 
 def cp_project_horizontal(p, z):
     """Orthogonal projection of an ambient tangent onto the horizontal space."""
-    return CpTangent(hq.project_horizontal(p, z).modes)
+    return hq.project_horizontal(p, z)
 
 
 def cp_is_horizontal(p, x, tol=1e-9):
@@ -215,5 +201,4 @@ def cp_random_point(shape, rng):
 
 
 def cp_random_horizontal(p, rng, scale=1.0):
-    t = hq.random_horizontal(p, rng, scale)
-    return CpTangent(t.modes)
+    return hq.random_horizontal(p, rng, scale)

@@ -162,7 +162,7 @@ class ModeBlocks:
     perm: np.ndarray
     g1: np.ndarray
 
-    def __init__(self, perm, g11, g21, invert_tol=INVERTIBILITY_TOL):
+    def __init__(self, perm, g11, g21):
         perm = np.asarray(perm)
         if not is_permutation(perm):
             raise ValueError("perm is not a permutation")
@@ -178,7 +178,7 @@ class ModeBlocks:
         g1[k:] = g21
         if not np.isfinite(g1).all():
             raise ValueError("non-finite input")
-        self._fill(perm, g1, invert_tol)
+        self._fill(perm, g1, INVERTIBILITY_TOL)
 
     @classmethod
     def _from_selection(cls, perm, g1, invert_tol):

@@ -1,11 +1,16 @@
 """Shared machinery of the three fixed-rank quotient constructions.
 
-Each manifold is described by a shape object providing the per-mode leading
-column counts ``ks``, a reference tensor, an embedding of leading columns,
-a basis of the coupled (cross-mode) sector of the stabilizer algebra, and a
-stabilizer sampler.  Everything else lives here: compact points, embeddings,
+Each manifold is a homogeneous space G/H, and only its shape object differs
+between CP, Tucker and TT: the per-mode leading column counts ``ks``, a
+reference tensor, an embedding of leading columns, a basis of the coupled
+(cross-mode) sector of the stabilizer algebra, and the leading blocks of a
+stabilizer sample.  Everything else lives here, once for all three: the one
+point type ``Point`` (a coset, stored as one ``ModeBlocks`` per mode, checked
+against its shape on construction), the one tangent type
+``ManifoldTangent``, the tag-to-shape function ``make_shape``, embeddings,
 vertical spaces, the horizontal projection, geodesics, representative
-transport, and the reductivity probes.
+transport, the stabilizer's block assembly and free-block draw, and the
+reductivity probes.
 
 The stabilizer algebra at the identity splits per mode into a free sector
 (arbitrary blocks in the trailing columns) and a low-dimensional coupled
@@ -57,6 +62,29 @@ GRAM_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
+class Point:
+    """A coset g H: one ``ModeBlocks`` per mode of its shape.
+
+    Raises ``ValueError`` naming the mode unless there is one mode per shape
+    dim and mode i's blocks are dims[i] x ks[i].
+    """
+    shape: object
+    modes: tuple
+
+    def __post_init__(self):
+        modes = tuple(self.modes)
+        dims, ks = self.shape.dims, self.shape.ks
+        if len(modes) != len(dims):
+            raise ValueError(f"{len(modes)} modes for a shape with "
+                             f"{len(dims)} dims")
+        for i, (mb, n, k) in enumerate(zip(modes, dims, ks)):
+            if (mb.n, mb.k) != (n, k):
+                raise ValueError(f"mode {i}: blocks are {mb.n} x {mb.k}, "
+                                 f"the shape wants {n} x {k}")
+        object.__setattr__(self, "modes", modes)
+
+
+@dataclass(frozen=True, eq=False)
 class ManifoldTangent:
     """Horizontal tangent at a compact representative, one block set per mode."""
     modes: tuple
@@ -65,11 +93,34 @@ class ManifoldTangent:
         object.__setattr__(self, "modes", tuple(modes))
 
     def scale(self, s):
-        return type(self)(tuple(m.scale(s) for m in self.modes))
+        return ManifoldTangent(m.scale(s) for m in self.modes)
 
     def norm(self):
         """Frobenius norm of the stacked leading blocks (diagnostic only)."""
         return float(np.sqrt(sum(np.sum(m.stacked() ** 2) for m in self.modes)))
+
+
+def make_shape(manifold, dims, ranks):
+    """Shape of a manifold tag ("cp", "tucker" or "tt") with dims and ranks."""
+    from .cp import CpShape
+    from .tt import TtShape
+    from .tucker import TuckerShape
+    if manifold == "cp":
+        if len(ranks) != 1:
+            raise ValueError("cp shapes take a single rank")
+        return CpShape(dims, ranks[0])
+    if manifold == "tucker":
+        return TuckerShape(dims, ranks)
+    if manifold == "tt":
+        return TtShape(dims, ranks)
+    raise ValueError(f"unknown manifold '{manifold}'")
+
+
+def _check_mode_count(point, tangent_modes):
+    """Raise unless a tangent has one mode per mode of the point."""
+    if len(tangent_modes) != len(point.modes):
+        raise ValueError(f"the tangent has {len(tangent_modes)} modes, the "
+                         f"point has {len(point.modes)}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +137,11 @@ def densify(point):
     return GroupElement([mb.densify() for mb in point.modes])
 
 
-def point_from_columns(shape, cols, cls):
-    """Compact point from ambient leading-column matrices."""
+def point_from_columns(shape, cols, cls=Point):
+    """Compact point from ambient leading-column matrices.
+
+    ``cls`` is the point type, ``Point`` under every name it is bound to.
+    """
     ks = shape.ks
     modes = []
     for i, c in enumerate(cols):
@@ -242,8 +296,10 @@ def project_horizontal(point, z):
     system; O(nk^2 + mk^3 + m^3) in all.  Raises if the Gram system is ill
     conditioned, which signals a near-degenerate representative.
     """
+    factors = getattr(z, "factors", z)
+    _check_mode_count(point, factors)
     z1s = []
-    for mb, f in zip(point.modes, getattr(z, "factors", z)):
+    for mb, f in zip(point.modes, factors):
         f = np.asarray(f, dtype=float)
         if f.shape != (mb.n, mb.n):
             raise ValueError(f"tangent factor of shape {f.shape} at a mode "
@@ -271,6 +327,7 @@ def horizontality_residual(point, tangent):
     pairings are the projection's right-hand side for Z1 = X1, so every
     term is a k x k product or one pass over the n-row blocks.
     """
+    _check_mode_count(point, tangent.modes)
     ys = _coupled_stacks(point.shape)
     g1s = [mb.stacked() for mb in point.modes]
     x1s = [tb.stacked() for tb in tangent.modes]
@@ -331,6 +388,7 @@ def geodesic(point, tangent, t=1.0, ledger=None, repivot_tol=None):
     exponents).  ``repivot_tol = 0`` accepts representatives conditioned
     past the production re-pivot gate (long-time completeness probes).
     """
+    _check_mode_count(point, tangent.modes)
     if repivot_tol is None:
         repivot_tol = REPIVOT_TOL
     new_modes = []
@@ -340,7 +398,7 @@ def geodesic(point, tangent, t=1.0, ledger=None, repivot_tol=None):
         nb, z = lowrank_geodesic_step(mb, tb, t, ledger, label, repivot_tol)
         new_modes.append(nb)
         zs.append(z)
-    return type(point)(point.shape, tuple(new_modes)), zs
+    return Point(point.shape, new_modes), zs
 
 
 def transport_point(point, h):
@@ -357,7 +415,7 @@ def transport_point(point, h):
         c = mb.leading_columns() @ hi[:k, :k]
         c[mb.perm[k:]] += hi[k:, :k]
         cols.append(c)
-    return point_from_columns(point.shape, cols, type(point))
+    return point_from_columns(point.shape, cols)
 
 
 def transport_tangent(x, h):
@@ -373,14 +431,6 @@ def upper_condition_matrix(shape):
     """Rows are the vec'd coupled basis; the admissible upper blocks are its null space."""
     return np.hstack([y.reshape(len(y), k * k)
                       for y, k in zip(_coupled_stacks(shape), shape.ks)])
-
-
-def _split_upper(shape, x):
-    uppers = []
-    for i, xi in enumerate(getattr(x, "factors", x)):
-        k = shape.ks[i]
-        uppers.append(np.asarray(xi)[:k, :k])
-    return uppers
 
 
 def distance_to_m(shape, x):
@@ -420,6 +470,33 @@ def sample_m(shape, rng):
         xi[k:, :k] = rng.standard_normal((n - k, k))
         factors.append(xi)
     return AlgebraElement(factors)
+
+
+def stabilizer_element(leading, shears, trailing):
+    """Group element whose mode i is [[leading_i, shears_i], [0, trailing_i]]."""
+    factors = []
+    for ul, m, b in zip(leading, shears, trailing):
+        k = ul.shape[0]
+        n = k + b.shape[0]
+        h = np.zeros((n, n))
+        h[:k, :k] = ul
+        h[:k, k:] = m
+        h[k:, k:] = b
+        factors.append(h)
+    return GroupElement(factors)
+
+
+def free_stabilizer_blocks(shape, rng):
+    """Shear and trailing blocks of a stabilizer sample, drawn mode by mode.
+
+    Per mode a Gaussian k x (n-k) shear, then an (n-k) x (n-k) trailing
+    block I + 0.4 N, which is invertible for all but a null set of draws.
+    """
+    shears, trailing = [], []
+    for n, k in zip(shape.dims, shape.ks):
+        shears.append(rng.standard_normal((k, n - k)))
+        trailing.append(np.eye(n - k) + 0.4 * rng.standard_normal((n - k, n - k)))
+    return tuple(shears), tuple(trailing)
 
 
 def witness_element(shape, rng, scale=1.0):

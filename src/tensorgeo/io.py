@@ -7,12 +7,16 @@ block section per mode; permutations and the human-facing mode numbers are
 written 1-based.
 
 Parsers raise :class:`FormatError` with the offending line number so
-callers can report locations.
+callers can report locations; a header the shape rejects, and blocks that
+disagree with the header, are format errors too.
 """
+
+import re
 
 import numpy as np
 
 from .group import HorizontalBlocks, ModeBlocks
+from .homogeneous import ManifoldTangent, Point, make_shape
 
 
 class FormatError(ValueError):
@@ -26,6 +30,13 @@ def _fmt(values):
     """Space-separated 17-significant-digit text of a float array."""
     v = values.tolist()
     return ("%.17g " * len(v) % tuple(v))[:-1]
+
+
+def _format_error(exc, line):
+    """FormatError from a library ValueError, its mode numbers made 1-based."""
+    text = re.sub(r"\bmode (\d+)", lambda m: f"mode {int(m[1]) + 1}",
+                  str(exc))
+    return FormatError(text, line)
 
 
 class _Lines:
@@ -129,28 +140,13 @@ def dump_point(point):
 
 
 def _parse_shape_header(lines):
-    from .cp import CpShape
-    from .tt import TtShape
-    from .tucker import TuckerShape
     manifold = lines.next("manifold")
     dims = lines.parse("dims", int)
     ranks = lines.parse("ranks", int)
-    if manifold == "cp":
-        if len(ranks) != 1:
-            raise FormatError("cp documents carry a single rank", lines.pos)
-        return CpShape(dims, ranks[0])
-    if manifold == "tucker":
-        return TuckerShape(dims, ranks)
-    if manifold == "tt":
-        return TtShape(dims, ranks)
-    raise FormatError(f"unknown manifold tag '{manifold}'", lines.pos)
-
-
-def _point_class(shape):
-    from .cp import CpPoint
-    from .tt import TtPoint
-    from .tucker import TuckerPoint
-    return {"cp": CpPoint, "tucker": TuckerPoint, "tt": TtPoint}[shape.name]
+    try:
+        return make_shape(manifold, dims, ranks)
+    except ValueError as exc:
+        raise _format_error(exc, lines.pos) from None
 
 
 def _mode_header(lines, i, k):
@@ -184,7 +180,10 @@ def load_point(text):
             modes.append(ModeBlocks(perm, g11, g21))
         except ValueError as exc:
             raise FormatError(f"mode {i + 1}: {exc}", lines.pos) from None
-    return _point_class(shape)(shape, tuple(modes))
+    try:
+        return Point(shape, modes)
+    except ValueError as exc:
+        raise _format_error(exc, lines.pos) from None
 
 
 def dump_tangent(point, tangent):
@@ -214,7 +213,6 @@ def load_tangent(text, point):
                                   f"want {(rows, mb.k)}", lines.pos)
             blocks.append(x)
         modes.append(HorizontalBlocks(np.vstack(blocks)))
-    from .homogeneous import ManifoldTangent
     return ManifoldTangent(modes)
 
 

@@ -24,7 +24,8 @@ squared entries per matrix and its maximum.  It is finite exactly when every
 entry is finite and no sum of squares overflows, so the one number serves
 the finiteness check, the default plan and the check that a given plan is
 strong enough; finite entries whose squares overflow raise the plan's error,
-without an overflow warning.
+without an overflow warning.  ``psi1_pade`` and ``mexp_small`` enter the
+same way, through ``_entry_norm``.
 
 The recorded operation count of a 2-D argument lands exactly on the
 published itemization: a six-multiply power table (five powers plus the
@@ -99,6 +100,14 @@ def _check_finite(m):
         raise ValueError("non-finite input")
 
 
+def _entry_norm(m):
+    """``max_norm(m)``; raises if an entry, not just a square, is non-finite."""
+    top = max_norm(m)
+    if not math.isfinite(top):
+        _check_finite(m)
+    return top
+
+
 def max_norm(m):
     """Largest Frobenius norm of a (..., m, m) stack, or the norm of a matrix.
 
@@ -135,8 +144,7 @@ def _quotients(x, rows):
 def psi1_pade(m):
     """Degree (6,6) Pade quotient of psi1; requires Frobenius norm <= 1/2."""
     m = np.asarray(m, dtype=float)
-    _check_finite(m)
-    nrm = np.linalg.norm(m)
+    nrm = _entry_norm(m)
     if nrm > PADE_NORM_BOUND * (1 + 1e-12):
         raise ValueError(f"norm {nrm} exceeds the Pade bound 1/2")
     return _quotients(m[None], _PSI1_ROWS)[0, 0]
@@ -158,11 +166,7 @@ def psi1(m, ledger=None, plan=None):
         raise ValueError("a ledger records psi1 of a single matrix only")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("psi1 needs square matrices")
-    top = max_norm(m)
-    if not math.isfinite(top):
-        # a finite norm means finite entries; an infinite one may come from
-        # finite entries whose squares overflow
-        _check_finite(m)
+    top = _entry_norm(m)
     if plan is None:
         plan = make_scaling_plan(top)
     z = plan.z
@@ -197,8 +201,7 @@ def psi1(m, ledger=None, plan=None):
 def mexp_small(m):
     """Matrix exponential by (6,6) Pade with scaling and squaring."""
     m = np.asarray(m, dtype=float)
-    _check_finite(m)
-    z = make_scaling_plan(np.linalg.norm(m)).z
+    z = make_scaling_plan(_entry_norm(m)).z
     e = _quotients((m / 2.0 ** z)[None], _EXP_ROWS)[0, 0]
     for _ in range(z):
         e = e @ e

@@ -11,6 +11,11 @@ One deliberate correction to the source derivation: orthogonality of the
 complement to the stabilizer algebra forces the last chain condition to be
 tr1 L_{d-1} = L_d^T (transposed); the untransposed variant is not
 Ad-invariant even for square shapes, which the reductivity suite checks.
+
+Points and tangents are ``homogeneous.Point`` and
+``homogeneous.ManifoldTangent`` (``TtPoint`` and ``TtTangent`` name them);
+what stays here is the shape, the core layout of the leading columns, the
+stabilizer's chain of leading blocks and the chain membership test.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,6 @@ import numpy as np
 
 from . import homogeneous as hq
 from .flops import geodesic_formula
-from .group import GroupElement
 
 __all__ = [
     "TtShape", "TtPoint", "TtTangent", "TtStabilizerSample",
@@ -128,14 +132,8 @@ def _contract_cores(cores):
     return out.reshape(out.shape[1:-1])
 
 
-@dataclass(frozen=True, eq=False)
-class TtPoint:
-    shape: TtShape
-    modes: tuple
-
-
-class TtTangent(hq.ManifoldTangent):
-    pass
+TtPoint = hq.Point
+TtTangent = hq.ManifoldTangent
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +146,15 @@ class TtStabilizerSample:
 
     def group_element(self):
         mats = [np.eye(1)] + [np.asarray(a) for a in self.chain] + [np.eye(1)]
-        factors = []
-        for i in range(len(mats) - 1):
-            ul = np.kron(np.linalg.inv(mats[i]).T, mats[i + 1])
-            k = ul.shape[0]
-            m, b = self.shears[i], self.trailing[i]
-            n = k + b.shape[0]
-            h = np.zeros((n, n))
-            h[:k, :k] = ul
-            h[:k, k:] = m
-            h[k:, k:] = b
-            factors.append(h)
-        return GroupElement(factors)
+        leading = [np.kron(np.linalg.inv(a).T, b)
+                   for a, b in zip(mats[:-1], mats[1:])]
+        return hq.stabilizer_element(leading, self.shears, self.trailing)
 
 
 def _sample_stabilizer(shape, rng):
     chain = tuple(np.eye(s) + 0.4 * rng.standard_normal((s, s))
                   for s in shape.ranks)
-    shears, trailing = [], []
-    for n, k in zip(shape.dims, shape.ks):
-        shears.append(rng.standard_normal((k, n - k)))
-        trailing.append(np.eye(n - k) + 0.4 * rng.standard_normal((n - k, n - k)))
-    return TtStabilizerSample(chain, tuple(shears), tuple(trailing))
+    return TtStabilizerSample(chain, *hq.free_stabilizer_blocks(shape, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +179,7 @@ def tt_point_from_cores(cores):
     ranks = tuple(c.shape[2] for c in cs[:-1])
     shape = TtShape(dims, ranks)
     cols = [c.transpose(1, 0, 2).reshape(dims[i], -1) for i, c in enumerate(cs)]
-    return hq.point_from_columns(shape, cols, TtPoint)
+    return hq.point_from_columns(shape, cols)
 
 
 def tt_embed(p):
@@ -233,7 +218,7 @@ def tt_m_membership(shape, x, tol=1e-10):
 
 
 def tt_project_horizontal(p, z):
-    return TtTangent(hq.project_horizontal(p, z).modes)
+    return hq.project_horizontal(p, z)
 
 
 def tt_geodesic(p, x, t=1.0, ledger=None):
@@ -266,5 +251,4 @@ def tt_random_point(shape, rng):
 
 
 def tt_random_horizontal(p, rng, scale=1.0):
-    t = hq.random_horizontal(p, rng, scale)
-    return TtTangent(t.modes)
+    return hq.random_horizontal(p, rng, scale)

@@ -10,6 +10,11 @@ The stabilizer couples the leading block of mode 0 to the inverse-transpose
 Kronecker product of the other modes' leading blocks, which makes the
 complement's leading blocks satisfy partial-trace conditions: every L_i is
 the slot-i partial trace (transposed) of L_1.
+
+Points and tangents are ``homogeneous.Point`` and
+``homogeneous.ManifoldTangent`` (``TuckerPoint`` and ``TuckerTangent`` name
+them); what stays here is the shape, the stabilizer's leading blocks, the
+admissibility window and the partial-trace membership test.
 """
 
 from dataclasses import dataclass
@@ -21,7 +26,6 @@ import numpy as np
 from . import homogeneous as hq
 from .dense import mode_product, unfold
 from .flops import geodesic_formula
-from .group import GroupElement
 
 __all__ = [
     "TuckerShape", "TuckerPoint", "TuckerTangent", "TuckerStabilizerSample",
@@ -124,14 +128,8 @@ class TuckerShape:
         return _sample_stabilizer(self, rng)
 
 
-@dataclass(frozen=True, eq=False)
-class TuckerPoint:
-    shape: TuckerShape
-    modes: tuple
-
-
-class TuckerTangent(hq.ManifoldTangent):
-    pass
+TuckerPoint = hq.Point
+TuckerTangent = hq.ManifoldTangent
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,28 +142,15 @@ class TuckerStabilizerSample:
 
     def group_element(self):
         kron = reduce(np.kron, [np.linalg.inv(a).T for a in self.leading])
-        blocks = [kron] + list(self.leading)
-        factors = []
-        for ul, m, b in zip(blocks, self.shears, self.trailing):
-            k = ul.shape[0]
-            n = k + b.shape[0]
-            h = np.zeros((n, n))
-            h[:k, :k] = ul
-            h[:k, k:] = m
-            h[k:, k:] = b
-            factors.append(h)
-        return GroupElement(factors)
+        return hq.stabilizer_element([kron] + list(self.leading), self.shears,
+                                     self.trailing)
 
 
 def _sample_stabilizer(shape, rng):
-    leading = []
-    for t in shape.ranks[1:]:
-        leading.append(np.eye(t) + 0.4 * rng.standard_normal((t, t)))
-    shears, trailing = [], []
-    for n, k in zip(shape.dims, shape.ks):
-        shears.append(rng.standard_normal((k, n - k)))
-        trailing.append(np.eye(n - k) + 0.4 * rng.standard_normal((n - k, n - k)))
-    return TuckerStabilizerSample(tuple(leading), tuple(shears), tuple(trailing))
+    leading = tuple(np.eye(t) + 0.4 * rng.standard_normal((t, t))
+                    for t in shape.ranks[1:])
+    return TuckerStabilizerSample(leading,
+                                  *hq.free_stabilizer_blocks(shape, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +175,7 @@ def tucker_point_from_decomposition(core, factors):
         raise ValueError("the core's mode-0 unfolding is singular: the "
                          "multilinear rank is below the requested first rank")
     cols = [factors[0] @ c1] + factors[1:]
-    return hq.point_from_columns(shape, cols, TuckerPoint)
+    return hq.point_from_columns(shape, cols)
 
 
 def tucker_embed(p):
@@ -246,7 +231,7 @@ def tucker_m_membership(shape, x, tol=1e-10):
 
 
 def tucker_project_horizontal(p, z):
-    return TuckerTangent(hq.project_horizontal(p, z).modes)
+    return hq.project_horizontal(p, z)
 
 
 def tucker_geodesic(p, x, t=1.0, ledger=None):
@@ -282,5 +267,4 @@ def tucker_random_point(shape, rng):
 
 
 def tucker_random_horizontal(p, rng, scale=1.0):
-    t = hq.random_horizontal(p, rng, scale)
-    return TuckerTangent(t.modes)
+    return hq.random_horizontal(p, rng, scale)

@@ -120,6 +120,25 @@ def test_geodesic_roundtrip_and_errors(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("old, new, cause", [
+    ("ranks: 2", "ranks: 9", "rank must satisfy"),
+    ("dims: 5 4 4", "dims: 5 4", "at least three modes are required"),
+    ("dims: 5 4 4", "dims: 6 4 4", "mode 1: blocks are 5 x 2"),
+], ids=["rank", "dims", "rows"])
+def test_geodesic_bad_point_header_exits_2(tmp_path, capsys, old, new, cause):
+    rng = np.random.default_rng(3)
+    p = cp_random_point(CpShape((5, 4, 4), 2), rng)
+    pf, tf = tmp_path / "p.txt", tmp_path / "x.txt"
+    tio.save_tangent(tf, p, cp_random_horizontal(p, rng))
+    text = tio.dump_point(p)
+    assert old in text
+    pf.write_text(text.replace(old, new, 1))
+    code, out = run_cli("geodesic", str(pf), str(tf))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and cause in err
+
+
 def test_geodesic_rejects_nonhorizontal(tmp_path):
     rng = np.random.default_rng(1)
     p = cp_random_point(CpShape((5, 4, 4), 2), rng)

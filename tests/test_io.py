@@ -105,6 +105,34 @@ def test_point_header_mismatches():
 
 
 @pytest.mark.parametrize("old, new, match", [
+    ("ranks: 2", "ranks: 9", r"rank must satisfy 1 <= r <= min\(dims\)"),
+    ("dims: 5 4 4", "dims: 5 4", "at least three modes are required"),
+    ("ranks: 2", "ranks: 2 2", "cp shapes take a single rank"),
+    ("dims: 5 4 4", "dims: 6 4 4",
+     "mode 1: blocks are 5 x 2, the shape wants 6 x 2"),
+    ("dims: 5 4 4", "dims: 5 4 5",
+     "mode 3: blocks are 4 x 2, the shape wants 5 x 2"),
+], ids=["rank", "dims", "cp-ranks", "rows", "last-rows"])
+def test_point_header_errors_are_format_errors(old, new, match):
+    # a shape the header cannot make, and blocks the header disagrees with,
+    # are reported as FormatError with a line number and 1-based modes
+    rng = np.random.default_rng(7)
+    text = tio.dump_point(cp_random_point(CpShape((5, 4, 4), 2), rng))
+    assert old in text
+    with pytest.raises(tio.FormatError, match=match) as exc:
+        tio.load_point(text.replace(old, new, 1))
+    assert exc.value.line is not None
+
+
+def test_tt_header_error_names_the_mode_one_based():
+    rng = np.random.default_rng(8)
+    text = tio.dump_point(tt_random_point(TtShape((6, 8, 5), (2, 2)), rng))
+    with pytest.raises(tio.FormatError,
+                       match=r"mode 2: rank product 4 exceeds size 3 \(line 3\)"):
+        tio.load_point(text.replace("dims: 6 8 5", "dims: 6 3 5", 1))
+
+
+@pytest.mark.parametrize("old, new, match", [
     ("mode: 2", "mode: 7", "expected mode 2"),
     ("k: 2", "k: 9", "mode 1: k = 9 conflicts"),
     ("x11:\nshape: 2 2", "x11:\nshape: 4", r"mode 1: x11 has shape \(4,\)"),

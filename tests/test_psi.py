@@ -200,6 +200,21 @@ def test_psi1_finite_entries_whose_squares_overflow(m):
             == "scaling plan too weak for this argument"
 
 
+def test_pade_and_mexp_small_errors_raise_no_overflow_warning():
+    # finite entries whose squares overflow keep their texts; NaN is still
+    # "non-finite input"
+    big = np.full((2, 2), 1e200)
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _message(lambda: psi1_pade(big)) \
+            == "norm inf exceeds the Pade bound 1/2"
+        assert _message(lambda: mexp_small(big)) \
+            == "norm must be finite and nonnegative"
+        assert _message(lambda: psi1_pade(nan)) == "non-finite input"
+        assert _message(lambda: mexp_small(nan)) == "non-finite input"
+
+
 def test_psi1_stack_errors_match_the_single_matrix_ones():
     rng = np.random.default_rng(21)
     x = _random_with_norm(rng, 3, 3.0)
