@@ -157,8 +157,7 @@ class BenchRecord:
 
 def _single_mode_instance(n, k, rng):
     """Blocks and tangent for one mode of size n with k leading columns."""
-    q = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    blocks = reduce_columns(q * rng.uniform(0.7, 1.4, size=k))
+    blocks = reduce_columns(hq.random_columns(n, k, rng))
     tb = HorizontalBlocks(rng.standard_normal((n, k)))
     return blocks, tb
 

@@ -4,11 +4,12 @@ Points are cosets of the mode-wise group action on the diagonal reference
 tensor sum_j e_j x ... x e_j, stored as ``homogeneous.Point`` (per mode a
 permutation and the n x r array of its permuted leading r columns); the
 stabilizer consists of block upper-triangular elements whose leading blocks
-are a shared permutation times diagonals with product one.  What stays here
+are diagonals with product one times a shared permutation.  What stays here
 is what differs from Tucker and TT: the shape (ks, reference tensor,
-embedding, coupled basis) and the leading blocks of a stabilizer sample.
-``CpPoint`` and ``CpTangent`` are names for ``homogeneous.Point`` and
-``homogeneous.ManifoldTangent``.
+embedding, coupled basis) and the leading blocks of a stabilizer sample,
+which ``homogeneous.stabilizer_sample`` completes into the shared
+``homogeneous.StabilizerSample``.  ``CpPoint`` and ``CpTangent`` are names
+for ``homogeneous.Point`` and ``homogeneous.ManifoldTangent``.
 
 Horizontal tangents carry leading columns X1 (n x r) coupled across modes:
 the diagonal responses c = diag(G1^T X1 M^-1), M = G1^T G1, of
@@ -24,7 +25,7 @@ from . import homogeneous as hq
 from .flops import geodesic_formula
 
 __all__ = [
-    "CpShape", "CpPoint", "CpTangent", "CpStabilizerSample",
+    "CpShape", "CpPoint", "CpTangent",
     "cp_reference_tensor", "cp_point_from_factors", "cp_embed",
     "cp_stabilizer_sample", "cp_vertical_basis", "cp_project_horizontal",
     "cp_is_horizontal", "cp_geodesic", "cp_flop_formula",
@@ -95,41 +96,23 @@ class CpShape:
         return out
 
     def stabilizer_sample(self, rng):
-        return _sample_stabilizer(self, rng)
+        """Stabilizer sample whose mode-i leading block is diag(d_i) Q.
+
+        One permutation Q is shared by every mode, and the diagonals' product
+        is one: signed powers of two, so the constraint is float-exact.
+        """
+        diags = []
+        for _ in range(self.d - 1):
+            mag = 2.0 ** rng.integers(-2, 3, size=self.r)
+            diags.append(rng.choice([-1.0, 1.0], size=self.r) * mag)
+        diags.append(1.0 / np.prod(diags, axis=0))
+        qmat = np.eye(self.r)[rng.permutation(self.r)]
+        return hq.stabilizer_sample(
+            self, [np.diag(dvec) @ qmat for dvec in diags], rng)
 
 
 CpPoint = hq.Point
 CpTangent = hq.ManifoldTangent
-
-
-@dataclass(frozen=True, eq=False)
-class CpStabilizerSample:
-    """Blocks of one stabilizer element: shared permutation, diagonals with
-    product one (signed powers of two, so the constraint is float-exact),
-    arbitrary shear blocks and invertible trailing blocks."""
-    diagonals: tuple
-    q: np.ndarray
-    shears: tuple
-    trailing: tuple
-
-    def group_element(self):
-        qmat = np.eye(len(self.q))[self.q]
-        return hq.stabilizer_element(
-            [np.diag(dvec) @ qmat for dvec in self.diagonals], self.shears,
-            self.trailing)
-
-
-def _sample_stabilizer(shape, rng):
-    d, r = shape.d, shape.r
-    diags = []
-    for _ in range(d - 1):
-        mag = 2.0 ** rng.integers(-2, 3, size=r)
-        diags.append(rng.choice([-1.0, 1.0], size=r) * mag)
-    last = 1.0 / np.prod(diags, axis=0)
-    diags.append(last)
-    q = rng.permutation(r)
-    return CpStabilizerSample(tuple(diags), q,
-                              *hq.free_stabilizer_blocks(shape, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +140,7 @@ def cp_embed(p):
 
 def cp_stabilizer_sample(shape, seed=0):
     """Deterministic-in-seed stabilizer element; fixes the reference tensor."""
-    return _sample_stabilizer(shape, np.random.default_rng(seed))
+    return shape.stabilizer_sample(np.random.default_rng(seed))
 
 
 def cp_vertical_basis(p):
@@ -193,11 +176,8 @@ def cp_reductive_check(shape, trials=100, seed=0):
 
 def cp_random_point(shape, rng):
     """Well-conditioned random point: orthonormal factors with scaled columns."""
-    factors = []
-    for n in shape.dims:
-        q = np.linalg.qr(rng.standard_normal((n, shape.r)))[0]
-        factors.append(q * rng.uniform(0.7, 1.4, size=shape.r))
-    return cp_point_from_factors(factors)
+    return cp_point_from_factors([hq.random_columns(n, shape.r, rng)
+                                  for n in shape.dims])
 
 
 def cp_random_horizontal(p, rng, scale=1.0):

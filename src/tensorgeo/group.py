@@ -46,7 +46,7 @@ import numpy as np
 
 from .dense import (identity, is_permutation, lapack, perm_inverse,
                     select_submatrix)
-from .psi import ScalingPlan, make_scaling_plan, max_norm, mexp_small, psi1
+from .psi import make_scaling_plan, max_norm, mexp_small, psi1
 
 INVERTIBILITY_TOL = 1e-12
 REPIVOT_TOL = 1e-10
@@ -385,12 +385,6 @@ def _velocity_cores(h, t):
     return m_inv, s, cores
 
 
-def _shared_plan(ba, bpap):
-    """One scaling plan for both velocity cores: the larger exponent."""
-    norms = max_norm(ba), max_norm(bpap)
-    return ScalingPlan(max(make_scaling_plan(v).z for v in norms), max(norms))
-
-
 def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
                           repivot_tol=REPIVOT_TOL):
     """New representative of the leading k columns of exp_g(tX) for one mode.
@@ -407,10 +401,13 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     With a ledger the paper-itemized update runs instead, and its recorded
     counts follow the published per-step itemization (110nk^2/3 leading).
     The Gram form evaluates psi1 once, on the stack [blockdiag(BA, 0), B'A']
-    under the larger of the two cores' plans; the itemized update makes two
-    labelled calls under that same plan.  So the mode has a single z, the
-    same on either path.  Either way the new columns are re-pivoted in the
-    representative's own row order.
+    under the plan of the larger of the two cores' norms (the larger of
+    their own plans, as the plan grows with the norm); the itemized update
+    makes two labelled calls under that same plan.  So the mode has a
+    single z, the same on either path.  B'A' holds BA, so its norm goes
+    first in that max, and a non-finite entry in either core reaches
+    ``make_scaling_plan``, which raises.  Either way the new columns are
+    re-pivoted in the representative's own row order.
 
     Returns (new ModeBlocks, z).
     """
@@ -421,7 +418,8 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
         return _itemized_step(blocks, tangent, t, ledger, label, repivot_tol)
     q, h = _gram(blocks, tangent)
     m_inv, s, cores = _velocity_cores(h, t)
-    plan = _shared_plan(cores[0, :k, :k], cores[1])
+    plan = make_scaling_plan(max(max_norm(cores[1]),
+                                 max_norm(cores[0, :k, :k])))
     # the plan goes positionally, where a call tracer reads z
     p, pp = psi1(cores, None, plan)
     w = identity(k) + m_inv @ (p[:k, :k].T @ s.T)
@@ -489,7 +487,7 @@ def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
         bpap = _bpap(a, b, ba)
         led.mult(2 * k, n, 2 * k)
 
-    plan = _shared_plan(ba, bpap)
+    plan = make_scaling_plan(max(max_norm(bpap), max_norm(ba)))
     with led.step(label + "psi1_BA"):
         p = psi1(ba, led, plan)
     with led.step(label + "psi1_BpAp"):

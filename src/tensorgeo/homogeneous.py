@@ -7,10 +7,14 @@ reference tensor, an embedding of leading columns, a basis of the coupled
 stabilizer sample.  Everything else lives here, once for all three: the one
 point type ``Point`` (a coset, stored as one ``ModeBlocks`` per mode, checked
 against its shape on construction), the one tangent type
-``ManifoldTangent``, the tag-to-shape function ``make_shape``, embeddings,
-vertical spaces, the horizontal projection, geodesics, representative
-transport, the stabilizer's block assembly and free-block draw, and the
-reductivity probes.
+``ManifoldTangent``, the tag-to-shape function ``make_shape``, the
+well-conditioned column draw ``random_columns`` behind every random point,
+embeddings, vertical spaces, the horizontal projection, geodesics,
+representative transport, the one stabilizer sample type
+``StabilizerSample`` (a shape's ``stabilizer_sample`` forms its leading
+blocks and ``stabilizer_sample`` here draws the free shear and trailing
+blocks), the complement's block-pattern check ``right_blocks_vanish`` and
+the reductivity probes.
 
 The stabilizer algebra at the identity splits per mode into a free sector
 (arbitrary blocks in the trailing columns) and a low-dimensional coupled
@@ -55,7 +59,7 @@ import numpy as np
 
 from .dense import perm_inverse
 from .group import (REPIVOT_TOL, AlgebraElement, GroupElement,
-                    HorizontalBlocks, adjoint, gamma12,
+                    HorizontalBlocks, _check_profile, adjoint, gamma12,
                     lowrank_geodesic_step, reduce_columns)
 
 GRAM_COND_LIMIT = 1e12
@@ -157,12 +161,20 @@ def point_from_columns(shape, cols, cls=Point):
     return cls(shape, tuple(modes))
 
 
+def random_columns(n, k, rng):
+    """Well-conditioned n x k columns: the orthonormal Q of a Gaussian block,
+    its columns scaled by U(0.7, 1.4), so the singular values lie there."""
+    q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return q * rng.uniform(0.7, 1.4, size=k)
+
+
 def lift_tangent(point, tangent):
     """Ambient dense tangent factors of a block tangent (test path).
 
     The permuted factor is [X1, X1 gamma12], with gamma12 the point's
     coupling block.
     """
+    _check_mode_count(point, tangent.modes)
     out = []
     for mb, tb in zip(point.modes, tangent.modes):
         lead = tb.stacked()
@@ -177,6 +189,7 @@ def tangent_from_ambient(point, x_factors):
     Extracts the leading columns in the representative's frame; the caller
     is responsible for the input being horizontal.
     """
+    _check_mode_count(point, x_factors)
     return ManifoldTangent(
         HorizontalBlocks(np.asarray(xi)[:, :mb.k][mb.perm])
         for mb, xi in zip(point.modes, x_factors))
@@ -420,6 +433,7 @@ def transport_point(point, h):
 
 def transport_tangent(x, h):
     """Right translation of an ambient tangent by a group element."""
+    _check_profile(x, h)
     return AlgebraElement([xi @ np.asarray(hi)
                            for xi, hi in zip(x.factors, getattr(h, "factors", h))])
 
@@ -431,6 +445,17 @@ def upper_condition_matrix(shape):
     """Rows are the vec'd coupled basis; the admissible upper blocks are its null space."""
     return np.hstack([y.reshape(len(y), k * k)
                       for y, k in zip(_coupled_stacks(shape), shape.ks)])
+
+
+def right_blocks_vanish(shape, factors, bound):
+    """True iff every mode's upper-right and lower-right blocks (the columns
+    past k) have entries at most ``bound`` in absolute value, the block
+    pattern of the candidate complement."""
+    for xi, k in zip(factors, shape.ks):
+        right = np.asarray(xi)[:, k:]
+        if right.size and np.abs(right).max() > bound:
+            return False
+    return True
 
 
 def distance_to_m(shape, x):
@@ -472,31 +497,43 @@ def sample_m(shape, rng):
     return AlgebraElement(factors)
 
 
-def stabilizer_element(leading, shears, trailing):
-    """Group element whose mode i is [[leading_i, shears_i], [0, trailing_i]]."""
-    factors = []
-    for ul, m, b in zip(leading, shears, trailing):
-        k = ul.shape[0]
-        n = k + b.shape[0]
-        h = np.zeros((n, n))
-        h[:k, :k] = ul
-        h[:k, k:] = m
-        h[k:, k:] = b
-        factors.append(h)
-    return GroupElement(factors)
+@dataclass(frozen=True, eq=False)
+class StabilizerSample:
+    """Blocks of one stabilizer element, one of each per mode.
+
+    Mode i of the group element is [[leading_i, shears_i], [0, trailing_i]]:
+    the manifold's leading block, a free k x (n-k) shear and an invertible
+    (n-k) x (n-k) trailing block.
+    """
+    leading: tuple
+    shears: tuple
+    trailing: tuple
+
+    def group_element(self):
+        factors = []
+        for ul, m, b in zip(self.leading, self.shears, self.trailing):
+            k = ul.shape[0]
+            n = k + b.shape[0]
+            h = np.zeros((n, n))
+            h[:k, :k] = ul
+            h[:k, k:] = m
+            h[k:, k:] = b
+            factors.append(h)
+        return GroupElement(factors)
 
 
-def free_stabilizer_blocks(shape, rng):
-    """Shear and trailing blocks of a stabilizer sample, drawn mode by mode.
+def stabilizer_sample(shape, leading, rng):
+    """Stabilizer sample with the given leading blocks and free blocks drawn.
 
-    Per mode a Gaussian k x (n-k) shear, then an (n-k) x (n-k) trailing
-    block I + 0.4 N, which is invertible for all but a null set of draws.
+    Per mode, in mode order, a Gaussian k x (n-k) shear, then an
+    (n-k) x (n-k) trailing block I + 0.4 N, which is invertible for all but
+    a null set of draws.
     """
     shears, trailing = [], []
     for n, k in zip(shape.dims, shape.ks):
         shears.append(rng.standard_normal((k, n - k)))
         trailing.append(np.eye(n - k) + 0.4 * rng.standard_normal((n - k, n - k)))
-    return tuple(shears), tuple(trailing)
+    return StabilizerSample(tuple(leading), tuple(shears), tuple(trailing))
 
 
 def witness_element(shape, rng, scale=1.0):

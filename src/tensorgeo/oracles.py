@@ -1,7 +1,9 @@
 """Independent reference implementations for tests and audits.
 
 Nothing here shares code with the production kernels beyond the dense
-primitives, the block containers and the coupling block ``group.gamma12``.
+primitives, the block containers and a block tangent's dense lift
+``homogeneous.lift_tangent``, which reads the coupling block
+``group.gamma12``.
 The series evaluation runs in extended precision (the platform long
 double; 80-bit on x86), the dense exponential comes from SciPy, and the
 tensor contractions are naive index loops.  These paths trade speed for
@@ -12,7 +14,8 @@ metric's flat coordinates w = X g^-1.  They take compact points and block
 tangents (the leading columns X1, n x k per mode) and return block
 tangents, so they compare field by field with the closed forms in
 ``homogeneous``.  A block tangent's trailing columns are its leading ones
-times the point's coupling block, X1 gamma12.
+times the point's coupling block, X1 gamma12, as ``lift_tangent`` builds
+them.
 """
 
 import math
@@ -21,21 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dense import DEFAULT_RANK_TOL, perm_inverse
-from .group import HorizontalBlocks, gamma12
-from .homogeneous import GRAM_COND_LIMIT, ManifoldTangent
+from .dense import DEFAULT_RANK_TOL
+from .group import HorizontalBlocks
+from .homogeneous import GRAM_COND_LIMIT, ManifoldTangent, lift_tangent
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     series_terms: int = 60
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.series_terms < 20:
             raise ValueError("series_terms must be at least 20")
-        if not 0.0 < self.fd_step <= 1e-3:
-            raise ValueError("fd_step must lie in (0, 1e-3]")
 
 
 def _require_extended():
@@ -260,12 +260,9 @@ def horizontality_residual_reference(point, tangent):
     """
     g_factors = [mb.densify() for mb in point.modes]
     g_invs = [np.linalg.inv(g) for g in g_factors]
+    ws = [xi @ gi for xi, gi in zip(lift_tangent(point, tangent).factors,
+                                    g_invs)]
     res = 0.0
-    ws = []
-    for mb, tb, gi in zip(point.modes, tangent.modes, g_invs):
-        lead = tb.stacked()
-        xhat = np.hstack([lead, lead @ gamma12(mb)])
-        ws.append(xhat[perm_inverse(mb.perm)] @ gi)
     scale = 1.0 + float(np.sqrt(sum(np.sum(w * w) for w in ws)))
     for elem in _coupled_w_basis(point.shape, g_factors, g_invs):
         nrm = np.sqrt(sum(np.sum(v * v) for v in elem))

@@ -13,9 +13,10 @@ tr1 L_{d-1} = L_d^T (transposed); the untransposed variant is not
 Ad-invariant even for square shapes, which the reductivity suite checks.
 
 Points and tangents are ``homogeneous.Point`` and
-``homogeneous.ManifoldTangent`` (``TtPoint`` and ``TtTangent`` name them);
-what stays here is the shape, the core layout of the leading columns, the
-stabilizer's chain of leading blocks and the chain membership test.
+``homogeneous.ManifoldTangent`` (``TtPoint`` and ``TtTangent`` name them),
+and a stabilizer sample is ``homogeneous.StabilizerSample``; what stays here
+is the shape, the core layout of the leading columns, the stabilizer's chain
+of leading blocks and the chain membership test.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from . import homogeneous as hq
 from .flops import geodesic_formula
 
 __all__ = [
-    "TtShape", "TtPoint", "TtTangent", "TtStabilizerSample",
+    "TtShape", "TtPoint", "TtTangent",
     "tt_reference_tensor", "tt_point_from_cores", "tt_embed",
     "tt_stabilizer_sample", "tt_trace_first", "tt_trace_second",
     "tt_m_membership", "tt_project_horizontal", "tt_geodesic",
@@ -122,7 +123,15 @@ class TtShape:
         return out
 
     def stabilizer_sample(self, rng):
-        return _sample_stabilizer(self, rng)
+        """Stabilizer sample from chain matrices A_j = I + 0.4 N: mode i's
+        leading block is A_{i-1}^-T (x) A_i with unit boundary factors."""
+        mats = ([np.eye(1)]
+                + [np.eye(s) + 0.4 * rng.standard_normal((s, s))
+                   for s in self.ranks]
+                + [np.eye(1)])
+        leading = [np.kron(np.linalg.inv(a).T, b)
+                   for a, b in zip(mats[:-1], mats[1:])]
+        return hq.stabilizer_sample(self, leading, rng)
 
 
 def _contract_cores(cores):
@@ -134,27 +143,6 @@ def _contract_cores(cores):
 
 TtPoint = hq.Point
 TtTangent = hq.ManifoldTangent
-
-
-@dataclass(frozen=True, eq=False)
-class TtStabilizerSample:
-    """Chain matrices A_1..A_{d-1}; mode i's leading block is
-    A_{i-1}^-T (x) A_i with unit boundary factors."""
-    chain: tuple
-    shears: tuple
-    trailing: tuple
-
-    def group_element(self):
-        mats = [np.eye(1)] + [np.asarray(a) for a in self.chain] + [np.eye(1)]
-        leading = [np.kron(np.linalg.inv(a).T, b)
-                   for a, b in zip(mats[:-1], mats[1:])]
-        return hq.stabilizer_element(leading, self.shears, self.trailing)
-
-
-def _sample_stabilizer(shape, rng):
-    chain = tuple(np.eye(s) + 0.4 * rng.standard_normal((s, s))
-                  for s in shape.ranks)
-    return TtStabilizerSample(chain, *hq.free_stabilizer_blocks(shape, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +175,7 @@ def tt_embed(p):
 
 
 def tt_stabilizer_sample(shape, seed=0):
-    return _sample_stabilizer(shape, np.random.default_rng(seed))
+    return shape.stabilizer_sample(np.random.default_rng(seed))
 
 
 def tt_m_membership(shape, x, tol=1e-10):
@@ -198,12 +186,8 @@ def tt_m_membership(shape, x, tol=1e-10):
     """
     factors = [np.asarray(f) for f in getattr(x, "factors", x)]
     scale = 1.0 + max(float(np.abs(f).max()) for f in factors)
-    for i, xi in enumerate(factors):
-        k = shape.ks[i]
-        if xi[:k, k:].size and np.abs(xi[:k, k:]).max() > tol * scale:
-            return False
-        if xi[k:, k:].size and np.abs(xi[k:, k:]).max() > tol * scale:
-            return False
+    if not hq.right_blocks_vanish(shape, factors, tol * scale):
+        return False
     s = shape.sfull
     ls = [factors[i][: shape.ks[i], : shape.ks[i]] for i in range(shape.d)]
     # uniform chain over the unit boundary ranks; at the right edge it reads
@@ -238,10 +222,8 @@ def tt_random_cores(shape, rng):
     """Random cores with orthonormal-ish full-rank unfoldings."""
     cores = []
     s = shape.sfull
-    for i, n in enumerate(shape.dims):
-        k = s[i] * s[i + 1]
-        q = np.linalg.qr(rng.standard_normal((n, k)))[0]
-        q = q * rng.uniform(0.7, 1.4, size=k)
+    for i, (n, k) in enumerate(zip(shape.dims, shape.ks)):
+        q = hq.random_columns(n, k, rng)
         cores.append(q.reshape(n, s[i], s[i + 1]).transpose(1, 0, 2))
     return cores
 

@@ -13,8 +13,9 @@ the slot-i partial trace (transposed) of L_1.
 
 Points and tangents are ``homogeneous.Point`` and
 ``homogeneous.ManifoldTangent`` (``TuckerPoint`` and ``TuckerTangent`` name
-them); what stays here is the shape, the stabilizer's leading blocks, the
-admissibility window and the partial-trace membership test.
+them), and a stabilizer sample is ``homogeneous.StabilizerSample``; what
+stays here is the shape, the stabilizer's leading blocks, the admissibility
+window and the partial-trace membership test.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .dense import mode_product, unfold
 from .flops import geodesic_formula
 
 __all__ = [
-    "TuckerShape", "TuckerPoint", "TuckerTangent", "TuckerStabilizerSample",
+    "TuckerShape", "TuckerPoint", "TuckerTangent",
     "t1_window", "tucker_reference_tensor", "tucker_point_from_decomposition",
     "tucker_embed", "tucker_stabilizer_sample", "tucker_partial_trace",
     "tucker_m_membership", "tucker_project_horizontal", "tucker_geodesic",
@@ -125,32 +126,17 @@ class TuckerShape:
         return out
 
     def stabilizer_sample(self, rng):
-        return _sample_stabilizer(self, rng)
+        """Stabilizer sample with invertible leading blocks A_i = I + 0.4 N
+        in the trailing modes; mode 0 carries their inverse-transpose
+        Kronecker chain."""
+        rest = [np.eye(t) + 0.4 * rng.standard_normal((t, t))
+                for t in self.ranks[1:]]
+        kron = reduce(np.kron, [np.linalg.inv(a).T for a in rest])
+        return hq.stabilizer_sample(self, [kron] + rest, rng)
 
 
 TuckerPoint = hq.Point
 TuckerTangent = hq.ManifoldTangent
-
-
-@dataclass(frozen=True, eq=False)
-class TuckerStabilizerSample:
-    """Invertible leading blocks of the trailing modes; mode 0 carries their
-    inverse-transpose Kronecker chain.  Shears and trailing blocks are free."""
-    leading: tuple      # A_i for trailing modes, in mode order 1..d-1
-    shears: tuple
-    trailing: tuple
-
-    def group_element(self):
-        kron = reduce(np.kron, [np.linalg.inv(a).T for a in self.leading])
-        return hq.stabilizer_element([kron] + list(self.leading), self.shears,
-                                     self.trailing)
-
-
-def _sample_stabilizer(shape, rng):
-    leading = tuple(np.eye(t) + 0.4 * rng.standard_normal((t, t))
-                    for t in shape.ranks[1:])
-    return TuckerStabilizerSample(leading,
-                                  *hq.free_stabilizer_blocks(shape, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +169,7 @@ def tucker_embed(p):
 
 
 def tucker_stabilizer_sample(shape, seed=0):
-    return _sample_stabilizer(shape, np.random.default_rng(seed))
+    return shape.stabilizer_sample(np.random.default_rng(seed))
 
 
 def tucker_partial_trace(l1, trest, slot):
@@ -211,19 +197,14 @@ def tucker_m_membership(shape, x, tol=1e-10):
     Pattern: upper-right and lower-right blocks vanish; leading blocks L_i of
     the trailing modes equal the slot-i partial trace of mode 0's block.
     """
-    factors = getattr(x, "factors", x)
-    scale = 1.0 + max(float(np.abs(np.asarray(f)).max()) for f in factors)
-    for i, xi in enumerate(factors):
-        xi = np.asarray(xi)
-        k = shape.ks[i]
-        if xi[:k, k:].size and np.abs(xi[:k, k:]).max() > tol * scale:
-            return False
-        if xi[k:, k:].size and np.abs(xi[k:, k:]).max() > tol * scale:
-            return False
-    l1 = np.asarray(factors[0])[: shape.ranks[0], : shape.ranks[0]]
+    factors = [np.asarray(f) for f in getattr(x, "factors", x)]
+    scale = 1.0 + max(float(np.abs(f).max()) for f in factors)
+    if not hq.right_blocks_vanish(shape, factors, tol * scale):
+        return False
+    l1 = factors[0][: shape.ranks[0], : shape.ranks[0]]
     for m in range(1, shape.d):
         k = shape.ranks[m]
-        lm = np.asarray(factors[m])[:k, :k]
+        lm = factors[m][:k, :k]
         want = tucker_partial_trace(l1, shape.ranks[1:], m - 1)
         if np.abs(lm - want).max() > tol * scale:
             return False
@@ -254,10 +235,8 @@ def tucker_random_decomposition(shape, rng):
     v = np.linalg.qr(rng.standard_normal((t1, t1)))[0]
     c1 = u @ np.diag(rng.uniform(0.6, 1.6, size=t1)) @ v.T
     core = c1.reshape(shape.ranks)
-    factors = []
-    for n, t in zip(shape.dims, shape.ranks):
-        q = np.linalg.qr(rng.standard_normal((n, t)))[0]
-        factors.append(q * rng.uniform(0.7, 1.4, size=t))
+    factors = [hq.random_columns(n, t, rng)
+               for n, t in zip(shape.dims, shape.ranks)]
     return core, factors
 
 

@@ -79,6 +79,11 @@ def test_embed_reference_point_and_rank():
     for i in range(3):
         s = np.linalg.svd(unfold(cp_embed(p), i), compute_uv=False)
         assert s[1] / s[2] >= 1e6
+    # the random points' columns have singular values in [0.7, 1.4]
+    for n, k in [(6, 2), (40, 5), (4, 4)]:
+        s = np.linalg.svd(hq.random_columns(n, k, rng), compute_uv=False)
+        assert s.shape == (k,)
+        assert 0.7 * (1 - 1e-12) <= s[-1] and s[0] <= 1.4 * (1 + 1e-12)
 
 
 def test_stabilizer_fixes_reference():
@@ -92,16 +97,29 @@ def test_stabilizer_fixes_reference():
 def test_stabilizer_explicit_cases():
     shape = CpShape((4, 4, 4), 2)
     ref = cp_reference_tensor(shape)
-    from tensorgeo.cp import CpStabilizerSample
+    free = ((np.zeros((2, 2)),) * 3, (np.eye(2),) * 3)
     # identity element
-    s = CpStabilizerSample((np.ones(2),) * 3, np.arange(2),
-                           (np.zeros((2, 2)),) * 3, (np.eye(2),) * 3)
+    s = hq.StabilizerSample((np.eye(2),) * 3, *free)
     assert np.array_equal(mode_apply(s.group_element(), ref), ref)
     # compensating diagonals with product one
-    s = CpStabilizerSample((np.array([2.0, 4.0]), np.array([0.5, 0.25]),
-                            np.ones(2)), np.arange(2),
-                           (np.zeros((2, 2)),) * 3, (np.eye(2),) * 3)
+    s = hq.StabilizerSample((np.diag([2.0, 4.0]), np.diag([0.5, 0.25]),
+                             np.eye(2)), *free)
     assert np.abs(mode_apply(s.group_element(), ref) - ref).max() == 0.0
+    # sampled leading blocks diag(d_i) Q: one permutation Q for every mode,
+    # and the diagonals' product is exactly one
+    shape = CpShape((5, 4, 4, 3), 3)
+    rows = np.arange(3)
+    for seed in range(10):
+        s = cp_stabilizer_sample(shape, seed)
+        assert type(s) is hq.StabilizerSample
+        q = np.argmax(s.leading[0] != 0, axis=1)
+        assert sorted(q) == [0, 1, 2]
+        diags = []
+        for ul in s.leading:
+            assert np.count_nonzero(ul) == 3
+            assert np.array_equal(np.argmax(ul != 0, axis=1), q)
+            diags.append(ul[rows, q])
+        assert np.array_equal(np.prod(diags, axis=0), np.ones(3))
 
 
 def test_embed_invariant_under_stabilizer():

@@ -154,8 +154,7 @@ def test_adjoint():
 # ---------------------------------------------------------------------------
 
 def _random_blocks(rng, n, k):
-    return reduce_columns(np.linalg.qr(rng.standard_normal((n, k)))[0]
-                          * rng.uniform(0.7, 1.4, size=k))
+    return reduce_columns(hq.random_columns(n, k, rng))
 
 
 def test_gamma12_zero_g21():

@@ -9,8 +9,6 @@ from tensorgeo.oracles import (OracleConfig, contract_cp, contract_tt,
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(series_terms=5)
-    with pytest.raises(ValueError):
-        OracleConfig(fd_step=1.0)
 
 
 def test_series_basics():

@@ -7,7 +7,8 @@ import tensorgeo.homogeneous as hq
 from conftest import MANIFOLDS
 from tensorgeo import (CpPoint, CpShape, CpTangent, TtPoint, TtShape,
                        TtTangent, TuckerPoint, TuckerShape, TuckerTangent, cp,
-                       cp_random_horizontal, cp_random_point, tt, tucker)
+                       cp_random_horizontal, cp_random_point,
+                       cp_stabilizer_sample, tt, tucker)
 from tensorgeo.group import HorizontalBlocks
 
 
@@ -76,6 +77,30 @@ def test_residual_rejects_a_tangent_with_fewer_modes():
     p, x = _cp_pair()
     with pytest.raises(ValueError, match="the tangent has 2 modes"):
         hq.horizontality_residual(p, hq.ManifoldTangent(x.modes[:2]))
+
+
+def test_lift_tangent_rejects_a_tangent_with_fewer_modes():
+    p, x = _cp_pair()
+    with pytest.raises(ValueError, match="the tangent has 2 modes, the point "
+                                         "has 3"):
+        hq.lift_tangent(p, hq.ManifoldTangent(x.modes[:2]))
+
+
+def test_tangent_from_ambient_rejects_factors_for_fewer_modes():
+    p, x = _cp_pair()
+    factors = hq.lift_tangent(p, x).factors
+    with pytest.raises(ValueError, match="the tangent has 2 modes, the point "
+                                         "has 3"):
+        hq.tangent_from_ambient(p, factors[:2])
+
+
+def test_transport_tangent_rejects_a_mismatched_group_element():
+    p, x = _cp_pair()
+    h = cp_stabilizer_sample(p.shape, 0).group_element()
+    xa = hq.lift_tangent(p, x)
+    with pytest.raises(ValueError, match="dimension profiles do not match"):
+        hq.transport_tangent(xa, h.factors[:1])
+    assert len(hq.transport_tangent(xa, h).factors) == 3
 
 
 def test_projection_rejects_factors_for_fewer_modes():

@@ -79,17 +79,33 @@ def test_stabilizer_fixes_reference():
 
 
 def test_stabilizer_chain_structure():
-    from tensorgeo.tt import TtStabilizerSample
     shape = TtShape((2, 4, 2), (2, 2))
-    a1 = np.diag([2.0, 1.0])
-    s = TtStabilizerSample((a1, np.eye(2)),
-                           tuple(np.zeros((k, 0)) for k in shape.ks),
-                           tuple(np.eye(0) for _ in range(3)))
-    h = s.group_element()
-    assert np.array_equal(h.factors[0], a1)
-    assert np.array_equal(h.factors[1], np.kron(np.linalg.inv(a1).T, np.eye(2)))
     ref = tt_reference_tensor(shape)
-    assert np.abs(mode_apply(h, ref) - ref).max() <= 1e-15
+    free = (tuple(np.zeros((k, 0)) for k in shape.ks),
+            tuple(np.eye(0) for _ in range(3)))
+    # identity element
+    s = hq.StabilizerSample((np.eye(2), np.eye(4), np.eye(2)), *free)
+    assert np.array_equal(mode_apply(s.group_element(), ref), ref)
+    # a diagonal chain matrix A_1, compensated in mode 1
+    a1 = np.diag([2.0, 1.0])
+    s = hq.StabilizerSample((a1, np.kron(np.linalg.inv(a1).T, np.eye(2)),
+                             np.eye(2)), *free)
+    assert np.abs(mode_apply(s.group_element(), ref) - ref).max() == 0.0
+    # sampled leading blocks: mode i is A_{i-1}^-T (x) A_i with unit boundary
+    # factors, so mode 0 is A_1 itself and the last mode A_{d-1}^-T; each
+    # A_{i+1} is read off mode i's leading s_{i+1} x s_{i+1} block
+    shape = TtShape((4, 7, 6, 4), (2, 3, 2))
+    for seed in range(10):
+        s = tt_stabilizer_sample(shape, seed)
+        assert type(s) is hq.StabilizerSample
+        assert [ul.shape[0] for ul in s.leading] == list(shape.ks)
+        a = s.leading[0]
+        for i, ul in enumerate(s.leading[1:-1], start=1):
+            b = np.linalg.inv(a).T
+            sz = shape.ranks[i]
+            a = ul[:sz, :sz] / b[0, 0]
+            assert rel_err(ul, np.kron(b, a)) <= 1e-12
+        assert rel_err(s.leading[-1], np.linalg.inv(a).T) <= 1e-12
 
 
 def test_partial_traces():

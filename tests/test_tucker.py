@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -83,17 +84,27 @@ def test_stabilizer_fixes_reference():
 
 
 def test_stabilizer_diag_case():
-    from tensorgeo.tucker import TuckerStabilizerSample
     shape = TuckerShape((4, 2, 2), (4, 2, 2))
     ref = tucker_reference_tensor(shape)
+    free = (tuple(np.zeros((k, 0)) for k in shape.ks),
+            tuple(np.eye(0) for _ in range(3)))
+    # identity element
+    s = hq.StabilizerSample((np.eye(4), np.eye(2), np.eye(2)), *free)
+    assert np.array_equal(mode_apply(s.group_element(), ref), ref)
+    # a diagonal block in mode 1, compensated in mode 0
     a2 = np.diag([2.0, 1.0])
-    s = TuckerStabilizerSample((a2, np.eye(2)),
-                               tuple(np.zeros((k, 0)) for k in shape.ks),
-                               tuple(np.eye(0) for _ in range(3)))
-    h = s.group_element()
-    want = np.kron(np.linalg.inv(a2).T, np.eye(2))
-    assert np.array_equal(h.factors[0], want)
-    assert np.abs(mode_apply(h, ref) - ref).max() <= 1e-15
+    s = hq.StabilizerSample((np.kron(np.linalg.inv(a2).T, np.eye(2)), a2,
+                             np.eye(2)), *free)
+    assert np.abs(mode_apply(s.group_element(), ref) - ref).max() == 0.0
+    # sampled leading blocks: mode 0 is the Kronecker chain of the trailing
+    # modes' inverse transposes
+    shape = TuckerShape((9, 4, 3, 3), (6, 3, 2, 1))
+    for seed in range(10):
+        s = tucker_stabilizer_sample(shape, seed)
+        assert type(s) is hq.StabilizerSample
+        assert [ul.shape[0] for ul in s.leading] == list(shape.ks)
+        want = reduce(np.kron, [np.linalg.inv(a).T for a in s.leading[1:]])
+        assert np.array_equal(s.leading[0], want)
 
 
 def test_partial_trace_identities():
