@@ -34,6 +34,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HIGHER_IS_BETTER = {"ops_per_s", "success_rate"}
 LAYERS = ("group.lowrank_geodesic_step.self_s",
+          "group.lowrank_geodesic_step.calls",
           "dense.select_submatrix.self_s", "dense.select_submatrix.calls",
           "group.reduce_columns.self_s",
           "group.reduce_columns.calls", "group.gamma12.self_s",

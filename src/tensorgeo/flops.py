@@ -6,7 +6,8 @@ dimension signature (an LU factorization plus triangular solves).  Counts are
 kept as exact rationals so that audits can assert equality, not closeness.
 O(a*b) matrix additions are tracked in a separate counter and excluded from
 the headline total, as is the partial-pivoting LU that re-pivots
-representatives (its n k^2 - k^3/3 goes to ``aux``).
+representatives (its n k^2 - k^3/3 goes to ``aux`` on the steps that run it;
+a step that keeps its frame charges nothing there).
 
 Two accounting conventions are deliberate.  Tall blocks paired with a k x k
 factor are charged with the full mode dimension n as their row count, and the

@@ -25,7 +25,7 @@ the step calls LAPACK directly where numpy would wrap the same routine:
 M^-1 is ``dgesv``'s LU solve against a shared identity, and the g11 gate
 on every new representative reads its singular values from ``dgesdd``.
 Both raise numpy's texts on failure ("Singular matrix", "SVD did not
-converge").
+converge"); a step's keep test below reads the same ``dgesdd``.
 
 Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
@@ -37,8 +37,38 @@ in the permuted frame and re-pivots its n x k result there: the LU's k row
 swaps are applied to the result in place, and the new permutation is the
 old one composed with them.  So the unselected rows keep the old frame's
 order, except for the at most k rows the swaps displace.
+
+A point is a coset, so any frame whose g11 is invertible represents it, and
+the Gram form never reads g11^-1.  So a step keeps the old frame when it is
+provably good, and re-pivots only otherwise.  With G1 the new columns in the
+old frame and sigma the smallest singular value of their g11, the frame is
+kept iff
+
+    KEEP_BOUND sigma >= ||G1||_F   and   sigma > 2 tol sqrt(nk) ||G1||_F,
+
+tol the re-pivot tolerance and KEEP_BOUND = 2^10.  Then:
+
+- cond(g11) <= ||G1||_F / sigma <= KEEP_BOUND, far inside the g11 gate's
+  1e-12, so the kept block needs no gate of its own;
+- the LU gate would accept G1: sigma_min(G1) >= sigma, partial pivoting
+  has |L| <= 1, so ||L||_2 <= sqrt(nk) and every pivot |u_jj| is at least
+  sigma_min(G1) / sqrt(nk), while max|entry| <= ||G1||_F.  The factor 2
+  leaves room for rounding.  A kept frame is thus one the re-pivot would
+  have accepted, and a step fails exactly when it did before.
+
+The test costs one k x k ``dgesdd`` and no pass over the n x k output.  The
+Gram form reads ||G1||_F^2 = tr(C^T H C) from the Gram it already has, and
+it trusts the output to be finite only when C is finite and
+tr(H) ||C||_F^2 < 2^1000: each entry of Q C, and each partial sum of one,
+is at most sqrt(tr H) ||C||_F in size, so no step of the product
+overflows.  The itemized update sums the squares of its own output, which
+is finite only if every entry is.  Otherwise the step re-pivots, and the
+LU's pass raises the typed "non-finite input" as before.  A re-pivot
+changes only the row order of the representative, never its ambient
+columns, so a kept step's columns are bit for bit a re-pivoted step's.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,6 +80,9 @@ from .psi import make_scaling_plan, max_norm, mexp_small, psi1
 
 INVERTIBILITY_TOL = 1e-12
 REPIVOT_TOL = 1e-10
+# a step keeps its frame while ||G1||_F <= KEEP_BOUND sigma_min(g11)
+KEEP_BOUND = 2.0 ** 10
+_FINITE_BOUND = 2.0 ** 1000
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +224,19 @@ class ModeBlocks:
         blocks._fill(perm, g1, invert_tol)
         return blocks
 
+    @classmethod
+    def _kept(cls, perm, g1):
+        """Blocks in a frame ``_keeps_frame`` has proved good: their rows
+        are finite and cond(g11) <= KEEP_BOUND, so no check runs again."""
+        blocks = object.__new__(cls)
+        object.__setattr__(blocks, "perm", perm)
+        object.__setattr__(blocks, "g1", g1)
+        return blocks
+
     def _fill(self, perm, g1, invert_tol):
-        # LAPACK's divide-and-conquer SVD, the routine np.linalg.svd calls;
-        # the rows are finite here, so a nonzero info is its non-convergence
-        _, s, _, info = lapack().dgesdd(g1[:g1.shape[1]], compute_uv=0)
-        if info:
+        s = _g11_singular_values(g1)
+        # the rows are finite here, so a failed SVD is its non-convergence
+        if s is None:
             raise np.linalg.LinAlgError("SVD did not converge")
         if (not np.isfinite(s).all() or s[-1] <= invert_tol * s[0]
                 or s[-1] == 0.0):
@@ -277,6 +318,36 @@ class HorizontalBlocks:
 
     def scale(self, s):
         return HorizontalBlocks(s * self.x1)
+
+
+def _g11_singular_values(g1):
+    """Singular values of g1's leading k x k block, or None on failure.
+
+    LAPACK's divide-and-conquer SVD, the routine np.linalg.svd calls.
+    """
+    _, s, _, info = lapack().dgesdd(g1[:g1.shape[1]], compute_uv=0)
+    return None if info else s
+
+
+def _keeps_frame(g1, norm_sq, tol):
+    """Whether new columns ``g1`` may keep their frame, in O(k^3).
+
+    ``norm_sq`` is ||G1||_F^2, computed by the caller without trusting the
+    n x k output; outside (0, 2^1000), which includes nan, the frame is not
+    kept.  With sigma the smallest singular value of g11, the frame is kept
+    iff KEEP_BOUND sigma >= ||G1||_F and sigma > 2 tol sqrt(nk) ||G1||_F.
+    Then cond(g11) <= KEEP_BOUND, and the LU gate would accept G1: see the
+    module docstring.
+    """
+    if not 0.0 < norm_sq < _FINITE_BOUND:
+        return False
+    s = _g11_singular_values(g1)
+    if s is None:
+        return False
+    n, k = g1.shape
+    norm = math.sqrt(norm_sq)
+    return bool(KEEP_BOUND * s[-1] >= norm
+                and s[-1] > 2.0 * tol * math.sqrt(n * k) * norm)
 
 
 def _repivot(perm, cols, tol):
@@ -406,8 +477,14 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     makes two labelled calls under that same plan.  So the mode has a
     single z, the same on either path.  B'A' holds BA, so its norm goes
     first in that max, and a non-finite entry in either core reaches
-    ``make_scaling_plan``, which raises.  Either way the new columns are
-    re-pivoted in the representative's own row order.
+    ``make_scaling_plan``, which raises.
+
+    Either way the new columns keep the old frame when the keep test of the
+    module docstring proves it good, KEEP_BOUND sigma_min(g11) >= ||G1||_F
+    with the LU gate's acceptance implied, and the result then shares the
+    input's permutation.  Otherwise they are re-pivoted in the
+    representative's own row order.  Both paths give the same ambient
+    columns and fail on the same inputs.
 
     Returns (new ModeBlocks, z).
     """
@@ -428,6 +505,12 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
     # column-major like Q: the re-pivot's LU copies contiguous columns
     out = (c.T @ q.T).T
     del q  # the re-pivot runs without Q's n x 2k copy alive
+    # no entry of Q C, nor any partial sum of one, exceeds sqrt(tr H) ||C||_F
+    # in size: under the bound the output is finite without a pass over it,
+    # and ||G1||_F^2 = tr(C^T H C) is a k x k product
+    if float(np.trace(h)) * float(np.vdot(c, c)) < _FINITE_BOUND:
+        if _keeps_frame(out, float(np.vdot(c, h @ c)), repivot_tol):
+            return ModeBlocks._kept(blocks.perm, out), plan.z
     return _repivot(blocks.perm, out, repivot_tol), plan.z
 
 
@@ -521,7 +604,12 @@ def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
     led.add(n, k)
 
     with led.step(label + "repivot"):
-        out = _repivot(blocks.perm, out, repivot_tol)
-        # partial-pivoting LU of the n x k columns, outside the model
-        led.aux_work(n * k * k - Fraction(k**3, 3))
-    return out, plan.z
+        # the sum of squares is finite only if every entry is
+        flat = out.ravel(order="K")
+        if _keeps_frame(out, float(flat @ flat), repivot_tol):
+            new = ModeBlocks._kept(blocks.perm, out)
+        else:
+            new = _repivot(blocks.perm, out, repivot_tol)
+            # partial-pivoting LU of the n x k columns, outside the model
+            led.aux_work(n * k * k - Fraction(k**3, 3))
+    return new, plan.z

@@ -363,6 +363,10 @@ def vertical_component_norm(g_factors, shape, v_factors):
     horizontal velocity; the coupled part is the shared Gram system on the
     leading columns v[:, :k].
     """
+    if not len(g_factors) == len(v_factors) == shape.d:
+        raise ValueError(f"{len(g_factors)} group factors and "
+                         f"{len(v_factors)} velocity factors for a "
+                         f"{shape.d}-mode shape")
     g_factors = [np.asarray(g, dtype=float) for g in g_factors]
     v_factors = [np.asarray(v, dtype=float) for v in v_factors]
     g1s = [g[:, :k] for g, k in zip(g_factors, shape.ks)]

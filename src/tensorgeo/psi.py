@@ -14,7 +14,8 @@ products; one contraction of that table with a (4, 7) coefficient matrix,
 which gives the numerators and denominators of both Pade quotients at once;
 one batched solve for both quotients, each evaluated as identity plus a
 correction so that its dominant diagonal carries no round-off; and z-1
-batched square-and-double steps.  The psi1 quotient is evaluated directly
+batched square-and-multiply steps, whose halvings are deferred to one
+scaling by 2^(1-z) at the end.  The psi1 quotient is evaluated directly
 at level z-1 by scaling its coefficients, which is valid because the
 scaling exponent guarantees norm <= 1/4 at level z, hence <= 1/2 at level
 z-1.  ``psi1_pade`` and ``mexp_small`` read the same table and contraction.
@@ -190,11 +191,15 @@ def psi1(m, ledger=None, plan=None):
     eye = identity(k)
     for _ in range(z - 1):
         e = e @ e
-        p = 0.5 * (p @ (e + eye))
+        p = p @ (e + eye)
         if ledger is not None:
             ledger.mult(k, k, k)
             ledger.mult(k, k, k)
             ledger.add(k, k)
+    # the doubling identity's halvings, all at once: a power of two scales
+    # every rounding alike, so this is exact unless an entry over- or
+    # underflows
+    p *= 2.0 ** (1 - z)
     return p.reshape(m.shape)
 
 

@@ -1,5 +1,7 @@
 import tracemalloc
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -234,20 +236,24 @@ def test_step_ledger_items_exact():
 
 
 def test_step_ledger_times_the_repivot_outside_the_model():
-    # the re-pivot has a timed label of its own but no model charge: the
-    # per-step counts and the headline total are the itemization's alone,
-    # and the LU's n k^2 - k^3/3 goes to the auxiliary counter
+    # the re-pivot label times the keep-or-re-pivot decision but has no
+    # model charge: the per-step counts and the headline total are the
+    # itemization's alone, and the LU's n k^2 - k^3/3 goes to the auxiliary
+    # counter only when the LU runs.  t = 1 keeps the frame, t = 3 does not.
     rng = np.random.default_rng(12)
     n, k = 30, 3
     mb = _random_blocks(rng, n, k)
     tb = _random_tangent(rng, mb)
-    led = FlopLedger()
-    _, z = lowrank_geodesic_step(mb, tb, 1.0, led, label="m.")
-    items = mode_step_items(n, k, z)
-    assert led.per_step == {f"m.{item}": count for item, count in items}
-    assert led.total == mode_step_total(n, k, z)
-    assert led.seconds["m.repivot"] >= 0.0 and "m.repivot" not in led.per_step
-    assert led.aux == n * k * k - Fraction(k ** 3, 3)
+    for t, kept in ((1.0, True), (3.0, False)):
+        led = FlopLedger()
+        stepped, z = lowrank_geodesic_step(mb, tb, t, led, label="m.")
+        assert (stepped.perm is mb.perm) == kept
+        items = mode_step_items(n, k, z)
+        assert led.per_step == {f"m.{item}": count for item, count in items}
+        assert led.total == mode_step_total(n, k, z)
+        assert led.seconds["m.repivot"] >= 0.0
+        assert "m.repivot" not in led.per_step
+        assert led.aux == (0 if kept else n * k * k - Fraction(k ** 3, 3))
 
 
 def test_reduce_columns_leaves_its_argument_alone():
@@ -262,19 +268,29 @@ def test_reduce_columns_leaves_its_argument_alone():
 
 
 def test_step_leaves_its_point_and_tangent_alone(manifold):
-    # the re-pivot swaps rows in place, in the step's own output only
+    # a kept frame shares the input's permutation and writes a new G1; the
+    # re-pivot swaps rows in place, in the step's own output only.  t = 0.7
+    # keeps most frames, and t = 5 forces a re-pivot on mode 0.
     cfg = MANIFOLDS[manifold]
     rng = np.random.default_rng(21)
     p = cfg["point"](cfg["shape"](), rng)
     x = hq.random_horizontal(p, rng)
-    for mb, tb in zip(p.modes, x.modes):
+    seen = set()
+    for i, (mb, tb) in enumerate(zip(p.modes, x.modes)):
         perm, g1, x1 = mb.perm.copy(), mb.g1.copy(), tb.x1.copy()
-        for ledger in (None, FlopLedger()):
-            stepped, _ = lowrank_geodesic_step(mb, tb, 0.7, ledger)
-            assert not np.array_equal(stepped.perm, perm)   # rows did move
-            assert mb.perm.tobytes() == perm.tobytes()
-            assert mb.g1.tobytes() == g1.tobytes()
-            assert tb.x1.tobytes() == x1.tobytes()
+        for t in (0.7, 5.0):
+            for ledger in (None, FlopLedger()):
+                stepped, _ = lowrank_geodesic_step(mb, tb, t, ledger)
+                kept = stepped.perm is mb.perm
+                seen.add(kept)
+                if not kept:
+                    assert not np.array_equal(stepped.perm, perm)  # rows moved
+                assert not (kept and t == 5.0 and i == 0)
+                assert stepped.g1 is not mb.g1
+                assert mb.perm.tobytes() == perm.tobytes()
+                assert mb.g1.tobytes() == g1.tobytes()
+                assert tb.x1.tobytes() == x1.tobytes()
+    assert seen == {True, False}
 
 
 def test_step_shares_one_exponent():
@@ -414,26 +430,89 @@ def test_mode_arrays_are_column_major_and_stored_whole(manifold):
         assert tb.stacked() is tb.x1
 
 
+def _forced_repivot():
+    """Context in which every step re-pivots, as steps did before a good
+    frame was kept."""
+    return mock.patch.object(group, "_keeps_frame", return_value=False)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(manifold_shapes(), st.integers(0, 2**32 - 1), st.floats(0.1, 4.0))
 def test_step_selects_the_rows_of_an_ambient_repivot(case, seed, t):
     # the step re-pivots in the representative's own row order; the rows it
     # selects, in pivot order, are those a re-pivot of the ambient columns
-    # selects
+    # selects.  Each step runs with the re-pivot forced, and again as it
+    # decides for itself: a step that re-pivots on its own selects the same.
     kind, shape = case
     rng = np.random.default_rng(seed)
     p = MANIFOLDS[kind]["point"](shape, rng)
     x = MANIFOLDS[kind]["tangent"](p, rng)
     for mb, tb in zip(p.modes, x.modes):
         for ledger in (None, FlopLedger()):
-            try:
-                stepped, _ = lowrank_geodesic_step(mb, tb, t, ledger)
-            except ValueError:
-                continue
-            k = stepped.k
-            assert np.array_equal(
-                stepped.perm[:k],
-                select_submatrix(stepped.leading_columns())[:k])
+            for forced in (True, False):
+                try:
+                    with _forced_repivot() if forced else nullcontext():
+                        stepped, _ = lowrank_geodesic_step(mb, tb, t, ledger)
+                except ValueError:
+                    continue
+                if stepped.perm is mb.perm:
+                    assert not forced
+                    continue
+                k = stepped.k
+                assert np.array_equal(
+                    stepped.perm[:k],
+                    select_submatrix(stepped.leading_columns())[:k])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(manifold_shapes(), st.integers(0, 2**32 - 1), st.integers(-6, 14),
+       st.booleans())
+def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e, itemized):
+    # a step keeps its frame only when KEEP_BOUND sigma_min(g11) bounds
+    # ||G1||_F and the LU gate would accept G1; either way its columns are
+    # a forced re-pivot's bit for bit, and it fails exactly when that fails.
+    # Velocity norms up to 1.5 * 2^14 reach frames that degrade and steps
+    # that fail.
+    kind, shape = case
+    rng = np.random.default_rng(seed)
+    p = MANIFOLDS[kind]["point"](shape, rng)
+    x = MANIFOLDS[kind]["tangent"](p, rng)
+    t = max(0.01, _time_at_norm(p, x, 1.5 * 2.0 ** e))
+    for mb, tb in zip(p.modes, x.modes):
+        def step():
+            return lowrank_geodesic_step(mb, tb, t,
+                                         FlopLedger() if itemized else None)
+        try:
+            stepped, z = step()
+        except ValueError as exc:
+            with _forced_repivot(), pytest.raises(ValueError) as forced:
+                step()
+            assert str(forced.value) == str(exc)
+            continue
+        with _forced_repivot():
+            repivoted, z_forced = step()
+        assert z == z_forced
+        assert stepped.leading_columns().tobytes() \
+            == repivoted.leading_columns().tobytes()
+        if stepped.perm is not mb.perm:
+            assert stepped.perm.tobytes() == repivoted.perm.tobytes()
+            continue
+        sigma = np.linalg.svd(stepped.g11, compute_uv=False)[-1]
+        assert group.KEEP_BOUND * sigma >= np.linalg.norm(stepped.g1)
+        select_submatrix(stepped.g1, group.REPIVOT_TOL)
+
+
+@pytest.mark.parametrize("ledger", [None, FlopLedger], ids=["gram", "itemized"])
+def test_step_reports_an_overflowing_output_as_non_finite(ledger):
+    # on a huge tangent psi1's chain overflows; with numpy's warnings
+    # silenced, the non-finite columns still raise the re-pivot's typed
+    # error, although no pass over the output runs before a frame is kept
+    rng = np.random.default_rng(3)
+    mb = _random_blocks(rng, 12, 3)
+    tb = _random_tangent(rng, mb).scale(1e3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^non-finite input$"):
+        lowrank_geodesic_step(mb, tb, 1.0, ledger and ledger())
 
 
 def test_transport_point_matches_the_dense_product(manifold):
@@ -530,15 +609,18 @@ def test_gram_step_on_embedded_instance_matches_dense_oracle(make, n):
 
 
 @pytest.mark.parametrize("k", [5, 16])
-def test_gram_step_memory_is_a_few_n_by_k_blocks(k):
+@pytest.mark.parametrize("t, kept", [(1e-3, True), (0.5, False)],
+                         ids=["kept", "repivot"])
+def test_gram_step_memory_is_a_few_n_by_k_blocks(t, kept, k):
     n = 20000
     rng = np.random.default_rng(17)
     mb = _random_blocks(rng, n, k)
     tb = _random_tangent(rng, mb)
     tracemalloc.start()
     try:
-        lowrank_geodesic_step(mb, tb, 1.0 / np.sqrt(n))
+        stepped, _ = lowrank_geodesic_step(mb, tb, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert (stepped.perm is mb.perm) == kept
     assert peak < 7 * 8 * n * k

@@ -94,6 +94,38 @@ def test_tangent_from_ambient_rejects_factors_for_fewer_modes():
         hq.tangent_from_ambient(p, factors[:2])
 
 
+def _vertical_norm_args(seed=0):
+    p, x = _cp_pair(seed)
+    return hq.densify(p).factors, p.shape, hq.lift_tangent(p, x).factors
+
+
+def test_vertical_component_norm_of_a_horizontal_tangent_is_zero():
+    g, shape, v = _vertical_norm_args()
+    assert hq.vertical_component_norm(g, shape, v) < 1e-12
+
+
+def test_vertical_component_norm_rejects_fewer_velocity_factors():
+    g, shape, v = _vertical_norm_args()
+    with pytest.raises(ValueError, match="^3 group factors and 2 velocity "
+                                         "factors for a 3-mode shape$"):
+        hq.vertical_component_norm(g, shape, v[:2])
+
+
+def test_vertical_component_norm_rejects_fewer_group_factors():
+    g, shape, v = _vertical_norm_args()
+    with pytest.raises(ValueError, match="^2 group factors and 3 velocity "
+                                         "factors"):
+        hq.vertical_component_norm(g[:2], shape, v)
+
+
+def test_vertical_component_norm_rejects_factors_for_fewer_modes():
+    # group and velocity agree with each other, not with the shape
+    g, shape, v = _vertical_norm_args()
+    with pytest.raises(ValueError, match="^2 group factors and 2 velocity "
+                                         "factors for a 3-mode shape$"):
+        hq.vertical_component_norm(g[:2], shape, v[:2])
+
+
 def test_transport_tangent_rejects_a_mismatched_group_element():
     p, x = _cp_pair()
     h = cp_stabilizer_sample(p.shape, 0).group_element()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+from tensorgeo import psi
 from tensorgeo.flops import FlopLedger, psi1_count
 from tensorgeo.oracles import mexp_dense, psi1_series
 from tensorgeo.psi import (LowRankPair, ScalingPlan, inv_lowrank_update,
@@ -163,6 +164,45 @@ def test_psi1_stack_matches_each_matrix_under_the_shared_plan(m, b, z, seed):
         assert np.linalg.norm(g - want) <= 1e-14 * np.linalg.norm(want)
     # by default a stack takes the plan of its largest norm
     assert np.array_equal(psi1(stack), got)
+
+
+def _psi1_halving_each_level(m, z):
+    """psi1 under plan z with the doubling chain's halving at every level."""
+    k = m.shape[-1]
+    p, e = psi._quotients((m / 2.0 ** z).reshape(-1, k, k), psi._SCALED_ROWS)
+    for _ in range(z - 1):
+        e = e @ e
+        p = 0.5 * (p @ (e + np.eye(k)))
+    return p.reshape(m.shape)
+
+
+def _bounded_with_norm(rng, k, nrm):
+    """Skew-symmetric with norm nrm plus a diagonal within 1/4, and strictly
+    upper triangular with norm nrm: the entries of exp(x/2^j) stay under
+    e^(1/4) and nrm^(k-1) in size, so no chain entry over- or underflows,
+    and the plan of either is the plan of nrm."""
+    skew = np.triu(rng.standard_normal((k, k)), 1)
+    skew -= skew.T
+    skew *= nrm / np.linalg.norm(skew)
+    upper = np.triu(rng.standard_normal((k, k)), 1)
+    upper *= nrm / np.linalg.norm(upper)
+    diag = rng.uniform(-0.25, 0.25, k) * min(1.0, nrm)
+    return skew + np.diag(diag), upper
+
+
+@pytest.mark.parametrize("z", range(2, 21))
+def test_psi1_deferred_halvings_match_the_per_level_form_bit_for_bit(z):
+    # a power-of-two scaling commutes with rounding, so deferring the
+    # halvings to one final scaling changes no bit on these fixed stacks
+    rng = np.random.default_rng(30 + z)
+    for k in (2, 4, 8):
+        bounded, nilpotent = _bounded_with_norm(rng, k, _norm_for_z(z))
+        plan = make_scaling_plan(_norm_for_z(z))
+        assert plan.z == z
+        for m in (np.stack((bounded, nilpotent)), bounded, nilpotent):
+            want = _psi1_halving_each_level(m, z)
+            assert np.all(np.isfinite(want))
+            assert psi1(m, None, plan).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("z", [0, 2, 5, 9])
