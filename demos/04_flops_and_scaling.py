@@ -1,15 +1,15 @@
 """The exact operation ledger and the O(n k^2) scaling of the geodesic step.
 
-Every kernel charges a fixed cost model (2abc per multiply, 8abc/3 per
-divide) into an exact rational ledger.  One instrumented geodesic reproduces
-the published per-step itemization line by line, and a timing sweep shows
-the per-mode update growing linearly in the mode size while the dense path
-grows cubically.
+The paper's itemized update charges a fixed cost model (2abc per multiply,
+8abc/3 per divide) into an exact rational ledger, and one itemized geodesic
+reproduces the published per-step itemization line by line.  A timing sweep
+of the production step shows the per-mode update growing linearly in the
+mode size while the dense path grows cubically.
 """
 from tensorgeo.audit import (audit_geodesic, time_dense_modes,
                              time_lowrank_modes)
 
-print("== line-by-line audit of one instrumented CP geodesic ==")
+print("== line-by-line audit of one itemized CP geodesic ==")
 res = audit_geodesic("cp", (100, 100, 100), (5,), (3, 3, 3), seed=0)
 print(f"dims {res.dims}, leading columns {res.ks}, exponents {res.zs}")
 print(f"{'item':>22}  {'recorded':>12}  {'expected':>12}")
@@ -27,7 +27,7 @@ print("low-rank per-mode update:")
 rows = time_lowrank_modes((500, 1000, 2000, 4000), 5, trials=7, seed=0)
 for rec in rows:
     print(f"  n = {rec.n:5d}: {rec.time_median_s * 1e3:8.3f} ms   "
-          f"(model: {float(rec.flops_model):.2e} operations)")
+          f"(itemized model: {float(rec.flops_model):.2e} operations)")
 print(f"  time ratio n=4000 / n=1000: "
       f"{rows[3].time_median_s / rows[1].time_median_s:.2f} "
       f"(linear growth would be 4)")

@@ -3,12 +3,13 @@
 Compact coset representatives, horizontal tangents, and complete
 canonical-metric geodesics for three families of tensors: fixed CP rank,
 fixed multilinear rank with t_1 = t_2...t_d, and fixed TT rank.  Geodesics
-cost O(n k^2) per mode through low-rank psi1 kernels, and every kernel can
+cost O(n k^2) per mode through low-rank psi1 kernels.  The psi1 kernels and
+the paper's itemized update, which the flop audit runs as its reference,
 report into an exact rational flop ledger.
 """
 
-from .dense import (basis_completion, mode_apply, multilinear_rank,
-                    select_submatrix, tt_rank, unfold, refold)
+from .dense import (mode_apply, multilinear_rank, select_submatrix, tt_rank,
+                    unfold, refold)
 from .flops import FlopLedger, geodesic_formula
 from .group import (AlgebraElement, GroupElement, HorizontalBlocks,
                     ModeBlocks, adjoint, euclidean_inner, gamma12, gl_exp,
@@ -20,7 +21,7 @@ from .cp import (CpPoint, CpShape, CpTangent, cp_embed, cp_flop_formula,
                  cp_geodesic, cp_is_horizontal, cp_point_from_factors,
                  cp_project_horizontal, cp_random_horizontal, cp_random_point,
                  cp_reductive_check, cp_reference_tensor,
-                 cp_stabilizer_sample, cp_vertical_basis)
+                 cp_stabilizer_sample)
 from .tucker import (TuckerPoint, TuckerShape, TuckerTangent, t1_window,
                      tucker_embed, tucker_flop_formula, tucker_geodesic,
                      tucker_m_membership, tucker_point_from_decomposition,

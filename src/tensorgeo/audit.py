@@ -1,9 +1,11 @@
 """Flop audits against the published counts, and timing benchmarks.
 
-An audit runs one instrumented geodesic, scales the tangent mode by mode so
-each mode lands on a requested scaling exponent, and compares every recorded
-ledger line with its published itemization value as exact rationals.  A
-benchmark times the per-mode low-rank update across a sweep of mode sizes,
+An audit runs the paper's itemized update of one geodesic
+(``itemized_geodesic``), scales the tangent mode by mode so each mode lands
+on a requested scaling exponent, and compares every recorded ledger line
+with its published itemization value as exact rationals.  The production
+step, ``group.lowrank_geodesic_step``, is the Gram form and takes no
+ledger.  A benchmark times that step across a sweep of mode sizes,
 optionally alongside the dense-oracle path.
 """
 
@@ -16,8 +18,9 @@ import numpy as np
 from . import homogeneous as hq
 from .cp import cp_random_point
 from .flops import FlopLedger, geodesic_formula, mode_step_items
-from .group import (HorizontalBlocks, ModeBlocks, lowrank_geodesic_step,
-                    mode_velocity_norms, reduce_columns)
+from .group import (HorizontalBlocks, ModeBlocks, itemized_step,
+                    lowrank_geodesic_step, mode_velocity_norms,
+                    reduce_columns)
 from .tt import tt_random_point
 from .tucker import tucker_random_point
 
@@ -81,6 +84,24 @@ def pin_mode_exponents(point, tangent, z_targets):
     return hq.Point(point.shape, new_blocks), hq.ManifoldTangent(new_tb)
 
 
+def itemized_geodesic(point, tangent, t, ledger):
+    """The paper's itemized update of every mode, charged under ``mode{i}.``.
+
+    The audit's reference for ``homogeneous.geodesic``: the same tensor to
+    rounding, and the same per-mode z.  Returns (the ambient n x k leading
+    columns of each mode, the per-mode exponents).
+    """
+    hq._check_mode_count(point, tangent.modes)
+    cols, zs = [], []
+    for i, (mb, tb) in enumerate(zip(point.modes, tangent.modes)):
+        g1, z = itemized_step(mb, tb, t, ledger, f"mode{i}.")
+        c = np.empty_like(g1)
+        c[mb.perm] = g1
+        cols.append(c)
+        zs.append(z)
+    return cols, zs
+
+
 @dataclass
 class AuditRow:
     mode: int
@@ -116,7 +137,7 @@ class AuditResult:
 
 
 def audit_geodesic(manifold, dims, ranks, z_targets, seed=0, t=1.0):
-    """One instrumented geodesic with pinned exponents, line-by-line audit."""
+    """One itemized geodesic with pinned exponents, line-by-line audit."""
     shape = hq.make_shape(manifold, tuple(dims), tuple(ranks))
     if len(z_targets) != len(shape.dims):
         raise ValueError("need one z per mode")
@@ -124,7 +145,7 @@ def audit_geodesic(manifold, dims, ranks, z_targets, seed=0, t=1.0):
     point, tangent = random_point_and_tangent(shape, rng)
     point, tangent = pin_mode_exponents(point, tangent, z_targets)
     ledger = FlopLedger()
-    _, zs = hq.geodesic(point, tangent, t, ledger)
+    _, zs = itemized_geodesic(point, tangent, t, ledger)
     rows = []
     for i, (n, k) in enumerate(zip(shape.dims, shape.ks)):
         for item, expected in mode_step_items(n, k, zs[i]):

@@ -27,7 +27,7 @@ from .flops import geodesic_formula
 __all__ = [
     "CpShape", "CpPoint", "CpTangent",
     "cp_reference_tensor", "cp_point_from_factors", "cp_embed",
-    "cp_stabilizer_sample", "cp_vertical_basis", "cp_project_horizontal",
+    "cp_stabilizer_sample", "cp_project_horizontal",
     "cp_is_horizontal", "cp_geodesic", "cp_flop_formula",
     "cp_reductive_check", "cp_random_point", "cp_random_horizontal",
 ]
@@ -143,11 +143,6 @@ def cp_stabilizer_sample(shape, seed=0):
     return shape.stabilizer_sample(np.random.default_rng(seed))
 
 
-def cp_vertical_basis(p):
-    """Spanning set of the vertical space at the representative."""
-    return hq.vertical_basis(p)
-
-
 def cp_project_horizontal(p, z):
     """Orthogonal projection of an ambient tangent onto the horizontal space."""
     return hq.project_horizontal(p, z)
@@ -159,9 +154,9 @@ def cp_is_horizontal(p, x, tol=1e-9):
     return hq.horizontality_residual(p, x) <= tol
 
 
-def cp_geodesic(p, x, t=1.0, ledger=None):
+def cp_geodesic(p, x, t=1.0):
     """Canonical-metric geodesic from p with horizontal lift x, at time t."""
-    q, _ = hq.geodesic(p, x, t, ledger)
+    q, _ = hq.geodesic(p, x, t)
     return q
 
 

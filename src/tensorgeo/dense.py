@@ -174,21 +174,3 @@ def select_submatrix(m, tol=DEFAULT_RANK_TOL):
     for j, i in enumerate(swaps.tolist()):
         p[j], p[i] = p[i], p[j]
     return p
-
-
-def basis_completion(f, tol=DEFAULT_RANK_TOL):
-    """Orthonormal completion of the column space of a full-rank n x k matrix.
-
-    The returned n x (n-k) block is orthogonal to the columns of ``f`` and
-    together with them spans R^n.
-    """
-    import scipy.linalg
-    f = np.asarray(f, dtype=float)
-    n, k = f.shape
-    if k > n:
-        raise ValueError("more columns than rows")
-    q, r = scipy.linalg.qr(f, mode="full")
-    diag = np.abs(np.diag(r)[:k])
-    if diag.size == 0 or diag.max() == 0 or diag.min() <= tol * diag.max():
-        raise ValueError("rank-deficient input")
-    return q[:, k:]

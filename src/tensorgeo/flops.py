@@ -5,9 +5,7 @@ matrix multiplication and ``8*a*b*c/3`` for a matrix division with the same
 dimension signature (an LU factorization plus triangular solves).  Counts are
 kept as exact rationals so that audits can assert equality, not closeness.
 O(a*b) matrix additions are tracked in a separate counter and excluded from
-the headline total, as is the partial-pivoting LU that re-pivots
-representatives (its n k^2 - k^3/3 goes to ``aux`` on the steps that run it;
-a step that keeps its frame charges nothing there).
+the headline total.
 
 Two accounting conventions are deliberate.  Tall blocks paired with a k x k
 factor are charged with the full mode dimension n as their row count, and the
@@ -34,7 +32,6 @@ class FlopLedger:
         self.per_step = {}
         self.seconds = {}
         self.additions = Fraction(0)
-        self.aux = Fraction(0)  # work outside the model (the re-pivot's LU)
         self._label = "unlabeled"
 
     @property
@@ -61,10 +58,6 @@ class FlopLedger:
         """Track an a x b matrix addition (excluded from the headline total)."""
         self.additions += Fraction(a * b)
 
-    def aux_work(self, count):
-        """Track bookkeeping flops outside the model (excluded from headline)."""
-        self.aux += Fraction(count)
-
     def _charge(self, amount, label):
         key = label if label is not None else self._label
         self.per_step[key] = self.per_step.get(key, Fraction(0)) + amount
@@ -78,7 +71,6 @@ class FlopLedger:
             k = prefix + key
             self.seconds[k] = self.seconds.get(k, 0.0) + val
         self.additions += other.additions
-        self.aux += other.aux
         return self
 
     def __repr__(self):

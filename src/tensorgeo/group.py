@@ -16,9 +16,9 @@ B^T = G1 M^-1 with M = G1^T G1, so every n-row product the update needs is
 a block of the one Gram H = Q^T Q of Q = [G1, X1] (n x 2k), and the new
 leading columns are Q C for a 2k x k matrix C from H and one stacked psi1
 evaluation of the two velocity cores: about 12nk^2 + O(k^3 z) per mode,
-against the 110nk^2/3 of the paper's itemized update.  Passing a flop
-ledger selects the itemized update instead, the instrumented path whose
-every line the audit checks.
+against the 110nk^2/3 of the paper's itemized update.  That update is kept
+as ``itemized_step``, the flop audit's own reference: it charges every
+product to a ledger line, and no geodesic entry point runs it.
 
 On small k the k x k phase costs numpy's call overhead more than flops, so
 the step calls LAPACK directly where numpy would wrap the same routine:
@@ -57,20 +57,18 @@ tol the re-pivot tolerance and KEEP_BOUND = 2^10.  Then:
   have accepted, and a step fails exactly when it did before.
 
 The test costs one k x k ``dgesdd`` and no pass over the n x k output.  The
-Gram form reads ||G1||_F^2 = tr(C^T H C) from the Gram it already has, and
-it trusts the output to be finite only when C is finite and
+step reads ||G1||_F^2 = tr(C^T H C) from the Gram it already has, and it
+trusts the output to be finite only when C is finite and
 tr(H) ||C||_F^2 < 2^1000: each entry of Q C, and each partial sum of one,
 is at most sqrt(tr H) ||C||_F in size, so no step of the product
-overflows.  The itemized update sums the squares of its own output, which
-is finite only if every entry is.  Otherwise the step re-pivots, and the
-LU's pass raises the typed "non-finite input" as before.  A re-pivot
-changes only the row order of the representative, never its ambient
-columns, so a kept step's columns are bit for bit a re-pivoted step's.
+overflows.  Otherwise the step re-pivots, and the LU's pass raises the
+typed "non-finite input" as before.  A re-pivot changes only the row order
+of the representative, never its ambient columns, so a kept step's columns
+are bit for bit a re-pivoted step's.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -456,43 +454,35 @@ def _velocity_cores(h, t):
     return m_inv, s, cores
 
 
-def lowrank_geodesic_step(blocks, tangent, t=1.0, ledger=None, label="",
-                          repivot_tol=REPIVOT_TOL):
+def lowrank_geodesic_step(blocks, tangent, t=1.0, *, repivot_tol=REPIVOT_TOL):
     """New representative of the leading k columns of exp_g(tX) for one mode.
 
-    Works entirely with n x k and smaller intermediates.  Without a ledger
-    this is the Gram form: with Q = [G1, X1] (n x 2k) and H = Q^T Q, the
-    new leading columns are Q C for a 2k x k matrix C built from H and
-    psi1 of the two velocity cores alone,
+    Works entirely with n x k and smaller intermediates.  With Q = [G1, X1]
+    (n x 2k) and H = Q^T Q, the new leading columns are Q C for a 2k x k
+    matrix C built from H and psi1 of the two velocity cores alone,
 
         W = I + M^-1 psi1(BA)^T S^T,   U = psi1(B'A') [W; S^T W],
         C = [W - M^-1 U_2;  t U_1],
 
     one Gram and one n x 2k by 2k x k product, about 12nk^2 + O(k^3 z).
-    With a ledger the paper-itemized update runs instead, and its recorded
-    counts follow the published per-step itemization (110nk^2/3 leading).
-    The Gram form evaluates psi1 once, on the stack [blockdiag(BA, 0), B'A']
-    under the plan of the larger of the two cores' norms (the larger of
-    their own plans, as the plan grows with the norm); the itemized update
-    makes two labelled calls under that same plan.  So the mode has a
-    single z, the same on either path.  B'A' holds BA, so its norm goes
-    first in that max, and a non-finite entry in either core reaches
+    psi1 runs once, on the stack [blockdiag(BA, 0), B'A'] under the plan of
+    the larger of the two cores' norms (the larger of their own plans, as
+    the plan grows with the norm), so the mode has a single z, the one
+    ``itemized_step`` also uses.  B'A' holds BA, so its norm goes first in
+    that max, and a non-finite entry in either core reaches
     ``make_scaling_plan``, which raises.
 
-    Either way the new columns keep the old frame when the keep test of the
-    module docstring proves it good, KEEP_BOUND sigma_min(g11) >= ||G1||_F
-    with the LU gate's acceptance implied, and the result then shares the
+    The new columns keep the old frame when the keep test of the module
+    docstring proves it good, KEEP_BOUND sigma_min(g11) >= ||G1||_F with
+    the LU gate's acceptance implied, and the result then shares the
     input's permutation.  Otherwise they are re-pivoted in the
-    representative's own row order.  Both paths give the same ambient
-    columns and fail on the same inputs.
+    representative's own row order.
 
     Returns (new ModeBlocks, z).
     """
     k = blocks.k
     if tangent.x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")
-    if ledger is not None:
-        return _itemized_step(blocks, tangent, t, ledger, label, repivot_tol)
     q, h = _gram(blocks, tangent)
     m_inv, s, cores = _velocity_cores(h, t)
     plan = make_scaling_plan(max(max_norm(cores[1]),
@@ -544,72 +534,69 @@ def _ap_mul(a, b, x):
     return a @ x[:k] - b.T @ x[k:]
 
 
-def _itemized_step(blocks, tangent, t, led, label, repivot_tol):
-    """The update term by term, each n-row product charged to its label.
+def itemized_step(blocks, tangent, t, ledger, label=""):
+    """The paper's update of one mode, each n-row product charged to its label.
 
-    The four column terms are assembled in the composition order of the
-    geodesic formula (skew factor applied last); the recorded counts follow
-    the published per-step itemization, whose cross term assumes the
-    reversed order and charges 6nk^2 + 6k^3.  The coupling block of the
-    point is computed here, so the recorded count covers the whole update.
+    The flop audit's reference for ``lowrank_geodesic_step``: the same
+    ambient columns under the same z, to rounding.  The four column terms are
+    assembled in the composition order of the geodesic formula (skew factor
+    applied last); the recorded counts follow the published per-step
+    itemization, whose cross term assumes the reversed order and charges
+    6nk^2 + 6k^3.  The coupling block of the point is computed here, so the
+    recorded count covers the whole update.
+
+    Returns (g1, z): the new n x k columns in the representative's permuted
+    frame, not re-pivoted, and the mode's scaling exponent.  Raises
+    ``ValueError("non-finite input")`` when an entry of g1 is not finite.
     """
+    if tangent.x1.shape != blocks.g1.shape:
+        raise ValueError("tangent blocks do not match the representative")
     n, k = blocks.n, blocks.k
-    with led.step(label + "gamma12"):
-        b = _coupling(blocks, led)
-    with led.step(label + "build_B"):
+    with ledger.step(label + "gamma12"):
+        b = _coupling(blocks, ledger)
+    with ledger.step(label + "build_B"):
         # B = [(1 - gamma12 g21) g11^-1, gamma12] came whole with gamma12;
         # the charge is the published itemization's cost of its first block
         a = t * tangent.x1
-        led.mult(k, n, k)
-        led.div(k, k, k)
+        ledger.mult(k, n, k)
+        ledger.div(k, k, k)
 
-    with led.step(label + "BA"):
+    with ledger.step(label + "BA"):
         ba = b @ a
-        led.mult(k, n, k)
-    with led.step(label + "BpAp"):
+        ledger.mult(k, n, k)
+    with ledger.step(label + "BpAp"):
         bpap = _bpap(a, b, ba)
-        led.mult(2 * k, n, 2 * k)
+        ledger.mult(2 * k, n, 2 * k)
 
     plan = make_scaling_plan(max(max_norm(bpap), max_norm(ba)))
-    with led.step(label + "psi1_BA"):
-        p = psi1(ba, led, plan)
-    with led.step(label + "psi1_BpAp"):
-        pp = psi1(bpap, led, plan)
+    with ledger.step(label + "psi1_BA"):
+        p = psi1(ba, ledger, plan)
+    with ledger.step(label + "psi1_BpAp"):
+        pp = psi1(bpap, ledger, plan)
 
     g1 = blocks.g1
-    with led.step(label + "term2"):
+    with ledger.step(label + "term2"):
         atg = a.T @ g1
         term2 = b.T @ (p.T @ atg)
-        led.mult(k, n, k)
-        led.mult(k, k, k)
-        led.mult(n, k, k)
-    with led.step(label + "term3"):
+        ledger.mult(k, n, k)
+        ledger.mult(k, k, k)
+        ledger.mult(n, k, k)
+    with ledger.step(label + "term3"):
         term3 = _ap_mul(a, b, pp @ np.concatenate((b @ g1, atg)))
-        led.mult(2 * k, n, k)
-        led.mult(2 * k, 2 * k, k)
-        led.mult(n, 2 * k, k)
-    with led.step(label + "term4"):
+        ledger.mult(2 * k, n, k)
+        ledger.mult(2 * k, 2 * k, k)
+        ledger.mult(n, 2 * k, k)
+    with ledger.step(label + "term4"):
         bpt2 = np.concatenate((b @ term2, a.T @ term2))
         term4 = _ap_mul(a, b, pp @ bpt2)
-        led.mult(n, k, 2 * k)
-        led.mult(k, 2 * k, k)
-        led.mult(k, k, k)
-        led.mult(n, k, k)
-    # column-major like the Gram step's output, summed in the same order
-    out = np.add(g1, term2, order="F")
-    out += term3
-    out += term4
-    led.add(n, k)
-    led.add(n, k)
-    led.add(n, k)
-
-    with led.step(label + "repivot"):
-        # the sum of squares is finite only if every entry is
-        flat = out.ravel(order="K")
-        if _keeps_frame(out, float(flat @ flat), repivot_tol):
-            new = ModeBlocks._kept(blocks.perm, out)
-        else:
-            new = _repivot(blocks.perm, out, repivot_tol)
-            # partial-pivoting LU of the n x k columns, outside the model
-            led.aux_work(n * k * k - Fraction(k**3, 3))
-    return new, plan.z
+        ledger.mult(n, k, 2 * k)
+        ledger.mult(k, 2 * k, k)
+        ledger.mult(k, k, k)
+        ledger.mult(n, k, k)
+    out = g1 + term2 + term3 + term4
+    ledger.add(n, k)
+    ledger.add(n, k)
+    ledger.add(n, k)
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite input")
+    return out, plan.z

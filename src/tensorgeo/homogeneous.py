@@ -9,8 +9,8 @@ point type ``Point`` (a coset, stored as one ``ModeBlocks`` per mode, checked
 against its shape on construction), the one tangent type
 ``ManifoldTangent``, the tag-to-shape function ``make_shape``, the
 well-conditioned column draw ``random_columns`` behind every random point,
-embeddings, vertical spaces, the horizontal projection, geodesics,
-representative transport, the one stabilizer sample type
+embeddings, the horizontal projection, geodesics, representative
+transport, the one stabilizer sample type
 ``StabilizerSample`` (a shape's ``stabilizer_sample`` forms its leading
 blocks and ``stabilizer_sample`` here draws the free shear and trailing
 blocks), the complement's block-pattern check ``right_blocks_vanish`` and
@@ -196,53 +196,6 @@ def tangent_from_ambient(point, x_factors):
 
 
 # ---------------------------------------------------------------------------
-# vertical structure
-
-def vertical_basis(point):
-    """Spanning set of the vertical space at the representative.
-
-    Ambient tangent vectors g Y, one per stabilizer-algebra basis element:
-    the per-mode free sector (trailing-column blocks) plus the coupled
-    sector.  Size grows like sum n_i^2; meant for small verification runs.
-    """
-    gfac = densify(point).factors
-    dims, ks = point.shape.dims, point.shape.ks
-    out = []
-    for i, (n, k) in enumerate(zip(dims, ks)):
-        for p in range(k):
-            for q in range(n - k):
-                y = np.zeros((n, n))
-                y[p, k + q] = 1.0
-                out.append(_one_mode_element(dims, i, gfac[i] @ y))
-        for p in range(n - k):
-            for q in range(n - k):
-                y = np.zeros((n, n))
-                y[k + p, k + q] = 1.0
-                out.append(_one_mode_element(dims, i, gfac[i] @ y))
-    for elem in point.shape.coupled_upper_basis():
-        factors = []
-        for i, n in enumerate(dims):
-            k = ks[i]
-            y = np.zeros((n, n))
-            if elem[i] is not None:
-                y[:k, :k] = elem[i]
-            factors.append(gfac[i] @ y)
-        out.append(AlgebraElement(factors))
-    return out
-
-
-def _one_mode_element(dims, mode, mat):
-    return AlgebraElement([mat if i == mode else np.zeros((n, n))
-                           for i, n in enumerate(dims)])
-
-
-def vertical_dimension(shape):
-    """dim H = sum_i n_i(n_i - k_i) + (number of coupled directions)."""
-    free = sum(n * (n - k) for n, k in zip(shape.dims, shape.ks))
-    return free + len(_coupled_stacks(shape)[0])
-
-
-# ---------------------------------------------------------------------------
 # the horizontal layer in closed form (derivation in the module docstring)
 #
 # The n-row matrices of one mode share one row order: the representative's
@@ -398,7 +351,7 @@ def random_horizontal(point, rng, scale=1.0):
 # ---------------------------------------------------------------------------
 # geodesics and transport
 
-def geodesic(point, tangent, t=1.0, ledger=None, repivot_tol=None):
+def geodesic(point, tangent, t=1.0, *, repivot_tol=None):
     """Quotient geodesic through the point with the given horizontal lift.
 
     One low-rank update per mode; returns (new point, per-mode scaling
@@ -410,9 +363,8 @@ def geodesic(point, tangent, t=1.0, ledger=None, repivot_tol=None):
         repivot_tol = REPIVOT_TOL
     new_modes = []
     zs = []
-    for i, (mb, tb) in enumerate(zip(point.modes, tangent.modes)):
-        label = f"mode{i}."
-        nb, z = lowrank_geodesic_step(mb, tb, t, ledger, label, repivot_tol)
+    for mb, tb in zip(point.modes, tangent.modes):
+        nb, z = lowrank_geodesic_step(mb, tb, t, repivot_tol=repivot_tol)
         new_modes.append(nb)
         zs.append(z)
     return Point(point.shape, new_modes), zs

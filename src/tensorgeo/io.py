@@ -107,16 +107,6 @@ def load_matrix(text):
     return m
 
 
-def save_tensor(path, arr):
-    with open(path, "w") as fh:
-        fh.write(dump_tensor(arr))
-
-
-def read_tensor(path):
-    with open(path) as fh:
-        return load_tensor(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # points and tangents
 

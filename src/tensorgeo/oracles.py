@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .dense import DEFAULT_RANK_TOL
-from .group import HorizontalBlocks
+from .group import AlgebraElement, HorizontalBlocks
 from .homogeneous import GRAM_COND_LIMIT, ManifoldTangent, lift_tangent
 
 
@@ -269,3 +269,32 @@ def horizontality_residual_reference(point, tangent):
         ip = sum(np.sum(w * v) for w, v in zip(ws, elem))
         res = max(res, abs(ip) / (nrm * scale))
     return res
+
+
+def vertical_basis(point):
+    """Spanning set of the vertical space at the representative.
+
+    Ambient tangent vectors g Y, one per stabilizer-algebra basis element:
+    per mode the free sector, Y a unit entry in the trailing columns, then
+    the coupled sector.  Size grows like sum n_i^2, each an n x n factor
+    per mode; meant for small verification runs.
+    """
+    gfac = [mb.densify() for mb in point.modes]
+    zeros = [np.zeros_like(g) for g in gfac]
+    out = []
+    for i, (g, k) in enumerate(zip(gfac, point.shape.ks)):
+        n = len(g)
+        for p in range(n):
+            for q in range(k, n):
+                v = np.zeros((n, n))
+                v[:, q] = g[:, p]
+                out.append(AlgebraElement(zeros[:i] + [v] + zeros[i + 1:]))
+    for elem in point.shape.coupled_upper_basis():
+        factors = []
+        for g, k, y in zip(gfac, point.shape.ks, elem):
+            v = np.zeros_like(g)
+            if y is not None:
+                v[:, :k] = g[:, :k] @ y
+            factors.append(v)
+        out.append(AlgebraElement(factors))
+    return out

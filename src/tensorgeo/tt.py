@@ -205,8 +205,8 @@ def tt_project_horizontal(p, z):
     return hq.project_horizontal(p, z)
 
 
-def tt_geodesic(p, x, t=1.0, ledger=None):
-    q, _ = hq.geodesic(p, x, t, ledger)
+def tt_geodesic(p, x, t=1.0):
+    q, _ = hq.geodesic(p, x, t)
     return q
 
 

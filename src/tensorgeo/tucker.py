@@ -215,8 +215,8 @@ def tucker_project_horizontal(p, z):
     return hq.project_horizontal(p, z)
 
 
-def tucker_geodesic(p, x, t=1.0, ledger=None):
-    q, _ = hq.geodesic(p, x, t, ledger)
+def tucker_geodesic(p, x, t=1.0):
+    q, _ = hq.geodesic(p, x, t)
     return q
 
 

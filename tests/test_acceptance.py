@@ -17,8 +17,9 @@ import numpy as np
 import tensorgeo.homogeneous as hq
 from conftest import MANIFOLDS, dense_geodesic_embed, rel_err
 from tensorgeo import CpShape, TtShape, TuckerShape, mode_apply, t1_window
-from tensorgeo.audit import (audit_geodesic, random_point_and_tangent,
-                             time_dense_modes, time_lowrank_modes)
+from tensorgeo.audit import (audit_geodesic, itemized_geodesic,
+                             random_point_and_tangent, time_dense_modes,
+                             time_lowrank_modes)
 from tensorgeo.cli import main as cli_main
 from tensorgeo.flops import FlopLedger
 from tensorgeo.group import right_invariant_inner
@@ -80,8 +81,11 @@ ACCEPTANCE_SHAPES = {
 
 
 def test_criterion_3_geodesic_oracle_equivalence():
+    # both the production step and the itemized update the flop audit runs;
+    # every error meets the bound on its own, so a nan fails the criterion
     t0 = time.perf_counter()
     worst = 0.0
+    all_within = True
     for kind, mk in ACCEPTANCE_SHAPES.items():
         shape = mk()
         cfg = MANIFOLDS[kind]
@@ -90,13 +94,16 @@ def test_criterion_3_geodesic_oracle_equivalence():
             p = cfg["point"](shape, rng)
             x = cfg["tangent"](p, rng)
             for t in (0.5, 1.0, 2.0):
-                led = FlopLedger()
-                q, _ = hq.geodesic(p, x, t, led)
-                err = rel_err(hq.embed(q), dense_geodesic_embed(p, x, t))
-                worst = max(worst, err)
+                want = dense_geodesic_embed(p, x, t)
+                q, _ = hq.geodesic(p, x, t)
+                cols, _ = itemized_geodesic(p, x, t, FlopLedger())
+                for got in (hq.embed(q), shape.embed_columns(cols)):
+                    err = rel_err(got, want)
+                    all_within = all_within and err <= 1e-10
+                    worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     _report(3, "embedded low-rank geodesics vs dense oracle, 20 trials x 3 t",
-            worst <= 1e-10 and elapsed < 60.0,
+            all_within and elapsed < 60.0,
             f"max rel err {worst:.3e}, {elapsed:.1f} s")
 
 
@@ -147,7 +154,7 @@ def test_criterion_4_flop_model_exactness():
             shape = _random_shape(kind, rng)
             p, x = random_point_and_tangent(shape, rng)
             led = FlopLedger()
-            _, zs = hq.geodesic(p, x, 1.0, led)
+            _, zs = itemized_geodesic(p, x, 1.0, led)
             for i, (n, k) in enumerate(zip(shape.dims, shape.ks)):
                 total = sum(v for key, v in led.per_step.items()
                             if key.startswith(f"mode{i}."))

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 import tensorgeo
-from tensorgeo.dense import (DEFAULT_RANK_TOL, basis_completion, identity,
-                             mode_apply, mode_product, multilinear_rank,
-                             perm_inverse, refold, select_submatrix, tt_rank,
-                             unfold)
+from tensorgeo.dense import (DEFAULT_RANK_TOL, identity, mode_apply,
+                             mode_product, multilinear_rank, perm_inverse,
+                             refold, select_submatrix, tt_rank, unfold)
 from tensorgeo.group import GroupElement
 from tensorgeo.oracles import select_submatrix_reference
 
@@ -373,26 +372,6 @@ def test_identity_is_shared_and_read_only():
     assert eye is identity(3) and np.array_equal(eye, np.eye(3))
     with pytest.raises(ValueError):
         eye[0, 1] = 1.0
-
-
-def test_basis_completion_identity_columns():
-    f = np.eye(5)[:, :2]
-    c = basis_completion(f)
-    assert np.abs(np.abs(c) - np.eye(5)[:, 2:]).max() < 1e-14
-
-
-def test_basis_completion_random():
-    rng = np.random.default_rng(11)
-    f = rng.standard_normal((6, 2))
-    c = basis_completion(f)
-    assert abs(np.linalg.det(np.hstack([f, c]))) > 1e-8
-    assert np.abs(f.T @ c).max() < 1e-12
-
-
-def test_basis_completion_rank_deficient():
-    f = np.ones((4, 2))
-    with pytest.raises(ValueError):
-        basis_completion(f)
 
 
 def test_perm_helpers():

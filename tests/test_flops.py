@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import tensorgeo.homogeneous as hq
 from conftest import MANIFOLDS
+from tensorgeo.audit import itemized_geodesic
 from tensorgeo.flops import (FlopLedger, ba_count, bpap_count, build_b_count,
                              gamma12_count, geodesic_formula, mode_step_items,
                              mode_step_total, psi1_count, term2_count,
@@ -39,7 +39,7 @@ def test_step_scopes_record_seconds_and_merge_sums_them():
     p = cfg["point"](cfg["shape"](), rng)
     x = cfg["tangent"](p, rng)
     led = FlopLedger()
-    hq.geodesic(p, x, 1.0, led)
+    itemized_geodesic(p, x, 1.0, led)
     assert led.per_step and set(led.per_step) <= set(led.seconds)
     assert all(s >= 0.0 for s in led.seconds.values())
     merged = FlopLedger().merge(led, "a.").merge(led, "a.").merge(led)
@@ -53,7 +53,6 @@ def test_step_scopes_record_seconds_and_merge_sums_them():
 def test_additions_excluded_from_headline():
     led = FlopLedger()
     led.add(100, 100)
-    led.aux_work(999)
     assert led.total == 0
 
 
@@ -102,7 +101,6 @@ def test_geodesic_formula_guards():
 def test_ledger_reproducibility():
     import numpy as np
     from tensorgeo import cp_random_horizontal, cp_random_point, CpShape
-    import tensorgeo.homogeneous as hq
     shape = CpShape((9, 8, 7), 2)
     totals = []
     steps = []
@@ -111,7 +109,7 @@ def test_ledger_reproducibility():
         p = cp_random_point(shape, rng)
         x = cp_random_horizontal(p, rng)
         led = FlopLedger()
-        hq.geodesic(p, x, 1.0, led)
+        itemized_geodesic(p, x, 1.0, led)
         totals.append(led.total)
         steps.append(dict(led.per_step))
     assert totals[0] == totals[1]

@@ -1,6 +1,5 @@
 import tracemalloc
 from contextlib import nullcontext
-from fractions import Fraction
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -18,7 +17,7 @@ from tensorgeo.flops import (FlopLedger, gamma12_count, mode_step_items,
                              mode_step_total)
 from tensorgeo.group import (AlgebraElement, GroupElement, HorizontalBlocks,
                              ModeBlocks, _bpap, _coupling, adjoint,
-                             euclidean_inner, gamma12, gl_exp,
+                             euclidean_inner, gamma12, gl_exp, itemized_step,
                              lowrank_geodesic_step, mode_velocity_norms,
                              reduce_columns, right_invariant_inner)
 from tensorgeo.oracles import dense_geodesic
@@ -225,35 +224,18 @@ def test_step_matches_dense_columns():
 
 
 def test_step_ledger_items_exact():
+    # the ledger holds the itemization's lines and nothing else, at the
+    # frame-keeping t = 1 and the re-pivoting t = 3 of the production step
     rng = np.random.default_rng(12)
     n, k = 30, 3
     mb = _random_blocks(rng, n, k)
     tb = _random_tangent(rng, mb)
-    led = FlopLedger()
-    _, z = lowrank_geodesic_step(mb, tb, 1.0, led, label="m.")
-    for item, want in mode_step_items(n, k, z):
-        assert led.per_step[f"m.{item}"] == want, item
-
-
-def test_step_ledger_times_the_repivot_outside_the_model():
-    # the re-pivot label times the keep-or-re-pivot decision but has no
-    # model charge: the per-step counts and the headline total are the
-    # itemization's alone, and the LU's n k^2 - k^3/3 goes to the auxiliary
-    # counter only when the LU runs.  t = 1 keeps the frame, t = 3 does not.
-    rng = np.random.default_rng(12)
-    n, k = 30, 3
-    mb = _random_blocks(rng, n, k)
-    tb = _random_tangent(rng, mb)
-    for t, kept in ((1.0, True), (3.0, False)):
+    for t in (1.0, 3.0):
         led = FlopLedger()
-        stepped, z = lowrank_geodesic_step(mb, tb, t, led, label="m.")
-        assert (stepped.perm is mb.perm) == kept
+        _, z = itemized_step(mb, tb, t, led, label="m.")
         items = mode_step_items(n, k, z)
         assert led.per_step == {f"m.{item}": count for item, count in items}
         assert led.total == mode_step_total(n, k, z)
-        assert led.seconds["m.repivot"] >= 0.0
-        assert "m.repivot" not in led.per_step
-        assert led.aux == (0 if kept else n * k * k - Fraction(k ** 3, 3))
 
 
 def test_reduce_columns_leaves_its_argument_alone():
@@ -279,17 +261,16 @@ def test_step_leaves_its_point_and_tangent_alone(manifold):
     for i, (mb, tb) in enumerate(zip(p.modes, x.modes)):
         perm, g1, x1 = mb.perm.copy(), mb.g1.copy(), tb.x1.copy()
         for t in (0.7, 5.0):
-            for ledger in (None, FlopLedger()):
-                stepped, _ = lowrank_geodesic_step(mb, tb, t, ledger)
-                kept = stepped.perm is mb.perm
-                seen.add(kept)
-                if not kept:
-                    assert not np.array_equal(stepped.perm, perm)  # rows moved
-                assert not (kept and t == 5.0 and i == 0)
-                assert stepped.g1 is not mb.g1
-                assert mb.perm.tobytes() == perm.tobytes()
-                assert mb.g1.tobytes() == g1.tobytes()
-                assert tb.x1.tobytes() == x1.tobytes()
+            stepped, _ = lowrank_geodesic_step(mb, tb, t)
+            kept = stepped.perm is mb.perm
+            seen.add(kept)
+            if not kept:
+                assert not np.array_equal(stepped.perm, perm)  # rows moved
+            assert not (kept and t == 5.0 and i == 0)
+            assert stepped.g1 is not mb.g1
+            assert mb.perm.tobytes() == perm.tobytes()
+            assert mb.g1.tobytes() == g1.tobytes()
+            assert tb.x1.tobytes() == x1.tobytes()
     assert seen == {True, False}
 
 
@@ -324,7 +305,7 @@ def test_step_calls_psi1_once_per_mode_without_a_ledger(monkeypatch):
     assert cores.shape == (2, 6, 6) and ledger is None and not kwargs
     assert plan.z == z > 0
     calls.clear()
-    _, z_item = lowrank_geodesic_step(mb, tb, 5.0, FlopLedger())
+    _, z_item = itemized_step(mb, tb, 5.0, FlopLedger())
     assert len(calls) == 2 and z_item == z
     assert [args[0].shape for args, _ in calls] == [(3, 3), (6, 6)]
 
@@ -335,6 +316,19 @@ def test_step_rejects_mismatched_tangent():
     other = _random_blocks(rng, 10, 3)
     with pytest.raises(ValueError):
         lowrank_geodesic_step(mb, _random_tangent(rng, other), 1.0)
+
+
+def test_geodesic_takes_no_ledger(manifold):
+    # the tolerance is keyword-only, so a ledger passed where one used to
+    # go fails at the call
+    cfg = MANIFOLDS[manifold]
+    rng = np.random.default_rng(22)
+    p = cfg["point"](cfg["shape"](), rng)
+    x = hq.random_horizontal(p, rng)
+    with pytest.raises(TypeError):
+        hq.geodesic(p, x, 1.0, FlopLedger())
+    with pytest.raises(TypeError):
+        lowrank_geodesic_step(p.modes[0], x.modes[0], 1.0, FlopLedger())
 
 
 def test_blocks_validation():
@@ -448,26 +442,24 @@ def test_step_selects_the_rows_of_an_ambient_repivot(case, seed, t):
     p = MANIFOLDS[kind]["point"](shape, rng)
     x = MANIFOLDS[kind]["tangent"](p, rng)
     for mb, tb in zip(p.modes, x.modes):
-        for ledger in (None, FlopLedger()):
-            for forced in (True, False):
-                try:
-                    with _forced_repivot() if forced else nullcontext():
-                        stepped, _ = lowrank_geodesic_step(mb, tb, t, ledger)
-                except ValueError:
-                    continue
-                if stepped.perm is mb.perm:
-                    assert not forced
-                    continue
-                k = stepped.k
-                assert np.array_equal(
-                    stepped.perm[:k],
-                    select_submatrix(stepped.leading_columns())[:k])
+        for forced in (True, False):
+            try:
+                with _forced_repivot() if forced else nullcontext():
+                    stepped, _ = lowrank_geodesic_step(mb, tb, t)
+            except ValueError:
+                continue
+            if stepped.perm is mb.perm:
+                assert not forced
+                continue
+            k = stepped.k
+            assert np.array_equal(
+                stepped.perm[:k],
+                select_submatrix(stepped.leading_columns())[:k])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(manifold_shapes(), st.integers(0, 2**32 - 1), st.integers(-6, 14),
-       st.booleans())
-def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e, itemized):
+@given(manifold_shapes(), st.integers(0, 2**32 - 1), st.integers(-6, 14))
+def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e):
     # a step keeps its frame only when KEEP_BOUND sigma_min(g11) bounds
     # ||G1||_F and the LU gate would accept G1; either way its columns are
     # a forced re-pivot's bit for bit, and it fails exactly when that fails.
@@ -480,8 +472,7 @@ def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e, itemized):
     t = max(0.01, _time_at_norm(p, x, 1.5 * 2.0 ** e))
     for mb, tb in zip(p.modes, x.modes):
         def step():
-            return lowrank_geodesic_step(mb, tb, t,
-                                         FlopLedger() if itemized else None)
+            return lowrank_geodesic_step(mb, tb, t)
         try:
             stepped, z = step()
         except ValueError as exc:
@@ -502,17 +493,21 @@ def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e, itemized):
         select_submatrix(stepped.g1, group.REPIVOT_TOL)
 
 
-@pytest.mark.parametrize("ledger", [None, FlopLedger], ids=["gram", "itemized"])
-def test_step_reports_an_overflowing_output_as_non_finite(ledger):
+@pytest.mark.parametrize("step", [
+    lambda mb, tb: lowrank_geodesic_step(mb, tb, 1.0),
+    lambda mb, tb: itemized_step(mb, tb, 1.0, FlopLedger())],
+    ids=["gram", "itemized"])
+def test_step_reports_an_overflowing_output_as_non_finite(step):
     # on a huge tangent psi1's chain overflows; with numpy's warnings
-    # silenced, the non-finite columns still raise the re-pivot's typed
-    # error, although no pass over the output runs before a frame is kept
+    # silenced, the non-finite columns still raise the typed error: the
+    # Gram step's re-pivot raises it, although no pass over the output runs
+    # before a frame is kept, and the itemized update checks its output
     rng = np.random.default_rng(3)
     mb = _random_blocks(rng, 12, 3)
     tb = _random_tangent(rng, mb).scale(1e3)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="^non-finite input$"):
-        lowrank_geodesic_step(mb, tb, 1.0, ledger and ledger())
+        step(mb, tb)
 
 
 def test_transport_point_matches_the_dense_product(manifold):
@@ -544,21 +539,14 @@ def _time_at_norm(point, tangent, target):
     return hi
 
 
-def _outcome(step):
-    """(error message, z, leading columns) of one mode step."""
-    try:
-        blocks, z = step()
-    except ValueError as exc:
-        return str(exc), None, None
-    return None, z, blocks.leading_columns()
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(manifold_shapes(), st.integers(0, 2**32 - 1), st.integers(-6, 9))
 def test_gram_step_matches_itemized_step(case, seed, e):
     # the largest mode's norms reach 1.5 * 2^e, mid-way between two
     # exponents, so z = e + 3 there: from 0 (t is at least 0.01) to 12.
     # The velocity norms, which set z, match the itemized factors' too.
+    # Wherever the Gram step succeeds, the itemized update's columns,
+    # scattered to the ambient rows, agree with its own under the same z.
     kind, shape = case
     rng = np.random.default_rng(seed)
     p = MANIFOLDS[kind]["point"](shape, rng)
@@ -570,13 +558,16 @@ def test_gram_step_matches_itemized_step(case, seed, e):
         norms = np.linalg.norm(ba), np.linalg.norm(_bpap(a, b, ba))
         assert np.allclose(mode_velocity_norms(mb, tb, t), norms,
                            rtol=1e-12, atol=0.0)
-        gram = _outcome(lambda: lowrank_geodesic_step(mb, tb, t))
-        item = _outcome(lambda: lowrank_geodesic_step(mb, tb, t,
-                                                      FlopLedger()))
-        assert gram[:2] == item[:2]
-        if gram[0] is None:
-            assert np.abs(gram[2] - item[2]).max() \
-                <= 1e-10 * np.abs(item[2]).max()
+        try:
+            stepped, z = lowrank_geodesic_step(mb, tb, t)
+        except ValueError:
+            continue
+        g1, z_item = itemized_step(mb, tb, t, FlopLedger())
+        item = np.empty_like(g1)
+        item[mb.perm] = g1
+        assert z_item == z
+        assert np.abs(stepped.leading_columns() - item).max() \
+            <= 1e-10 * np.abs(item).max()
 
 
 @pytest.mark.parametrize("n", [96, 20000])

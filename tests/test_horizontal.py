@@ -103,5 +103,3 @@ def test_coupled_rows_read_the_cached_basis(case):
             if y is not None:
                 want[row, offs[i]:offs[i + 1]] = y.ravel()
     assert np.array_equal(hq.upper_condition_matrix(shape), want)
-    free = sum(n * (n - k) for n, k in zip(shape.dims, shape.ks))
-    assert hq.vertical_dimension(shape) == free + len(basis)
