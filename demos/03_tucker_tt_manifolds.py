@@ -11,13 +11,9 @@ import numpy as np
 
 import tensorgeo.homogeneous as hq
 from tensorgeo import (TtShape, TuckerShape, mode_apply, multilinear_rank,
-                       t1_window, tt_embed, tt_geodesic, tt_m_membership,
-                       tt_point_from_cores, tt_rank, tt_random_horizontal,
-                       tt_reductive_check, tt_reference_tensor,
-                       tt_stabilizer_sample, tucker_embed, tucker_geodesic,
-                       tucker_m_membership, tucker_point_from_decomposition,
-                       tucker_random_horizontal, tucker_reductive_check,
-                       tucker_reference_tensor, tucker_stabilizer_sample)
+                       t1_window, tt_m_membership, tt_point_from_cores,
+                       tt_rank, tucker_m_membership,
+                       tucker_point_from_decomposition)
 from tensorgeo.oracles import contract_tt, contract_tucker
 from tensorgeo.tt import tt_random_cores
 from tensorgeo.tucker import tucker_random_decomposition
@@ -33,17 +29,17 @@ print("== a Tucker point with ranks (4, 2, 2) in R^6 x R^4 x R^4 ==")
 shape = TuckerShape((6, 4, 4), (4, 2, 2))
 core, factors = tucker_random_decomposition(shape, rng)
 p = tucker_point_from_decomposition(core, factors)
-T = tucker_embed(p)
+T = hq.embed(p)
 print(f"embedding vs naive contraction: "
       f"{np.abs(T - contract_tucker(core, factors)).max():.3e}")
 print(f"multilinear rank: {multilinear_rank(T)}")
-h = tucker_stabilizer_sample(shape, 1).group_element()
-ref = tucker_reference_tensor(shape)
+h = shape.stabilizer_sample(np.random.default_rng(1)).group_element()
+ref = shape.reference_tensor()
 print(f"stabilizer fixes the reference: "
       f"{np.abs(mode_apply(h, ref) - ref).max():.3e}")
-x = tucker_random_horizontal(p, rng)
-q = tucker_geodesic(p, x, 1.0)
-print(f"rank after a geodesic step    : {multilinear_rank(tucker_embed(q))}\n")
+x = hq.random_horizontal(p, rng)
+q, _ = hq.geodesic(p, x, 1.0)
+print(f"rank after a geodesic step    : {multilinear_rank(hq.embed(q))}\n")
 
 print("== the complement's trace conditions ==")
 m = hq.sample_m(shape, rng)
@@ -58,7 +54,7 @@ print(f"after perturbing one leading block        : "
 print("== reductivity is a dichotomy ==")
 for s, tag in ((TuckerShape((4, 2, 2), (4, 2, 2)), "square (4,2,2)"),
                (TuckerShape((5, 2, 2), (4, 2, 2)), "padded (5,2,2)")):
-    rep = tucker_reductive_check(s, trials=50, seed=0)
+    rep = hq.reductive_check(s, trials=50, seed=0)
     if rep.expected_reductive:
         print(f"{tag}: invariant, max residual {rep.max_invariance_residual:.2e}")
     else:
@@ -69,23 +65,23 @@ print("== a TT point with ranks (2, 3) in R^10 x R^20 x R^10 ==")
 tshape = TtShape((10, 20, 10), (2, 3))
 cores = tt_random_cores(tshape, rng)
 pt = tt_point_from_cores(cores)
-Tt = tt_embed(pt)
+Tt = hq.embed(pt)
 print(f"embedding vs naive contraction: "
       f"{np.abs(Tt - contract_tt(cores)).max():.3e}")
 print(f"TT rank {tt_rank(Tt)}, multilinear rank {multilinear_rank(Tt)}")
-ht = tt_stabilizer_sample(tshape, 2).group_element()
-reft = tt_reference_tensor(tshape)
+ht = tshape.stabilizer_sample(np.random.default_rng(2)).group_element()
+reft = tshape.reference_tensor()
 print(f"chained stabilizer fixes the reference: "
       f"{np.abs(mode_apply(ht, reft) - reft).max():.3e}")
-xt = tt_random_horizontal(pt, rng)
-qt = tt_geodesic(pt, xt, 1.0)
-print(f"TT rank after a geodesic step: {tt_rank(tt_embed(qt))}")
+xt = hq.random_horizontal(pt, rng)
+qt, _ = hq.geodesic(pt, xt, 1.0)
+print(f"TT rank after a geodesic step: {tt_rank(hq.embed(qt))}")
 mt = hq.sample_m(tshape, rng)
 print(f"trace chain holds on a sampled complement element: "
       f"{tt_m_membership(tshape, mt)}")
 for s, tag in ((TtShape((2, 4, 2), (2, 2)), "square (2,4,2)"),
                (TtShape((3, 4, 2), (2, 2)), "padded (3,4,2)")):
-    rep = tt_reductive_check(s, trials=50, seed=0)
+    rep = hq.reductive_check(s, trials=50, seed=0)
     if rep.expected_reductive:
         print(f"{tag}: invariant, max residual {rep.max_invariance_residual:.2e}")
     else:

@@ -4,8 +4,7 @@ The cost model charges ``2*a*b*c`` basic operations for an (a x b)(b x c)
 matrix multiplication and ``8*a*b*c/3`` for a matrix division with the same
 dimension signature (an LU factorization plus triangular solves).  Counts are
 kept as exact rationals so that audits can assert equality, not closeness.
-O(a*b) matrix additions are tracked in a separate counter and excluded from
-the headline total.
+O(a*b) matrix additions are not charged.
 
 Two accounting conventions are deliberate.  Tall blocks paired with a k x k
 factor are charged with the full mode dimension n as their row count, and the
@@ -31,7 +30,6 @@ class FlopLedger:
     def __init__(self):
         self.per_step = {}
         self.seconds = {}
-        self.additions = Fraction(0)
         self._label = "unlabeled"
 
     @property
@@ -54,24 +52,9 @@ class FlopLedger:
         """Charge an (a x b)\\(b x c) division: 8abc/3."""
         self._charge(Fraction(8 * a * b * c, 3), label)
 
-    def add(self, a, b):
-        """Track an a x b matrix addition (excluded from the headline total)."""
-        self.additions += Fraction(a * b)
-
     def _charge(self, amount, label):
         key = label if label is not None else self._label
         self.per_step[key] = self.per_step.get(key, Fraction(0)) + amount
-
-    def merge(self, other, prefix=""):
-        """Fold another ledger into this one, optionally prefixing its labels."""
-        for key, val in other.per_step.items():
-            k = prefix + key
-            self.per_step[k] = self.per_step.get(k, Fraction(0)) + val
-        for key, val in other.seconds.items():
-            k = prefix + key
-            self.seconds[k] = self.seconds.get(k, 0.0) + val
-        self.additions += other.additions
-        return self
 
     def __repr__(self):
         return f"FlopLedger(total={self.total}, steps={len(self.per_step)})"

@@ -258,10 +258,6 @@ class ModeBlocks:
     def g21(self):
         return self.g1[self.k:]
 
-    def stacked(self):
-        """The stored n x k array G1 of the permuted frame (not a copy)."""
-        return self.g1
-
     def leading_columns(self):
         """Ambient n x k leading columns (permuted rows scattered back)."""
         c = np.empty((self.n, self.k))
@@ -309,10 +305,6 @@ class HorizontalBlocks:
     @property
     def x21(self):
         return self.x1[self.k:]
-
-    def stacked(self):
-        """The stored n x k array X1 (not a copy)."""
-        return self.x1
 
     def scale(self, s):
         return HorizontalBlocks(s * self.x1)
@@ -594,9 +586,6 @@ def itemized_step(blocks, tangent, t, ledger, label=""):
         ledger.mult(k, k, k)
         ledger.mult(n, k, k)
     out = g1 + term2 + term3 + term4
-    ledger.add(n, k)
-    ledger.add(n, k)
-    ledger.add(n, k)
     if not np.isfinite(out).all():
         raise ValueError("non-finite input")
     return out, plan.z

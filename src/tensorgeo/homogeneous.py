@@ -101,7 +101,7 @@ class ManifoldTangent:
 
     def norm(self):
         """Frobenius norm of the stacked leading blocks (diagnostic only)."""
-        return float(np.sqrt(sum(np.sum(m.stacked() ** 2) for m in self.modes)))
+        return float(np.sqrt(sum(np.sum(m.x1 ** 2) for m in self.modes)))
 
 
 def make_shape(manifold, dims, ranks):
@@ -177,8 +177,7 @@ def lift_tangent(point, tangent):
     _check_mode_count(point, tangent.modes)
     out = []
     for mb, tb in zip(point.modes, tangent.modes):
-        lead = tb.stacked()
-        xhat = np.hstack([lead, lead @ gamma12(mb)])
+        xhat = np.hstack([tb.x1, tb.x1 @ gamma12(mb)])
         out.append(xhat[perm_inverse(mb.perm)])
     return AlgebraElement(out)
 
@@ -272,7 +271,7 @@ def project_horizontal(point, z):
                              f"of size {mb.n}")
         z1s.append(f[:, :mb.k][mb.perm])
     ys = _coupled_stacks(point.shape)
-    g1s = [mb.stacked() for mb in point.modes]
+    g1s = [mb.g1 for mb in point.modes]
     gram, rhs = _coupled_system(ys, g1s, z1s)
     if np.linalg.cond(gram) > GRAM_COND_LIMIT:
         raise ValueError("ill-conditioned Gram system: representative is "
@@ -295,8 +294,8 @@ def horizontality_residual(point, tangent):
     """
     _check_mode_count(point, tangent.modes)
     ys = _coupled_stacks(point.shape)
-    g1s = [mb.stacked() for mb in point.modes]
-    x1s = [tb.stacked() for tb in tangent.modes]
+    g1s = [mb.g1 for mb in point.modes]
+    x1s = [tb.x1 for tb in tangent.modes]
     ms, m_invs, pairs = _mode_terms(g1s, x1s)
     w2 = sum(float(np.sum((x1.T @ x1) * mi)) for x1, mi in zip(x1s, m_invs))
     g11_invs = [np.linalg.inv(mb.g11) for mb in point.modes]

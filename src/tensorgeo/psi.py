@@ -15,10 +15,13 @@ which gives the numerators and denominators of both Pade quotients at once;
 one batched solve for both quotients, each evaluated as identity plus a
 correction so that its dominant diagonal carries no round-off; and z-1
 batched square-and-multiply steps, whose halvings are deferred to one
-scaling by 2^(1-z) at the end.  The psi1 quotient is evaluated directly
-at level z-1 by scaling its coefficients, which is valid because the
-scaling exponent guarantees norm <= 1/4 at level z, hence <= 1/2 at level
-z-1.  ``psi1_pade`` and ``mexp_small`` read the same table and contraction.
+scaling by 2^(1-z) at the end; the chain runs under numpy's "raise"
+error state, so an entry past the double range raises a ValueError naming
+z instead of leaking an overflow warning and an inf.  The psi1 quotient is
+evaluated directly at level z-1 by scaling its coefficients, which is valid
+because the scaling exponent guarantees norm <= 1/4 at level z, hence
+<= 1/2 at level z-1.  ``psi1_pade`` and ``mexp_small`` read the same table
+and contraction.
 
 ``psi1`` enters through one reduction, ``max_norm``: an einsum of the
 squared entries per matrix and its maximum.  It is finite exactly when every
@@ -160,7 +163,8 @@ def psi1(m, ledger=None, plan=None):
     scaling plan (it must scale at least as strongly as the matrix
     requires); plans with z = 1 are rejected because the doubling chain
     starts one level above the Pade evaluation.  Only a 2-D argument may be
-    ledgered.
+    ledgered.  Raises ``ValueError`` naming z when an entry of the doubling
+    chain overflows, without a warning.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim > 2 and ledger is not None:
@@ -178,8 +182,9 @@ def psi1(m, ledger=None, plan=None):
     k = m.shape[-1]
     if ledger is not None:
         # five powers, plus the exp quotient's odd/even assembly when scaled,
-        # and one division per quotient
-        for _ in range(5 if z == 0 else 6):
+        # one division per quotient, and a squaring and a doubling product
+        # per level of the chain
+        for _ in range(5 if z == 0 else 6 + 2 * (z - 1)):
             ledger.mult(k, k, k)
         for _ in range(1 if z == 0 else 2):
             ledger.div(k, k, k)
@@ -189,13 +194,16 @@ def psi1(m, ledger=None, plan=None):
     # psi1 at level z-1 via coefficient scaling, mexp at level z
     p, e = _quotients(x, _SCALED_ROWS)
     eye = identity(k)
-    for _ in range(z - 1):
-        e = e @ e
-        p = p @ (e + eye)
-        if ledger is not None:
-            ledger.mult(k, k, k)
-            ledger.mult(k, k, k)
-            ledger.add(k, k)
+    # the chain's entries grow like e^norm; one past the double range raises
+    # here, typed, instead of an overflow warning and an inf in the result
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(z - 1):
+                e = e @ e
+                p = p @ (e + eye)
+    except FloatingPointError:
+        raise ValueError(f"psi1 overflows its doubling chain at z = {z}") \
+            from None
     # the doubling identity's halvings, all at once: a power of two scales
     # every rounding alike, so this is exact unless an entry over- or
     # underflows

@@ -16,7 +16,10 @@ Points and tangents are ``homogeneous.Point`` and
 ``homogeneous.ManifoldTangent`` (``TtPoint`` and ``TtTangent`` name them),
 and a stabilizer sample is ``homogeneous.StabilizerSample``; what stays here
 is the shape, the core layout of the leading columns, the stabilizer's chain
-of leading blocks and the chain membership test.
+of leading blocks, points from cores, random points and the chain membership
+test.  Embedding, projection, residual and the reductivity probe are
+``homogeneous``'s; ``tt_geodesic`` and ``tt_random_horizontal`` remain as the
+names the benchmark's workloads bind.
 """
 
 from dataclasses import dataclass
@@ -24,15 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import homogeneous as hq
-from .flops import geodesic_formula
 
 __all__ = [
-    "TtShape", "TtPoint", "TtTangent",
-    "tt_reference_tensor", "tt_point_from_cores", "tt_embed",
-    "tt_stabilizer_sample", "tt_trace_first", "tt_trace_second",
-    "tt_m_membership", "tt_project_horizontal", "tt_geodesic",
-    "tt_flop_formula", "tt_reductive_check", "tt_random_cores",
-    "tt_random_point", "tt_random_horizontal",
+    "TtShape", "TtPoint", "TtTangent", "tt_point_from_cores",
+    "tt_trace_first", "tt_trace_second", "tt_m_membership", "tt_geodesic",
+    "tt_random_cores", "tt_random_point", "tt_random_horizontal",
 ]
 
 
@@ -147,10 +146,6 @@ TtTangent = hq.ManifoldTangent
 
 # ---------------------------------------------------------------------------
 
-def tt_reference_tensor(shape):
-    return shape.reference_tensor()
-
-
 def tt_point_from_cores(cores):
     """Point embedding to the TT contraction of the given cores.
 
@@ -168,14 +163,6 @@ def tt_point_from_cores(cores):
     shape = TtShape(dims, ranks)
     cols = [c.transpose(1, 0, 2).reshape(dims[i], -1) for i, c in enumerate(cs)]
     return hq.point_from_columns(shape, cols)
-
-
-def tt_embed(p):
-    return hq.embed(p)
-
-
-def tt_stabilizer_sample(shape, seed=0):
-    return shape.stabilizer_sample(np.random.default_rng(seed))
 
 
 def tt_m_membership(shape, x, tol=1e-10):
@@ -201,21 +188,9 @@ def tt_m_membership(shape, x, tol=1e-10):
     return True
 
 
-def tt_project_horizontal(p, z):
-    return hq.project_horizontal(p, z)
-
-
 def tt_geodesic(p, x, t=1.0):
     q, _ = hq.geodesic(p, x, t)
     return q
-
-
-def tt_flop_formula(shape, zs):
-    return geodesic_formula(shape.dims, shape.ks, zs)
-
-
-def tt_reductive_check(shape, trials=100, seed=0):
-    return hq.reductive_check(shape, trials, seed)
 
 
 def tt_random_cores(shape, rng):

@@ -15,7 +15,10 @@ Points and tangents are ``homogeneous.Point`` and
 ``homogeneous.ManifoldTangent`` (``TuckerPoint`` and ``TuckerTangent`` name
 them), and a stabilizer sample is ``homogeneous.StabilizerSample``; what
 stays here is the shape, the stabilizer's leading blocks, the admissibility
-window and the partial-trace membership test.
+window, points from decompositions, random points and the partial-trace
+membership test.  Embedding, projection, residual and the reductivity probe
+are ``homogeneous``'s; ``tucker_geodesic`` and ``tucker_random_horizontal``
+remain as the names the benchmark's workloads bind.
 """
 
 from dataclasses import dataclass
@@ -26,16 +29,12 @@ import numpy as np
 
 from . import homogeneous as hq
 from .dense import mode_product, unfold
-from .flops import geodesic_formula
 
 __all__ = [
-    "TuckerShape", "TuckerPoint", "TuckerTangent",
-    "t1_window", "tucker_reference_tensor", "tucker_point_from_decomposition",
-    "tucker_embed", "tucker_stabilizer_sample", "tucker_partial_trace",
-    "tucker_m_membership", "tucker_project_horizontal", "tucker_geodesic",
-    "tucker_flop_formula", "tucker_reductive_check",
-    "tucker_random_decomposition", "tucker_random_point",
-    "tucker_random_horizontal",
+    "TuckerShape", "TuckerPoint", "TuckerTangent", "t1_window",
+    "tucker_point_from_decomposition", "tucker_partial_trace",
+    "tucker_m_membership", "tucker_geodesic", "tucker_random_decomposition",
+    "tucker_random_point", "tucker_random_horizontal",
 ]
 
 
@@ -97,6 +96,7 @@ class TuckerShape:
         return np.eye(t1).reshape((t1,) + self.ranks[1:])
 
     def reference_tensor(self):
+        """Identity core contracted with truncated-identity factors."""
         t = np.zeros(self.dims)
         corner = tuple(slice(0, k) for k in self.ranks)
         t[corner] = self.core_identity()
@@ -141,11 +141,6 @@ TuckerTangent = hq.ManifoldTangent
 
 # ---------------------------------------------------------------------------
 
-def tucker_reference_tensor(shape):
-    """Identity core contracted with truncated-identity factors."""
-    return shape.reference_tensor()
-
-
 def tucker_point_from_decomposition(core, factors):
     """Point embedding to the given Tucker decomposition.
 
@@ -162,14 +157,6 @@ def tucker_point_from_decomposition(core, factors):
                          "multilinear rank is below the requested first rank")
     cols = [factors[0] @ c1] + factors[1:]
     return hq.point_from_columns(shape, cols)
-
-
-def tucker_embed(p):
-    return hq.embed(p)
-
-
-def tucker_stabilizer_sample(shape, seed=0):
-    return shape.stabilizer_sample(np.random.default_rng(seed))
 
 
 def tucker_partial_trace(l1, trest, slot):
@@ -211,21 +198,9 @@ def tucker_m_membership(shape, x, tol=1e-10):
     return True
 
 
-def tucker_project_horizontal(p, z):
-    return hq.project_horizontal(p, z)
-
-
 def tucker_geodesic(p, x, t=1.0):
     q, _ = hq.geodesic(p, x, t)
     return q
-
-
-def tucker_flop_formula(shape, zs):
-    return geodesic_formula(shape.dims, shape.ks, zs)
-
-
-def tucker_reductive_check(shape, trials=100, seed=0):
-    return hq.reductive_check(shape, trials, seed)
 
 
 def tucker_random_decomposition(shape, rng):

@@ -186,7 +186,7 @@ def test_criterion_5_completeness():
             q, _ = hq.geodesic(p, x, t, repivot_tol=0.0)
             for mb in q.modes:
                 sv = np.linalg.svd(mb.g11, compute_uv=False)
-                if not (np.all(np.isfinite(mb.stacked())) and sv[-1] > 0.0):
+                if not (np.all(np.isfinite(mb.g1)) and sv[-1] > 0.0):
                     fails += 1
         detail.append(f"{kind}: {fails} breakdowns")
         ok = ok and fails == 0

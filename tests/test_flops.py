@@ -21,19 +21,20 @@ def test_cost_model_charges():
     assert led.total == sum(led.per_step.values())
 
 
-def test_step_scope_and_merge():
+def test_step_scope_routes_charges():
     led = FlopLedger()
     with led.step("x"):
         led.mult(2, 2, 2)
-    led.add(4, 4)
-    other = FlopLedger()
-    other.mult(1, 1, 1, "x")
-    led.merge(other)
-    assert led.per_step["x"] == Fraction(18)
-    assert led.additions == Fraction(16)
+        with led.step("y"):
+            led.mult(1, 1, 1)
+        led.mult(1, 1, 1)
+    led.mult(1, 1, 1, "x")
+    led.mult(1, 1, 1)
+    assert led.per_step == {"x": Fraction(20), "y": Fraction(2),
+                            "unlabeled": Fraction(2)}
 
 
-def test_step_scopes_record_seconds_and_merge_sums_them():
+def test_step_scopes_record_seconds():
     cfg = MANIFOLDS["tucker"]
     rng = np.random.default_rng(3)
     p = cfg["point"](cfg["shape"](), rng)
@@ -42,18 +43,6 @@ def test_step_scopes_record_seconds_and_merge_sums_them():
     itemized_geodesic(p, x, 1.0, led)
     assert led.per_step and set(led.per_step) <= set(led.seconds)
     assert all(s >= 0.0 for s in led.seconds.values())
-    merged = FlopLedger().merge(led, "a.").merge(led, "a.").merge(led)
-    for key, s in led.seconds.items():
-        assert merged.seconds["a." + key] == 2 * s
-        assert merged.seconds[key] == s
-    for key, count in led.per_step.items():
-        assert merged.per_step["a." + key] == 2 * count
-
-
-def test_additions_excluded_from_headline():
-    led = FlopLedger()
-    led.add(100, 100)
-    assert led.total == 0
 
 
 def test_per_mode_item_values():

@@ -215,9 +215,8 @@ def test_step_matches_dense_columns():
         tb = _random_tangent(rng, mb)
         stepped, _ = lowrank_geodesic_step(mb, tb, 0.8)
         ghat = mb.densify()
-        lead = tb.stacked()
         xhat = np.zeros((n, n))
-        xhat[mb.perm] = np.hstack([lead, lead @ gamma12(mb)])
+        xhat[mb.perm] = np.hstack([tb.x1, tb.x1 @ gamma12(mb)])
         cols = dense_geodesic([ghat], [xhat], 0.8)[0][:, :k]
         assert np.linalg.norm(stepped.leading_columns() - cols) \
             <= 1e-10 * np.linalg.norm(cols)
@@ -338,7 +337,7 @@ def test_blocks_validation():
         ModeBlocks(np.arange(3), np.zeros((2, 2)), np.zeros((1, 2)))
     mb = ModeBlocks(np.array([2, 0, 1]), 2 * np.eye(2), np.ones((1, 2)))
     dense = mb.densify()
-    assert np.array_equal(dense[[2, 0, 1]][:, :2], mb.stacked())
+    assert np.array_equal(dense[[2, 0, 1]][:, :2], mb.g1)
     assert np.array_equal(mb.leading_columns(), dense[:, :2])
 
 
@@ -403,13 +402,13 @@ def test_block_views_write_through():
     # a write into g21 is a write to the stored n x k array
     mb = ModeBlocks(np.array([2, 0, 1]), 2 * np.eye(2), np.ones((1, 2)))
     mb.g21[...] = [[3.0, 4.0]]
-    assert np.array_equal(mb.stacked(), [[2, 0], [0, 2], [3, 4]])
+    assert np.array_equal(mb.g1, [[2, 0], [0, 2], [3, 4]])
     assert np.array_equal(mb.leading_columns(), [[0, 2], [3, 4], [2, 0]])
 
 
 def test_mode_arrays_are_column_major_and_stored_whole(manifold):
     # a step, the file parser and the projection all build G1 and X1
-    # column-major, and stacked() hands out the stored array itself
+    # column-major
     cfg = MANIFOLDS[manifold]
     rng = np.random.default_rng(19)
     p = cfg["point"](cfg["shape"](), rng)
@@ -418,10 +417,8 @@ def test_mode_arrays_are_column_major_and_stored_whole(manifold):
     loaded = tio.load_point(tio.dump_point(p))
     for mb in (*stepped.modes, *loaded.modes):
         assert mb.g1.flags.f_contiguous
-        assert mb.stacked() is mb.g1
     for tb in x.modes:
         assert tb.x1.flags.f_contiguous
-        assert tb.stacked() is tb.x1
 
 
 def _forced_repivot():
@@ -498,16 +495,16 @@ def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e):
     lambda mb, tb: itemized_step(mb, tb, 1.0, FlopLedger())],
     ids=["gram", "itemized"])
 def test_step_reports_an_overflowing_output_as_non_finite(step):
-    # on a huge tangent psi1's chain overflows; with numpy's warnings
-    # silenced, the non-finite columns still raise the typed error: the
-    # Gram step's re-pivot raises it, although no pass over the output runs
-    # before a frame is kept, and the itemized update checks its output
+    # on a huge tangent psi1's chain overflows; psi1 raises the typed error
+    # naming z, and no overflow warning escapes (the suite turns every
+    # RuntimeWarning into an error)
     rng = np.random.default_rng(3)
     mb = _random_blocks(rng, 12, 3)
-    tb = _random_tangent(rng, mb).scale(1e3)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="^non-finite input$"):
-        step(mb, tb)
+    tb = _random_tangent(rng, mb)
+    for scale in (1e3, 1e6, 1e10):
+        with pytest.raises(ValueError, match=r"^psi1 overflows its doubling "
+                                             r"chain at z = \d+$"):
+            step(mb, tb.scale(scale))
 
 
 def test_transport_point_matches_the_dense_product(manifold):

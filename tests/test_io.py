@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import tensorgeo.io as tio
-from tensorgeo import (CpShape, TtShape, TuckerShape, cp_embed,
-                       cp_random_horizontal, cp_random_point, tt_embed,
-                       tt_random_point, tucker_embed, tucker_random_point)
+from tensorgeo import (CpShape, TtShape, TuckerShape, cp_random_horizontal,
+                       cp_random_point, embed, tt_random_point,
+                       tucker_random_point)
 
 
 def test_fmt_bytes_match_the_per_value_format():
@@ -51,13 +51,10 @@ def test_point_roundtrip(kind, tmp_path):
     rng = np.random.default_rng(2)
     if kind == "cp":
         p = cp_random_point(CpShape((5, 4, 4), 2), rng)
-        embed = cp_embed
     elif kind == "tucker":
         p = tucker_random_point(TuckerShape((5, 3, 3), (4, 2, 2)), rng)
-        embed = tucker_embed
     else:
         p = tt_random_point(TtShape((4, 6, 4), (2, 2)), rng)
-        embed = tt_embed
     path = tmp_path / "point.txt"
     tio.save_point(path, p)
     q = tio.read_point(path)

@@ -70,8 +70,8 @@ def test_contract_tt_identity_cores():
     e3 = np.eye(2)                       # (s2=2, n3=2)
     t = contract_tt([e1, e2, e3])
     # matches the reference construction of the TT manifold
-    from tensorgeo import TtShape, tt_reference_tensor
-    assert np.array_equal(t, tt_reference_tensor(TtShape((2, 4, 2), (2, 2))))
+    from tensorgeo import TtShape
+    assert np.array_equal(t, TtShape((2, 4, 2), (2, 2)).reference_tensor())
 
 
 def test_contractions_cross_check_random():

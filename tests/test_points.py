@@ -7,8 +7,7 @@ import tensorgeo.homogeneous as hq
 from conftest import MANIFOLDS
 from tensorgeo import (CpPoint, CpShape, CpTangent, TtPoint, TtShape,
                        TtTangent, TuckerPoint, TuckerShape, TuckerTangent, cp,
-                       cp_random_horizontal, cp_random_point,
-                       cp_stabilizer_sample, tt, tucker)
+                       cp_random_horizontal, cp_random_point, tt, tucker)
 from tensorgeo.group import HorizontalBlocks
 
 
@@ -128,7 +127,7 @@ def test_vertical_component_norm_rejects_factors_for_fewer_modes():
 
 def test_transport_tangent_rejects_a_mismatched_group_element():
     p, x = _cp_pair()
-    h = cp_stabilizer_sample(p.shape, 0).group_element()
+    h = p.shape.stabilizer_sample(np.random.default_rng(0)).group_element()
     xa = hq.lift_tangent(p, x)
     with pytest.raises(ValueError, match="dimension profiles do not match"):
         hq.transport_tangent(xa, h.factors[:1])

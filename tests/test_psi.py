@@ -3,7 +3,7 @@ import warnings
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 
 from tensorgeo import psi
 from tensorgeo.flops import FlopLedger, psi1_count
@@ -154,9 +154,12 @@ def test_psi1_stack_matches_each_matrix_under_the_shared_plan(m, b, z, seed):
                      + [_random_with_norm(rng, m, top)])
     plan = make_scaling_plan(top)
     assert plan.z == z
-    # at z = 12 a 1 x 1 or 2 x 2 draw can have psi1 past the double range
-    with np.errstate(over="ignore"):
+    # at z = 12 a 1 x 1 or 2 x 2 draw can have psi1 past the double range,
+    # where psi1 raises
+    try:
         wants = [psi1(x, None, plan) for x in stack]
+    except ValueError:
+        reject()
     assume(all(np.all(np.isfinite(w)) for w in wants))
     got = psi1(stack, None, plan)
     assert got.shape == stack.shape
@@ -203,6 +206,23 @@ def test_psi1_deferred_halvings_match_the_per_level_form_bit_for_bit(z):
             want = _psi1_halving_each_level(m, z)
             assert np.all(np.isfinite(want))
             assert psi1(m, None, plan).tobytes() == want.tobytes()
+
+
+def test_psi1_raises_naming_z_when_its_chain_overflows():
+    # psi1(diag(800, 1)) holds (e^800 - 1)/800, past the double range; the
+    # suite turns a leaked overflow warning into an error, so none escapes
+    big = np.diag([800.0, 1.0])
+    assert make_scaling_plan(800.0).z == 12
+    match = r"^psi1 overflows its doubling chain at z = 12$"
+    with pytest.raises(ValueError, match=match):
+        psi1(big)
+    with pytest.raises(ValueError, match=match):
+        psi1(big, FlopLedger())
+    # one overflowing matrix fails its whole stack
+    with pytest.raises(ValueError, match=match):
+        psi1(np.stack((np.eye(2), big)))
+    # (e^600 - 1)/600 is in range
+    assert np.isfinite(psi1(np.diag([600.0, 1.0]))).all()
 
 
 @pytest.mark.parametrize("z", [0, 2, 5, 9])

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -7,14 +6,10 @@ import pytest
 import tensorgeo.homogeneous as hq
 from conftest import dense_geodesic_embed, rel_err
 from tensorgeo import (TuckerShape, mode_apply, multilinear_rank, t1_window,
-                       tucker_embed, tucker_flop_formula, tucker_geodesic,
-                       tucker_m_membership, tucker_point_from_decomposition,
-                       tucker_random_horizontal, tucker_random_point,
-                       tucker_reductive_check, tucker_reference_tensor,
-                       tucker_stabilizer_sample)
-from tensorgeo.audit import itemized_geodesic
+                       tucker_geodesic, tucker_m_membership,
+                       tucker_point_from_decomposition,
+                       tucker_random_horizontal, tucker_random_point)
 from tensorgeo.dense import mode_product
-from tensorgeo.flops import FlopLedger
 from tensorgeo.group import AlgebraElement
 from tensorgeo.oracles import contract_tucker
 from tensorgeo.tucker import tucker_partial_trace, tucker_random_decomposition
@@ -34,10 +29,10 @@ def test_shape_validation_cites_window():
 
 def test_reference_tensor():
     shape = TuckerShape((4, 2, 2), (4, 2, 2))
-    t = tucker_reference_tensor(shape)
+    t = shape.reference_tensor()
     assert np.array_equal(t.reshape(4, 4), np.eye(4))
     shape = TuckerShape((6, 3, 3), (4, 2, 2))
-    t = tucker_reference_tensor(shape)
+    t = shape.reference_tensor()
     assert multilinear_rank(t) == (4, 2, 2)
     assert np.abs(t[4:, :, :]).max() == 0.0
     assert np.abs(t[:, 2:, :]).max() == 0.0
@@ -48,12 +43,12 @@ def test_point_from_decomposition():
     rng = np.random.default_rng(0)
     core, factors = tucker_random_decomposition(shape, rng)
     p = tucker_point_from_decomposition(core, factors)
-    assert rel_err(tucker_embed(p), contract_tucker(core, factors)) <= 1e-12
+    assert rel_err(hq.embed(p), contract_tucker(core, factors)) <= 1e-12
     # identity decomposition gives the reference tensor
     eye_core = shape.core_identity()
     eye_factors = [np.eye(n)[:, :t] for n, t in zip(shape.dims, shape.ranks)]
     q = tucker_point_from_decomposition(eye_core, eye_factors)
-    assert np.array_equal(tucker_embed(q), tucker_reference_tensor(shape))
+    assert np.array_equal(hq.embed(q), shape.reference_tensor())
 
 
 def test_point_from_decomposition_singular_core():
@@ -66,27 +61,9 @@ def test_point_from_decomposition_singular_core():
         tucker_point_from_decomposition(core, factors)
 
 
-def test_embed_rank_and_stabilizer_invariance():
-    rng = np.random.default_rng(2)
-    shape = TuckerShape((6, 4, 4), (4, 2, 2))
-    p = tucker_random_point(shape, rng)
-    assert multilinear_rank(tucker_embed(p)) == shape.ranks
-    h = tucker_stabilizer_sample(shape, 3).group_element()
-    q = hq.transport_point(p, h)
-    assert rel_err(tucker_embed(q), tucker_embed(p)) <= 1e-12
-
-
-def test_stabilizer_fixes_reference():
-    shape = TuckerShape((6, 4, 4), (4, 2, 2))
-    ref = tucker_reference_tensor(shape)
-    for seed in range(30):
-        h = tucker_stabilizer_sample(shape, seed).group_element()
-        assert np.abs(mode_apply(h, ref) - ref).max() <= 1e-12
-
-
 def test_stabilizer_diag_case():
     shape = TuckerShape((4, 2, 2), (4, 2, 2))
-    ref = tucker_reference_tensor(shape)
+    ref = shape.reference_tensor()
     free = (tuple(np.zeros((k, 0)) for k in shape.ks),
             tuple(np.eye(0) for _ in range(3)))
     # identity element
@@ -101,7 +78,7 @@ def test_stabilizer_diag_case():
     # modes' inverse transposes
     shape = TuckerShape((9, 4, 3, 3), (6, 3, 2, 1))
     for seed in range(10):
-        s = tucker_stabilizer_sample(shape, seed)
+        s = shape.stabilizer_sample(np.random.default_rng(seed))
         assert type(s) is hq.StabilizerSample
         assert [ul.shape[0] for ul in s.leading] == list(shape.ks)
         want = reduce(np.kron, [np.linalg.inv(a).T for a in s.leading[1:]])
@@ -164,60 +141,7 @@ def test_uniqueness_transport():
                    contract_tucker(core, factors)) <= 1e-11
     p1 = tucker_point_from_decomposition(core, factors)
     p2 = tucker_point_from_decomposition(core2, factors2)
-    assert rel_err(tucker_embed(p2), tucker_embed(p1)) <= 1e-11
-
-
-def test_geodesic_vs_dense_oracle():
-    rng = np.random.default_rng(7)
-    shape = TuckerShape((6, 4, 4), (4, 2, 2))
-    p = tucker_random_point(shape, rng)
-    x = tucker_random_horizontal(p, rng)
-    assert rel_err(tucker_embed(tucker_geodesic(p, x, 0.0)),
-                   tucker_embed(p)) <= 1e-13
-    for t in (0.5, 1.5):
-        q = tucker_geodesic(p, x, t)
-        assert rel_err(tucker_embed(q), dense_geodesic_embed(p, x, t)) <= 1e-10
-
-
-def test_flop_formula_and_ledger_slack():
-    shape = TuckerShape((8, 4, 4), (4, 2, 2))
-    # per-mode arithmetic of the closed form (exact rational)
-    assert tucker_flop_formula(shape, (2, 2, 2)) == Fraction(69920, 3)
-    assert (tucker_flop_formula(shape, (3, 2, 2))
-            - tucker_flop_formula(shape, (2, 2, 2)) == 36 * 4 ** 3)
-    rng = np.random.default_rng(8)
-    p = tucker_random_point(shape, rng)
-    x = tucker_random_horizontal(p, rng)
-    led = FlopLedger()
-    _, zs = itemized_geodesic(p, x, 1.0, led)
-    resid = led.total - tucker_flop_formula(shape, [max(1, z) for z in zs])
-    slack = 100 * sum(n * k + k * k for n, k in zip(shape.dims, shape.ks))
-    assert abs(resid) <= slack
-
-
-def test_reductive_dichotomy():
-    rep = tucker_reductive_check(TuckerShape((4, 2, 2), (4, 2, 2)),
-                                 trials=40, seed=0)
-    assert rep.expected_reductive and rep.passed
-    rep = tucker_reductive_check(TuckerShape((5, 2, 2), (4, 2, 2)),
-                                 trials=40, seed=0)
-    assert not rep.expected_reductive and rep.witness_residual >= 0.05
-
-
-def test_representative_independence():
-    rng = np.random.default_rng(9)
-    shape = TuckerShape((6, 4, 4), (4, 2, 2))
-    p = tucker_random_point(shape, rng)
-    x = tucker_random_horizontal(p, rng)
-    xa = hq.lift_tangent(p, x)
-    h = tucker_stabilizer_sample(shape, 17).group_element()
-    p2 = hq.transport_point(p, h)
-    from tensorgeo import tucker_project_horizontal
-    x2 = tucker_project_horizontal(p2, hq.transport_tangent(xa, h))
-    for t in (0.5, 1.0):
-        e1 = tucker_embed(tucker_geodesic(p, x, t))
-        e2 = tucker_embed(tucker_geodesic(p2, x2, t))
-        assert rel_err(e2, e1) <= 1e-8
+    assert rel_err(hq.embed(p2), hq.embed(p1)) <= 1e-11
 
 
 def test_four_mode_shape():
@@ -225,11 +149,11 @@ def test_four_mode_shape():
     shape = TuckerShape((9, 3, 3, 3), (8, 2, 2, 2))
     rng = np.random.default_rng(10)
     p = tucker_random_point(shape, rng)
-    assert multilinear_rank(tucker_embed(p)) == (8, 2, 2, 2)
-    h = tucker_stabilizer_sample(shape, 0).group_element()
-    ref = tucker_reference_tensor(shape)
+    assert multilinear_rank(hq.embed(p)) == (8, 2, 2, 2)
+    h = shape.stabilizer_sample(np.random.default_rng(0)).group_element()
+    ref = shape.reference_tensor()
     assert np.abs(mode_apply(h, ref) - ref).max() <= 1e-12
     assert tucker_m_membership(shape, hq.sample_m(shape, rng))
     x = tucker_random_horizontal(p, rng)
     q = tucker_geodesic(p, x, 0.8)
-    assert rel_err(tucker_embed(q), dense_geodesic_embed(p, x, 0.8)) <= 1e-10
+    assert rel_err(hq.embed(q), dense_geodesic_embed(p, x, 0.8)) <= 1e-10
