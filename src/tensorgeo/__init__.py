@@ -18,11 +18,11 @@ from .dense import (mode_apply, multilinear_rank, select_submatrix, tt_rank,
                     unfold, refold)
 from .flops import FlopLedger, geodesic_formula
 from .group import (AlgebraElement, GroupElement, HorizontalBlocks,
-                    ModeBlocks, adjoint, euclidean_inner, gamma12, gl_exp,
+                    ModeBlocks, adjoint, euclidean_inner, gamma12,
                     lowrank_geodesic_step, reduce_columns,
                     right_invariant_inner)
 from .psi import (LowRankPair, LowRankUpdate, ScalingPlan, inv_lowrank_update,
-                  make_scaling_plan, mexp_lowrank, mexp_small, psi1, psi1_pade)
+                  make_scaling_plan, mexp_lowrank, psi1)
 from .homogeneous import (ManifoldTangent, Point, embed, geodesic,
                           horizontality_residual, make_shape,
                           project_horizontal, random_horizontal,

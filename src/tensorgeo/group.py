@@ -8,7 +8,9 @@ velocity X factor per mode as
 
 which is complete for all times.  For horizontal velocities of the quotient
 constructions, w has rank k per mode and the update of the leading k columns
-is computed without ever forming an n x n matrix.
+is computed without ever forming an n x n matrix.  The formula's dense
+evaluation, O(n^3) per mode, is ``oracles.dense_geodesic``, which tests and
+audits compare against.
 
 The production step is the Gram form.  Write w t = A B with A = t X1, X1
 the tangent's leading columns, and G1 the point's.  Horizontality makes
@@ -74,7 +76,7 @@ import numpy as np
 
 from .dense import (identity, is_permutation, lapack, perm_inverse,
                     select_submatrix)
-from .psi import make_scaling_plan, max_norm, mexp_small, psi1
+from .psi import make_scaling_plan, max_norm, psi1
 
 INVERTIBILITY_TOL = 1e-12
 REPIVOT_TOL = 1e-10
@@ -91,15 +93,14 @@ class GroupElement:
     """d-tuple of square invertible matrices."""
     factors: tuple
 
-    def __init__(self, factors, check=True):
+    def __init__(self, factors):
         factors = tuple(np.asarray(f, dtype=float) for f in factors)
         for i, f in enumerate(factors):
             if f.ndim != 2 or f.shape[0] != f.shape[1]:
                 raise ValueError(f"factor {i} is not square")
-            if check:
-                s = np.linalg.svd(f, compute_uv=False)
-                if s[-1] <= INVERTIBILITY_TOL * s[0]:
-                    raise ValueError(f"factor {i} is numerically singular")
+            s = np.linalg.svd(f, compute_uv=False)
+            if s[-1] <= INVERTIBILITY_TOL * s[0]:
+                raise ValueError(f"factor {i} is numerically singular")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -153,21 +154,6 @@ def right_invariant_inner(g, x, y):
         wy = np.linalg.solve(gi.T, yi.T).T
         total += float(np.sum(wx * wy))
     return total
-
-
-def gl_exp(g, x, t=1.0):
-    """Geodesic of the right-invariant metric through g with velocity x, at t.
-
-    Dense evaluation, O(n^3) per mode; the low-rank path below is the
-    production route for quotient geodesics.
-    """
-    _check_profile(g, x)
-    out = []
-    for gi, xi in zip(_factors(g), _factors(x)):
-        w = t * np.linalg.solve(gi.T, xi.T).T
-        out.append(mexp_small(w - w.T) @ mexp_small(w.T) @ gi)
-    # far-time images may condition past the input gate; report them as-is
-    return GroupElement(out, check=False)
 
 
 def adjoint(h, x):
@@ -470,8 +456,12 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, *, repivot_tol=REPIVOT_TOL):
     input's permutation.  Otherwise they are re-pivoted in the
     representative's own row order.
 
+    Raises ``ValueError`` before any work when t is not finite.
+
     Returns (new ModeBlocks, z).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     k = blocks.k
     if tangent.x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")

@@ -1,9 +1,10 @@
-"""Plain-text serialization of tensors, matrices, points, and tangents.
+"""Plain-text serialization of tensors, points, and tangents.
 
 A tensor document holds a ``shape:`` line of integers followed by a
 ``data:`` line of decimal doubles printed with 17 significant digits,
-row-major; matrices are the 2-d case.  Point and tangent documents list one
-block section per mode; permutations and the human-facing mode numbers are
+row-major; a matrix is the 2-d case, with no document type of its own.
+Point and tangent documents list one block section per mode, each block a
+2-d tensor document; permutations and the human-facing mode numbers are
 written 1-based.
 
 Parsers raise :class:`FormatError` with the offending line number so
@@ -93,20 +94,6 @@ def load_tensor(text):
     return _parse_tensor(_Lines(text))
 
 
-def dump_matrix(m):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("matrix documents require 2-d data")
-    return dump_tensor(m)
-
-
-def load_matrix(text):
-    m = load_tensor(text)
-    if m.ndim != 2:
-        raise FormatError("matrix document with non-2d shape")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # points and tangents
 
@@ -124,8 +111,8 @@ def dump_point(point):
         out.append(f"mode: {i + 1}\n")
         out.append(f"k: {mb.k}\n")
         out.append(f"perm: {' '.join(map(str, (mb.perm + 1).tolist()))}\n")
-        out.append("g11:\n" + dump_matrix(mb.g11))
-        out.append("g21:\n" + dump_matrix(mb.g21))
+        out.append("g11:\n" + dump_tensor(mb.g11))
+        out.append("g21:\n" + dump_tensor(mb.g21))
     return "".join(out)
 
 
@@ -181,8 +168,8 @@ def dump_tangent(point, tangent):
     for i, tb in enumerate(tangent.modes):
         out.append(f"mode: {i + 1}\n")
         out.append(f"k: {tb.k}\n")
-        out.append("x11:\n" + dump_matrix(tb.x11))
-        out.append("x21:\n" + dump_matrix(tb.x21))
+        out.append("x11:\n" + dump_tensor(tb.x11))
+        out.append("x21:\n" + dump_tensor(tb.x21))
     return "".join(out)
 
 

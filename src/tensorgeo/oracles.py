@@ -5,9 +5,11 @@ primitives, the block containers and a block tangent's dense lift
 ``homogeneous.lift_tangent``, which reads the coupling block
 ``group.gamma12``.
 The series evaluation runs in extended precision (the platform long
-double; 80-bit on x86), the dense exponential comes from SciPy, and the
-tensor contractions are naive index loops.  These paths trade speed for
-transparency and may be O(n^3) or worse.
+double; 80-bit on x86), the dense exponential ``mexp_dense`` comes from
+SciPy, and the tensor contractions are naive index loops.  ``mexp_dense``
+and ``dense_geodesic`` are the package's only dense exponential and dense
+GL geodesic.  These paths trade speed for transparency and may be O(n^3)
+or worse.
 
 The horizontal-layer references densify the n x n factors and work in the
 metric's flat coordinates w = X g^-1.  They take compact points and block
@@ -19,23 +21,17 @@ them.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .dense import DEFAULT_RANK_TOL
-from .group import AlgebraElement, HorizontalBlocks
+from .group import AlgebraElement, HorizontalBlocks, _check_profile
 from .homogeneous import GRAM_COND_LIMIT, ManifoldTangent, lift_tangent
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    series_terms: int = 60
-
-    def __post_init__(self):
-        if self.series_terms < 20:
-            raise ValueError("series_terms must be at least 20")
+# terms of the psi1 series; at Frobenius norm <= 4 the dropped tail is far
+# below the extended-precision round-off floor (``series_tail_bound``)
+SERIES_TERMS = 60
 
 
 def _require_extended():
@@ -44,14 +40,13 @@ def _require_extended():
                            "series oracle unavailable")
 
 
-def psi1_series(m, cfg=None):
+def psi1_series(m):
     """Truncated series sum_j m^j/(j+1)! in extended precision.
 
     Accepts a single k x k matrix or a batched (..., k, k) array; returns a
     long double array of the same shape.  Requires Frobenius norm <= 4 per
-    matrix so the default 60-term tail is far below the round-off floor.
+    matrix so the SERIES_TERMS-term tail is far below the round-off floor.
     """
-    cfg = cfg or OracleConfig()
     _require_extended()
     m = np.asarray(m, dtype=np.longdouble)
     nrm = np.sqrt(np.sum(m * m, axis=(-2, -1)))
@@ -62,7 +57,7 @@ def psi1_series(m, cfg=None):
     # Horner in m with coefficients 1/(j+1)!
     coeffs = []
     fact = np.longdouble(1.0)
-    for j in range(cfg.series_terms):
+    for j in range(SERIES_TERMS):
         fact = fact * np.longdouble(j + 1)
         coeffs.append(np.longdouble(1.0) / fact)
     acc = coeffs[-1] * eye
@@ -71,7 +66,7 @@ def psi1_series(m, cfg=None):
     return acc
 
 
-def series_tail_bound(norm, terms=60):
+def series_tail_bound(norm, terms=SERIES_TERMS):
     """Bound ||m||^N / (N+1)! on the dropped tail of the psi1 series."""
     return float(norm) ** terms / math.factorial(terms + 1)
 
@@ -83,12 +78,13 @@ def mexp_dense(m):
 
 def dense_geodesic(g, x, t=1.0):
     """Literal per-mode evaluation of mexp(w - w^T) mexp(w^T) g, w = X g^-1."""
-    gf = getattr(g, "factors", g)
-    xf = getattr(x, "factors", x)
+    gf = [np.asarray(gi, dtype=float) for gi in getattr(g, "factors", g)]
+    xf = [np.asarray(xi, dtype=float) for xi in getattr(x, "factors", x)]
+    _check_profile(gf, xf)
     out = []
     for gi, xi in zip(gf, xf):
-        w = t * np.asarray(xi) @ np.linalg.inv(np.asarray(gi))
-        out.append(mexp_dense(w - w.T) @ mexp_dense(w.T) @ np.asarray(gi))
+        w = t * xi @ np.linalg.inv(gi)
+        out.append(mexp_dense(w - w.T) @ mexp_dense(w.T) @ gi)
     return out
 
 

@@ -1,4 +1,4 @@
-"""The psi1 function, the matrix exponential, and low-rank update kernels.
+"""The psi1 function and the low-rank exponential and inverse kernels.
 
 psi1(x) = (e^x - 1)/x extended to matrices by its power series.  On arguments
 of Frobenius norm at most 1/2 a degree (6,6) Pade quotient is accurate to
@@ -20,16 +20,16 @@ error state, so an entry past the double range raises a ValueError naming
 z instead of leaking an overflow warning and an inf.  The psi1 quotient is
 evaluated directly at level z-1 by scaling its coefficients, which is valid
 because the scaling exponent guarantees norm <= 1/4 at level z, hence
-<= 1/2 at level z-1.  ``psi1_pade`` and ``mexp_small`` read the same table
-and contraction.
+<= 1/2 at level z-1.  An argument of norm at most 1/2 takes z = 0: the
+table and the psi1 rows alone, one solve and no chain.
 
 ``psi1`` enters through one reduction, ``max_norm``: an einsum of the
 squared entries per matrix and its maximum.  It is finite exactly when every
 entry is finite and no sum of squares overflows, so the one number serves
 the finiteness check, the default plan and the check that a given plan is
 strong enough; finite entries whose squares overflow raise the plan's error,
-without an overflow warning.  ``psi1_pade`` and ``mexp_small`` enter the
-same way, through ``_entry_norm``.
+without an overflow warning.  The dense exponential of the tests and
+audits is ``oracles.mexp_dense``.
 
 The recorded operation count of a 2-D argument lands exactly on the
 published itemization: a six-multiply power table (five powers plus the
@@ -145,15 +145,6 @@ def _quotients(x, rows):
     return out
 
 
-def psi1_pade(m):
-    """Degree (6,6) Pade quotient of psi1; requires Frobenius norm <= 1/2."""
-    m = np.asarray(m, dtype=float)
-    nrm = _entry_norm(m)
-    if nrm > PADE_NORM_BOUND * (1 + 1e-12):
-        raise ValueError(f"norm {nrm} exceeds the Pade bound 1/2")
-    return _quotients(m[None], _PSI1_ROWS)[0, 0]
-
-
 def psi1(m, ledger=None, plan=None):
     """psi1 of a square matrix or a stack of them, to near machine precision.
 
@@ -209,16 +200,6 @@ def psi1(m, ledger=None, plan=None):
     # underflows
     p *= 2.0 ** (1 - z)
     return p.reshape(m.shape)
-
-
-def mexp_small(m):
-    """Matrix exponential by (6,6) Pade with scaling and squaring."""
-    m = np.asarray(m, dtype=float)
-    z = make_scaling_plan(_entry_norm(m)).z
-    e = _quotients((m / 2.0 ** z)[None], _EXP_ROWS)[0, 0]
-    for _ in range(z):
-        e = e @ e
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,41 @@ def test_geodesic_rejects_nonhorizontal(tmp_path):
     assert code == 1
 
 
+def _unit_tangent_files(tmp_path):
+    rng = np.random.default_rng(0)
+    p = cp_random_point(CpShape((50, 50, 50), 4), rng)
+    x = cp_random_horizontal(p, rng)
+    pf, tf = tmp_path / "p.txt", tmp_path / "x.txt"
+    tio.save_point(pf, p)
+    tio.save_tangent(tf, p, x.scale(1.0 / x.norm()))
+    return pf, tf
+
+
+@pytest.mark.parametrize("t, cause", [
+    ("300", "rank-deficient input: no acceptable pivot"),
+    ("1e5", "psi1 overflows its doubling chain at z = 33"),
+], ids=["rank-deficient", "overflow"])
+def test_geodesic_reports_a_failed_step_and_exits_1(tmp_path, capsys, t,
+                                                    cause):
+    pf, tf = _unit_tangent_files(tmp_path)
+    of = tmp_path / "o.txt"
+    code, out = run_cli("geodesic", str(pf), str(tf), "-t", t,
+                        "--out", str(of))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {cause}\n"
+    assert not of.exists()
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-Infinity", "one"])
+def test_geodesic_rejects_a_nonfinite_t_as_usage_error(tmp_path, capsys, t):
+    pf, tf = _unit_tangent_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["geodesic", str(pf), str(tf), f"-t={t}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument -t: not a finite number: '{t}'" in err
+
+
 def test_halving_composition_note(tmp_path):
     # composing two half steps differs from one full step unless the velocity
     # is transported; with the same blocks re-lifted at the new base the

@@ -7,7 +7,7 @@ from tensorgeo import (CpShape, cp_geodesic, cp_point_from_factors,
                        cp_random_horizontal, cp_random_point, mode_apply,
                        multilinear_rank)
 from tensorgeo.group import AlgebraElement
-from tensorgeo.oracles import contract_cp, vertical_basis
+from tensorgeo.oracles import contract_cp, mexp_dense, vertical_basis
 
 
 def test_shape_validation():
@@ -255,13 +255,12 @@ def test_geodesic_composition_with_relifted_velocity():
     xa = hq.lift_tangent(p, x)
     # analytic velocity of the dense path at t = 1/2, then translate it onto
     # the reduced representative (they differ by a stabilizer element)
-    from tensorgeo.psi import mexp_small
     vel = []
     gam_half = []
     for gf, xf in zip(g.factors, xa.factors):
         w = xf @ np.linalg.inv(gf)
         skew, sym = w - w.T, w.T
-        e1, e2 = mexp_small(0.5 * skew), mexp_small(0.5 * sym)
+        e1, e2 = mexp_dense(0.5 * skew), mexp_dense(0.5 * sym)
         gam_half.append(e1 @ e2 @ gf)
         vel.append(skew @ e1 @ e2 @ gf + e1 @ sym @ e2 @ gf)
     qd = hq.densify(q)

@@ -7,6 +7,7 @@ keeps the cases it was checked on.
 
 import ast
 import importlib
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -205,4 +206,25 @@ def test_pass_throughs_are_gone():
     for name in DELETED:
         assert not hasattr(tensorgeo, name)
         for module in PUBLIC:
+            assert not hasattr(module, name)
+
+
+# second implementations of a dense operation, each deleted for the one that
+# stays: oracles.dense_geodesic, oracles.mexp_dense, psi1, dump_tensor and
+# load_tensor, and oracles.SERIES_TERMS
+DENSE_DUPLICATES = {"group": ("gl_exp",), "psi": ("mexp_small", "psi1_pade"),
+                    "io": ("dump_matrix", "load_matrix"),
+                    "oracles": ("OracleConfig",)}
+
+
+def test_dense_duplicates_are_gone():
+    modules = [importlib.import_module(f"tensorgeo.{info.name}")
+               for info in pkgutil.iter_modules(tensorgeo.__path__)]
+    assert {m.__name__ for m in modules} >= {
+        f"tensorgeo.{name}" for name in DENSE_DUPLICATES}
+    names = [name for group in DENSE_DUPLICATES.values() for name in group]
+    assert len(names) == 6
+    for name in names:
+        assert not hasattr(tensorgeo, name)
+        for module in modules:
             assert not hasattr(module, name)

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from tensorgeo.oracles import (OracleConfig, contract_cp, contract_tt,
-                               contract_tucker, dense_geodesic, mexp_dense,
-                               psi1_series, series_tail_bound)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(series_terms=5)
+from tensorgeo.oracles import (contract_cp, contract_tt, contract_tucker,
+                               dense_geodesic, mexp_dense, psi1_series,
+                               series_tail_bound)
 
 
 def test_series_basics():
@@ -47,6 +42,9 @@ def test_dense_geodesic_scalar_and_t0():
     g = [rng.standard_normal((4, 4)) + 2 * np.eye(4)]
     x = [rng.standard_normal((4, 4))]
     assert np.abs(dense_geodesic(g, x, 0.0)[0] - g[0]).max() < 1e-15
+    # every mode is stepped, or none
+    with pytest.raises(ValueError, match="dimension profiles do not match"):
+        dense_geodesic(g + g, x, 0.7)
 
 
 def test_contract_cp_outer_product():

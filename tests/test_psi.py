@@ -9,8 +9,7 @@ from tensorgeo import psi
 from tensorgeo.flops import FlopLedger, psi1_count
 from tensorgeo.oracles import mexp_dense, psi1_series
 from tensorgeo.psi import (LowRankPair, ScalingPlan, inv_lowrank_update,
-                           make_scaling_plan, mexp_lowrank, mexp_small, psi1,
-                           psi1_pade)
+                           make_scaling_plan, mexp_lowrank, psi1)
 
 
 def _random_with_norm(rng, k, nrm):
@@ -19,21 +18,22 @@ def _random_with_norm(rng, k, nrm):
 
 
 # ---------------------------------------------------------------------------
-# Pade quotient
+# Pade quotient: psi1 at norm <= 1/2, where its plan has z = 0
 
 def test_pade_at_zero_is_identity():
-    assert np.array_equal(psi1_pade(np.zeros((3, 3))), np.eye(3))
+    assert np.array_equal(psi1(np.zeros((3, 3))), np.eye(3))
 
 
 def test_pade_scalar_half():
     # (e^0.5 - 1)/0.5, frozen from a 50-digit series evaluation
-    got = psi1_pade(np.array([[0.5]]))[0, 0]
+    got = psi1(np.array([[0.5]]))[0, 0]
     assert got == pytest.approx(1.2974425414002564, abs=1e-15)
 
 
 def test_pade_norm_precondition():
-    with pytest.raises(ValueError):
-        psi1_pade(np.eye(3))
+    # the unscaled quotient is not evaluated past the Pade bound
+    with pytest.raises(ValueError, match="^scaling plan too weak"):
+        psi1(np.eye(3), None, ScalingPlan(0, 0.5))
 
 
 def test_pade_vs_series_sample():
@@ -42,7 +42,7 @@ def test_pade_vs_series_sample():
     for k in (1, 2, 5, 8):
         for _ in range(100):
             m = _random_with_norm(rng, k, rng.uniform(0.0, 0.5))
-            dev = np.linalg.norm(psi1_pade(m).astype(np.longdouble)
+            dev = np.linalg.norm(psi1(m).astype(np.longdouble)
                                  - psi1_series(m))
             worst = max(worst, float(dev))
     assert worst <= 1e-15
@@ -77,12 +77,6 @@ def test_plan_invariants():
 # ---------------------------------------------------------------------------
 # psi1 with scaling and squaring
 
-def test_psi1_small_norm_equals_pade():
-    rng = np.random.default_rng(2)
-    m = _random_with_norm(rng, 4, 0.4)
-    assert np.array_equal(psi1(m), psi1_pade(m))
-
-
 def test_psi1_scalar_two():
     # (e^2 - 1)/2, frozen from a 50-digit series evaluation
     assert psi1(np.array([[2.0]]))[0, 0] == pytest.approx(3.194528049465325,
@@ -109,7 +103,7 @@ def test_psi1_defining_identity():
     rng = np.random.default_rng(4)
     for nrm in (0.2, 1.0, 7.0, 20.0):
         m = _random_with_norm(rng, 5, nrm)
-        e = mexp_small(m)
+        e = mexp_dense(m)
         res = np.linalg.norm(m @ psi1(m) - (e - np.eye(5)))
         assert res <= 1e-12 * (1.0 + np.linalg.norm(e))
 
@@ -260,21 +254,6 @@ def test_psi1_finite_entries_whose_squares_overflow(m):
             == "scaling plan too weak for this argument"
 
 
-def test_pade_and_mexp_small_errors_raise_no_overflow_warning():
-    # finite entries whose squares overflow keep their texts; NaN is still
-    # "non-finite input"
-    big = np.full((2, 2), 1e200)
-    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert _message(lambda: psi1_pade(big)) \
-            == "norm inf exceeds the Pade bound 1/2"
-        assert _message(lambda: mexp_small(big)) \
-            == "norm must be finite and nonnegative"
-        assert _message(lambda: psi1_pade(nan)) == "non-finite input"
-        assert _message(lambda: mexp_small(nan)) == "non-finite input"
-
-
 def test_psi1_stack_errors_match_the_single_matrix_ones():
     rng = np.random.default_rng(21)
     x = _random_with_norm(rng, 3, 3.0)
@@ -291,23 +270,6 @@ def test_psi1_stack_errors_match_the_single_matrix_ones():
         == _message(lambda: psi1(x, None, ScalingPlan(1, 1.0)))
     with pytest.raises(ValueError):
         psi1(stack, FlopLedger())
-
-
-# ---------------------------------------------------------------------------
-# dense exponential
-
-def test_mexp_small_basics():
-    assert np.array_equal(mexp_small(np.zeros((2, 2))), np.eye(2))
-    assert mexp_small(np.array([[1.0]]))[0, 0] == pytest.approx(
-        2.718281828459045, abs=1e-15)
-
-
-def test_mexp_small_group_inverse():
-    rng = np.random.default_rng(6)
-    m = rng.standard_normal((8, 8))
-    prod = mexp_small(m) @ mexp_small(-m)
-    assert np.linalg.norm(prod - np.eye(8)) <= 1e-13 * np.linalg.norm(
-        mexp_small(m)) * np.linalg.norm(mexp_small(-m))
 
 
 # ---------------------------------------------------------------------------
