@@ -315,7 +315,7 @@ def cmd_geodesic(args, out):
 
 
 def _finite_float(text):
-    """argparse type of ``-t``: a finite float, else a usage error."""
+    """argparse type of ``-t`` and ``--tol``: a finite float, or exit 2."""
     try:
         value = float(text)
     except ValueError:
@@ -376,7 +376,10 @@ def build_parser():
     p.add_argument("point")
     p.add_argument("tangent")
     p.add_argument("-t", type=_finite_float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_float, default=1e-8, help=(
+        "refuse a tangent whose residual max_a |<w, v_a>| / (||v_a P|| "
+        "(1 + ||w||)), P the projector onto span(G1), exceeds TOL; the "
+        "point file's perm: lines do not change it"))
     p.add_argument("--out", dest="out_file", default=None)
 
     return ap

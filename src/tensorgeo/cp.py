@@ -144,5 +144,5 @@ def cp_random_point(shape, rng):
                                   for n in shape.dims])
 
 
-def cp_random_horizontal(p, rng, scale=1.0):
-    return hq.random_horizontal(p, rng, scale)
+def cp_random_horizontal(p, rng):
+    return hq.random_horizontal(p, rng)

@@ -36,20 +36,24 @@ k rows of g^-1 and R G1 = I, and the projection depends on Z1 alone:
 
 A block tangent is its leading columns X1, and its lift w = X1 M^-1 G1^T
 vanishes on the orthogonal complement of span(G1), so the free-sector
-conditions hold by construction.  Its residual pairs w with the coupled
-directions, using the projection's terms with Z1 = X1:
+conditions hold by construction.  Its residual is the projection's own
+system at Z1 = X1: w = wP, P = G1 M^-1 G1^T the projector onto span(G1), so
+<w, v_a> = <w, v_a P> = rhs_a and ||v_a P|| = sqrt(gram_aa):
 
-    ||w||^2 = sum_i <X1^T X1, M^-1>,
-    <w, v_a> = sum_i <G1^T X1 M^-1, y_a>,
-    ||v_a||^2 = sum_i <y_a, M y_a g11^-1 g11^-T>.
+    residual = max_a |rhs_a| / (sqrt(gram_aa) (1 + ||w||)),
+    ||w||^2 = sum_i <X1^T X1, M^-1>.
 
-Each is one pass over the n-row blocks or a k x k product, so a projection
-or a residual costs O(nk^2 + mk^3 + m^3) (m = (d-1)r for CP, the sum of the
-squared trailing ranks for Tucker and of the squared ranks for TT).  The
-dense O(n^3) forms are kept in ``oracles`` as the references the tests
-compare against.  The one n^2 left is ``random_horizontal``'s Gaussian
-draw: it still draws n x n factors and reads their leading k columns, so
-every seeded tangent stays what it was.
+v_a P = G1 y_a M^-1 G1^T reads neither g11 nor the permutation, so every
+representative of a coset, re-pivoted or not, gives the same residual; and
+as ||v_a P|| <= ||v_a||, it is never below the residual normalized by the
+unprojected directions.  Each term is one pass over the n-row blocks or a
+k x k product, so a projection or a residual costs O(nk^2 + mk^3 + m^3)
+(m = (d-1)r for CP, the sum of the squared trailing ranks for Tucker and of
+the squared ranks for TT).  The dense O(n^3) forms are kept in ``oracles``
+as the references the tests compare against.  The projection reads the
+leading k columns of each factor, so n x k columns are enough; only
+``random_horizontal`` still draws n x n Gaussian factors, so every seeded
+tangent stays what it was.
 """
 
 from dataclasses import dataclass
@@ -221,42 +225,30 @@ def _coupled_stacks(shape):
     return tuple(stacks)
 
 
-def _pair_basis(ys, mats):
-    """Vector sum_i <y_a, N_i> over the modes, one entry per basis element."""
-    return sum(y.reshape(len(y), -1) @ n.ravel() for y, n in zip(ys, mats))
+def _coupled_system(ys, g1s, z1s):
+    """Gram system of the coupled sector for the leading columns Z1, and M^-1.
 
-
-def _coupled_gram(ys, lefts, rights):
-    """m x m matrix sum_i <y_a, L_i y_b R_i> over the modes."""
-    return sum(y.reshape(len(y), -1) @ (l @ y @ r).reshape(len(y), -1).T
-               for y, l, r in zip(ys, lefts, rights))
-
-
-def _mode_terms(g1s, z1s):
-    """Per mode M = G1^T G1, M^-1 and G1^T Z1 M^-1, as three lists."""
+    gram_ab = sum_i <y_a, M y_b M^-1> pairs the directions v_a P, P the
+    projector onto span(G1), and rhs_a = sum_i <G1^T Z1 M^-1, y_a> pairs
+    them with the free-sector projection of w = Z g^-1.  Returns gram, rhs
+    and the per-mode M^-1 = (G1^T G1)^-1.
+    """
     ms = [g1.T @ g1 for g1 in g1s]
     m_invs = [np.linalg.inv(m) for m in ms]
-    pairs = [g1.T @ z1 @ mi for g1, z1, mi in zip(g1s, z1s, m_invs)]
-    return ms, m_invs, pairs
-
-
-def _coupled_system(ys, g1s, z1s):
-    """Gram system of the coupled sector for the leading columns Z1.
-
-    gram_ab = sum_i <y_a, M y_b M^-1> pairs the directions v_a after the
-    free sector is projected out of them, and rhs_a = sum_i <G1^T Z1 M^-1,
-    y_a> pairs them with the free-sector projection of w = Z g^-1.
-    """
-    ms, m_invs, pairs = _mode_terms(g1s, z1s)
-    return _coupled_gram(ys, ms, m_invs), _pair_basis(ys, pairs)
+    gram = sum(y.reshape(len(y), -1) @ (m @ y @ mi).reshape(len(y), -1).T
+               for y, m, mi in zip(ys, ms, m_invs))
+    rhs = sum(y.reshape(len(y), -1) @ (g1.T @ z1 @ mi).ravel()
+              for y, g1, z1, mi in zip(ys, g1s, z1s, m_invs))
+    return gram, rhs, m_invs
 
 
 def project_horizontal(point, z):
     """Orthogonal projection of an ambient tangent onto the horizontal space.
 
-    Returns a block tangent.  Only the leading k columns Z1 of each n x n
-    factor are read: since g^-1 G1 = [I; 0], the free vertical sector drops
-    out exactly and the projection's leading columns are
+    Returns a block tangent.  Each factor has the mode's n rows and at least
+    k columns, and only its leading k columns Z1 are read, so n x k columns
+    are enough: since g^-1 G1 = [I; 0], the free vertical sector drops out
+    exactly and the projection's leading columns are
     X1 = Z1 - G1 sum_a c_a y_a, with c the solution of the coupled m x m Gram
     system; O(nk^2 + mk^3 + m^3) in all.  Raises if the Gram system is ill
     conditioned, which signals a near-degenerate representative.
@@ -266,13 +258,13 @@ def project_horizontal(point, z):
     z1s = []
     for mb, f in zip(point.modes, factors):
         f = np.asarray(f, dtype=float)
-        if f.shape != (mb.n, mb.n):
+        if f.ndim != 2 or f.shape[0] != mb.n or f.shape[1] < mb.k:
             raise ValueError(f"tangent factor of shape {f.shape} at a mode "
-                             f"of size {mb.n}")
+                             f"of {mb.n} rows and {mb.k} leading columns")
         z1s.append(f[:, :mb.k][mb.perm])
     ys = _coupled_stacks(point.shape)
     g1s = [mb.g1 for mb in point.modes]
-    gram, rhs = _coupled_system(ys, g1s, z1s)
+    gram, rhs, _ = _coupled_system(ys, g1s, z1s)
     if np.linalg.cond(gram) > GRAM_COND_LIMIT:
         raise ValueError("ill-conditioned Gram system: representative is "
                          "numerically degenerate")
@@ -286,65 +278,29 @@ def project_horizontal(point, z):
 def horizontality_residual(point, tangent):
     """Normalized residual of the horizontal conditions for a block tangent.
 
-    The largest |<w, v_a>| / (||v_a|| (1 + ||w||)) over the coupled vertical
-    directions v_a, with w = X1 M^-1 G1^T the lifted tangent; the
-    free-sector conditions hold structurally for block tangents.  The
-    pairings are the projection's right-hand side for Z1 = X1, so every
-    term is a k x k product or one pass over the n-row blocks.
+    The largest |<w, v_a>| / (||v_a P|| (1 + ||w||)) over the coupled
+    vertical directions v_a, w = X1 M^-1 G1^T the lifted tangent and P the
+    projector onto span(G1), read from the projection's Gram system at
+    Z1 = X1; the free-sector conditions hold structurally.  Every
+    representative of the coset gives the same value, and it is never below
+    the one normalized by the unprojected ||v_a||.
     """
     _check_mode_count(point, tangent.modes)
-    ys = _coupled_stacks(point.shape)
-    g1s = [mb.g1 for mb in point.modes]
     x1s = [tb.x1 for tb in tangent.modes]
-    ms, m_invs, pairs = _mode_terms(g1s, x1s)
-    w2 = sum(float(np.sum((x1.T @ x1) * mi)) for x1, mi in zip(x1s, m_invs))
-    g11_invs = [np.linalg.inv(mb.g11) for mb in point.modes]
-    norms = np.sqrt(np.diagonal(_coupled_gram(
-        ys, ms, [gi @ gi.T for gi in g11_invs])))
-    ips = _pair_basis(ys, pairs)
-    return float(np.max(np.abs(ips) / (norms * (1.0 + np.sqrt(w2)))))
+    gram, rhs, m_invs = _coupled_system(_coupled_stacks(point.shape),
+                                        [mb.g1 for mb in point.modes], x1s)
+    w_norm = np.sqrt(sum(float(np.sum((x1.T @ x1) * mi))
+                         for x1, mi in zip(x1s, m_invs)))
+    return float(np.max(np.abs(rhs)
+                        / (np.sqrt(np.diagonal(gram)) * (1.0 + w_norm))))
 
 
-def vertical_component_norm(g_factors, shape, v_factors):
-    """Norm of the vertical part of an ambient tangent at ambient factors.
-
-    Used by the horizontality-preservation checks along dense geodesics,
-    where no compact representative is available.  The free-sector part is
-    ||w - wP|| itself, w = v g^-1 and P the projector onto span(G1), not a
-    difference of squares, which would lose half the digits on a nearly
-    horizontal velocity; the coupled part is the shared Gram system on the
-    leading columns v[:, :k].
-    """
-    if not len(g_factors) == len(v_factors) == shape.d:
-        raise ValueError(f"{len(g_factors)} group factors and "
-                         f"{len(v_factors)} velocity factors for a "
-                         f"{shape.d}-mode shape")
-    g_factors = [np.asarray(g, dtype=float) for g in g_factors]
-    v_factors = [np.asarray(v, dtype=float) for v in v_factors]
-    g1s = [g[:, :k] for g, k in zip(g_factors, shape.ks)]
-    vert2 = 0.0
-    for g, g1, v in zip(g_factors, g1s, v_factors):
-        w = v @ np.linalg.inv(g)
-        vert2 += float(np.sum((w - (w @ g1) @ np.linalg.solve(g1.T @ g1, g1.T))
-                              ** 2))
-    gram, rhs = _coupled_system(_coupled_stacks(shape), g1s,
-                                [v[:, :k] for v, k in zip(v_factors, shape.ks)])
-    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    # squared norm of the coupled-sector component
-    vert2 += float(coef @ gram @ coef)
-    return float(np.sqrt(vert2))
-
-
-def random_horizontal(point, rng, scale=1.0):
-    """Random horizontal tangent: project a Gaussian ambient tangent.
-
-    Draws the full n x n Gaussian factors, in mode order, so that a seeded
-    generator gives the same tangent as the dense projection did; the
-    projection reads only their leading k columns.
-    """
-    t = project_horizontal(point, [rng.standard_normal((n, n))
-                                   for n in point.shape.dims])
-    return t.scale(scale) if scale != 1.0 else t
+def random_horizontal(point, rng):
+    """Random horizontal tangent: the projection of Gaussian n x n factors,
+    drawn in mode order, so a seeded generator gives the same tangent as the
+    dense projection did."""
+    return project_horizontal(point, [rng.standard_normal((n, n))
+                                      for n in point.shape.dims])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Independent reference implementations for tests and audits.
 
 Nothing here shares code with the production kernels beyond the dense
-primitives, the block containers and a block tangent's dense lift
+primitives, the block containers, a block tangent's dense lift
 ``homogeneous.lift_tangent``, which reads the coupling block
-``group.gamma12``.
+``group.gamma12``, and the coupled Gram system that
+``vertical_component_norm`` solves on dense factors.
 The series evaluation runs in extended precision (the platform long
 double; 80-bit on x86), the dense exponential ``mexp_dense`` comes from
 SciPy, and the tensor contractions are naive index loops.  ``mexp_dense``
@@ -27,7 +28,8 @@ import scipy.linalg
 
 from .dense import DEFAULT_RANK_TOL
 from .group import AlgebraElement, HorizontalBlocks, _check_profile
-from .homogeneous import GRAM_COND_LIMIT, ManifoldTangent, lift_tangent
+from .homogeneous import (GRAM_COND_LIMIT, ManifoldTangent, _coupled_stacks,
+                          _coupled_system, lift_tangent)
 
 # terms of the psi1 series; at Frobenius norm <= 4 the dropped tail is far
 # below the extended-precision round-off floor (``series_tail_bound``)
@@ -208,6 +210,20 @@ def _coupled_w_basis(shape, g_factors, g_invs):
     return basis
 
 
+def _dense_layer(point):
+    """Per mode g, g^-1 and the n x n projector P onto span(G1), then the
+    coupled directions v = g Y g^-1 and their projections v P."""
+    g_factors = [mb.densify() for mb in point.modes]
+    g_invs = [np.linalg.inv(g) for g in g_factors]
+    spans = []
+    for g, k in zip(g_factors, point.shape.ks):
+        g1 = g[:, :k]
+        spans.append(g1 @ np.linalg.solve(g1.T @ g1, g1.T))
+    coupled = _coupled_w_basis(point.shape, g_factors, g_invs)
+    vperp = [[v @ p for v, p in zip(elem, spans)] for elem in coupled]
+    return g_factors, g_invs, spans, coupled, vperp
+
+
 def project_horizontal_reference(point, z):
     """Dense orthogonal projection of an ambient tangent, O(n^3) per mode.
 
@@ -216,18 +232,8 @@ def project_horizontal_reference(point, z):
     sector by a Gram solve of the projected n x n directions.
     """
     zf = [np.asarray(f, dtype=float) for f in getattr(z, "factors", z)]
-    g_factors = [mb.densify() for mb in point.modes]
-    g_invs = [np.linalg.inv(g) for g in g_factors]
-    ws = [zi @ gi for zi, gi in zip(zf, g_invs)]
-
-    spans = []
-    for g, k in zip(g_factors, point.shape.ks):
-        g1 = g[:, :k]
-        spans.append(g1 @ np.linalg.solve(g1.T @ g1, g1.T))
-    ws = [w @ p for w, p in zip(ws, spans)]
-
-    coupled = _coupled_w_basis(point.shape, g_factors, g_invs)
-    vperp = [[v @ p for v, p in zip(elem, spans)] for elem in coupled]
+    g_factors, g_invs, spans, _, vperp = _dense_layer(point)
+    ws = [zi @ gi @ p for zi, gi, p in zip(zf, g_invs, spans)]
     m = len(vperp)
     gram = np.empty((m, m))
     rhs = np.empty(m)
@@ -251,20 +257,51 @@ def project_horizontal_reference(point, z):
 def horizontality_residual_reference(point, tangent):
     """Dense horizontality residual of a block tangent, O(n^3) per mode.
 
-    The largest normalized pairing of the lifted w = X g^-1 with an
-    (unprojected) coupled vertical direction, X the densified tangent.
+    The largest normalized pairing of the lifted w = X g^-1 with a coupled
+    vertical direction v, X the densified tangent, normalized by the
+    projected direction v P, P the n x n projector onto span(G1).
     """
-    g_factors = [mb.densify() for mb in point.modes]
-    g_invs = [np.linalg.inv(g) for g in g_factors]
+    _, g_invs, _, coupled, vperp = _dense_layer(point)
     ws = [xi @ gi for xi, gi in zip(lift_tangent(point, tangent).factors,
                                     g_invs)]
     res = 0.0
     scale = 1.0 + float(np.sqrt(sum(np.sum(w * w) for w in ws)))
-    for elem in _coupled_w_basis(point.shape, g_factors, g_invs):
-        nrm = np.sqrt(sum(np.sum(v * v) for v in elem))
+    for elem, elem_perp in zip(coupled, vperp):
+        nrm = np.sqrt(sum(np.sum(v * v) for v in elem_perp))
         ip = sum(np.sum(w * v) for w, v in zip(ws, elem))
         res = max(res, abs(ip) / (nrm * scale))
     return res
+
+
+def vertical_component_norm(g_factors, shape, v_factors):
+    """Norm of the vertical part of an ambient tangent at ambient factors.
+
+    Used by the horizontality-preservation checks along dense geodesics,
+    where no compact representative is available.  The free-sector part is
+    ||w - wP|| itself, w = v g^-1 and P the projector onto span(G1), not a
+    difference of squares, which would lose half the digits on a nearly
+    horizontal velocity; the coupled part is the projection's Gram system
+    on the leading columns v[:, :k].
+    """
+    if not len(g_factors) == len(v_factors) == shape.d:
+        raise ValueError(f"{len(g_factors)} group factors and "
+                         f"{len(v_factors)} velocity factors for a "
+                         f"{shape.d}-mode shape")
+    g_factors = [np.asarray(g, dtype=float) for g in g_factors]
+    v_factors = [np.asarray(v, dtype=float) for v in v_factors]
+    g1s = [g[:, :k] for g, k in zip(g_factors, shape.ks)]
+    vert2 = 0.0
+    for g, g1, v in zip(g_factors, g1s, v_factors):
+        w = v @ np.linalg.inv(g)
+        vert2 += float(np.sum((w - (w @ g1) @ np.linalg.solve(g1.T @ g1, g1.T))
+                              ** 2))
+    gram, rhs, _ = _coupled_system(
+        _coupled_stacks(shape), g1s,
+        [v[:, :k] for v, k in zip(v_factors, shape.ks)])
+    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    # squared norm of the coupled-sector component
+    vert2 += float(coef @ gram @ coef)
+    return float(np.sqrt(vert2))
 
 
 def vertical_basis(point):

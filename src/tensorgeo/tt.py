@@ -207,5 +207,5 @@ def tt_random_point(shape, rng):
     return tt_point_from_cores(tt_random_cores(shape, rng))
 
 
-def tt_random_horizontal(p, rng, scale=1.0):
-    return hq.random_horizontal(p, rng, scale)
+def tt_random_horizontal(p, rng):
+    return hq.random_horizontal(p, rng)

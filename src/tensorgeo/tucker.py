@@ -220,5 +220,5 @@ def tucker_random_point(shape, rng):
     return tucker_point_from_decomposition(core, factors)
 
 
-def tucker_random_horizontal(p, rng, scale=1.0):
-    return hq.random_horizontal(p, rng, scale)
+def tucker_random_horizontal(p, rng):
+    return hq.random_horizontal(p, rng)

@@ -210,3 +210,16 @@ def test_out_file_writing(tmp_path):
     code = main(["verify", "psi", "--seed", "2", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["passed"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-Infinity", "one"])
+def test_geodesic_rejects_a_nonfinite_tol_as_usage_error(tmp_path, capsys,
+                                                         tol):
+    # a NaN tolerance compares false against every residual, which would
+    # turn the horizontality gate off
+    pf, tf = _unit_tangent_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["geodesic", str(pf), str(tf), f"--tol={tol}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: not a finite number: '{tol}'" in err

@@ -247,7 +247,7 @@ def test_geodesic_composition_with_relifted_velocity():
     rng = np.random.default_rng(13)
     shape = CpShape((6, 5, 4), 2)
     p = cp_random_point(shape, rng)
-    x = cp_random_horizontal(p, rng, scale=0.6)
+    x = cp_random_horizontal(p, rng).scale(0.6)
     full = hq.embed(cp_geodesic(p, x, 1.0))
 
     q = cp_geodesic(p, x, 0.5)

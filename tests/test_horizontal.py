@@ -4,13 +4,14 @@ import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 import tensorgeo.homogeneous as hq
 from conftest import MANIFOLDS, manifold_shapes
 from tensorgeo import (AlgebraElement, CpShape, cp_random_horizontal,
                        cp_random_point)
-from tensorgeo.group import HorizontalBlocks
+from tensorgeo.group import HorizontalBlocks, ModeBlocks
 from tensorgeo.oracles import (horizontality_residual_reference,
                                project_horizontal_reference)
 
@@ -87,6 +88,62 @@ def test_residual_forms_no_n_by_n_matrix():
     finally:
         tracemalloc.stop()
     assert res <= 1e-9
+    assert peak < 8e6
+
+
+def _reframed(p, x):
+    """The same ambient columns and tangent rows on another row order, whose
+    leading k rows differ from the point's selected ones."""
+    modes, tangent_modes = [], []
+    for mb, tb in zip(p.modes, x.modes):
+        k = mb.k
+        perm = np.roll(mb.perm, -k)
+        g1 = mb.leading_columns()[perm]
+        ambient = np.empty_like(tb.x1)
+        ambient[mb.perm] = tb.x1
+        modes.append(ModeBlocks(perm, g1[:k], g1[k:]))
+        tangent_modes.append(HorizontalBlocks(ambient[perm]))
+    return hq.Point(p.shape, modes), hq.ManifoldTangent(tangent_modes)
+
+
+def test_residual_does_not_depend_on_the_frame(manifold):
+    cfg = MANIFOLDS[manifold]
+    rng = np.random.default_rng(3)
+    p = cfg["point"](cfg["shape"](), rng)
+    x = hq.ManifoldTangent(
+        HorizontalBlocks(tb.x1 + 0.05 * rng.standard_normal(tb.x1.shape))
+        for tb in cfg["tangent"](p, rng).modes)
+    q, y = _reframed(p, x)
+    assert any(not np.array_equal(a.g11, b.g11)
+               for a, b in zip(p.modes, q.modes))
+    assert np.array_equal(hq.embed(q), hq.embed(p))
+    res = hq.horizontality_residual(p, x)
+    assert res > 1e-3
+    assert abs(hq.horizontality_residual(q, y) - res) <= 1e-12 * res
+
+
+def test_projection_takes_n_by_k_columns():
+    rng = np.random.default_rng(0)
+    p = cp_random_point(CpShape((6, 5, 4), 2), rng)
+    z = [rng.standard_normal((n, n)) for n in p.shape.dims]
+    full = hq.project_horizontal(p, z)
+    lead = hq.project_horizontal(p, [f[:, :2].copy() for f in z])
+    for a, b in zip(full.modes, lead.modes):
+        assert np.array_equal(a.x1, b.x1)
+    with pytest.raises(ValueError, match=r"tangent factor of shape \(6, 1\) "
+                                         "at a mode of 6 rows and 2 leading"):
+        hq.project_horizontal(p, [z[0][:, :1]] + z[1:])
+    # one 20000 x 20000 float64 factor alone would be 3.2 GB
+    p = cp_random_point(CpShape((20000, 30, 30), 3), rng)
+    z = [rng.standard_normal((n, 3)) for n in p.shape.dims]
+    hq.project_horizontal(p, z)       # builds the cached coupled basis
+    tracemalloc.start()
+    try:
+        x = hq.project_horizontal(p, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hq.horizontality_residual(p, x) <= 1e-9
     assert peak < 8e6
 
 

@@ -228,3 +228,25 @@ def test_dense_duplicates_are_gone():
         assert not hasattr(tensorgeo, name)
         for module in modules:
             assert not hasattr(module, name)
+
+
+PRODUCTION = ("group", "homogeneous", "psi", "dense", "io", "cp", "tucker",
+              "tt")
+
+
+def test_production_modules_do_not_import_oracles():
+    # the O(n^3) references serve tests and audits only; a function-level
+    # import counts too
+    for name in PRODUCTION:
+        module = importlib.import_module(f"tensorgeo.{name}")
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any("oracles" in n.split(".") for n in names), name
+    assert not hasattr(hq, "vertical_component_norm")

@@ -9,6 +9,7 @@ from tensorgeo import (CpPoint, CpShape, CpTangent, TtPoint, TtShape,
                        TtTangent, TuckerPoint, TuckerShape, TuckerTangent, cp,
                        cp_random_horizontal, cp_random_point, tt, tucker)
 from tensorgeo.group import HorizontalBlocks
+from tensorgeo.oracles import vertical_component_norm
 
 
 def test_manifold_names_bind_the_one_point_and_tangent_type():
@@ -100,21 +101,21 @@ def _vertical_norm_args(seed=0):
 
 def test_vertical_component_norm_of_a_horizontal_tangent_is_zero():
     g, shape, v = _vertical_norm_args()
-    assert hq.vertical_component_norm(g, shape, v) < 1e-12
+    assert vertical_component_norm(g, shape, v) < 1e-12
 
 
 def test_vertical_component_norm_rejects_fewer_velocity_factors():
     g, shape, v = _vertical_norm_args()
     with pytest.raises(ValueError, match="^3 group factors and 2 velocity "
                                          "factors for a 3-mode shape$"):
-        hq.vertical_component_norm(g, shape, v[:2])
+        vertical_component_norm(g, shape, v[:2])
 
 
 def test_vertical_component_norm_rejects_fewer_group_factors():
     g, shape, v = _vertical_norm_args()
     with pytest.raises(ValueError, match="^2 group factors and 3 velocity "
                                          "factors"):
-        hq.vertical_component_norm(g[:2], shape, v)
+        vertical_component_norm(g[:2], shape, v)
 
 
 def test_vertical_component_norm_rejects_factors_for_fewer_modes():
@@ -122,7 +123,7 @@ def test_vertical_component_norm_rejects_factors_for_fewer_modes():
     g, shape, v = _vertical_norm_args()
     with pytest.raises(ValueError, match="^2 group factors and 2 velocity "
                                          "factors for a 3-mode shape$"):
-        hq.vertical_component_norm(g[:2], shape, v[:2])
+        vertical_component_norm(g[:2], shape, v[:2])
 
 
 def test_transport_tangent_rejects_a_mismatched_group_element():

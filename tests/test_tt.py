@@ -154,7 +154,7 @@ def test_rank_preserved_along_geodesics():
     rng = np.random.default_rng(8)
     shape = TtShape((4, 7, 4), (2, 2))
     p = tt_random_point(shape, rng)
-    x = tt_random_horizontal(p, rng, scale=0.5)
+    x = tt_random_horizontal(p, rng).scale(0.5)
     for t in (0.5, 1.0, 5.0):
         q = tt_geodesic(p, x, t)
         assert tt_rank(hq.embed(q)) == shape.ranks
