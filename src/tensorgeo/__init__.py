@@ -7,8 +7,9 @@ cost O(n k^2) per mode through low-rank psi1 kernels.  The psi1 kernels and
 the paper's itemized update, which the flop audit runs as its reference,
 report into an exact rational flop ledger.
 
-The three manifolds share one point type, one tangent type and every
-geometric operation (``embed``, ``geodesic``, ``project_horizontal``,
+The three manifolds share one point type, one tangent type (one n x k
+array of leading columns per mode) and every geometric operation
+(``embed``, ``geodesic``, ``project_horizontal``,
 ``horizontality_residual``, ``random_horizontal``, ``reductive_check``);
 ``cp``, ``tucker`` and ``tt`` hold only their shapes, their ways of making
 points and their membership tests.
@@ -17,10 +18,9 @@ points and their membership tests.
 from .dense import (mode_apply, multilinear_rank, select_submatrix, tt_rank,
                     unfold, refold)
 from .flops import FlopLedger, geodesic_formula
-from .group import (AlgebraElement, GroupElement, HorizontalBlocks,
-                    ModeBlocks, adjoint, euclidean_inner, gamma12,
-                    lowrank_geodesic_step, reduce_columns,
-                    right_invariant_inner)
+from .group import (AlgebraElement, GroupElement, ModeBlocks, adjoint,
+                    euclidean_inner, gamma12, lowrank_geodesic_step,
+                    reduce_columns, right_invariant_inner)
 from .psi import (LowRankPair, LowRankUpdate, ScalingPlan, inv_lowrank_update,
                   make_scaling_plan, mexp_lowrank, psi1)
 from .homogeneous import (ManifoldTangent, Point, embed, geodesic,

@@ -18,9 +18,8 @@ import numpy as np
 from . import homogeneous as hq
 from .cp import cp_random_point
 from .flops import FlopLedger, geodesic_formula, mode_step_items
-from .group import (HorizontalBlocks, ModeBlocks, itemized_step,
-                    lowrank_geodesic_step, mode_velocity_norms,
-                    reduce_columns)
+from .group import (ModeBlocks, itemized_step, lowrank_geodesic_step,
+                    mode_velocity_norms, reduce_columns)
 from .tt import tt_random_point
 from .tucker import tucker_random_point
 
@@ -61,15 +60,15 @@ def pin_mode_exponents(point, tangent, z_targets):
     base point is immaterial to the audit.
     """
     new_blocks = []
-    new_tb = []
-    for mb, tb, z in zip(point.modes, tangent.modes, z_targets):
+    new_x1s = []
+    for mb, x1, z in zip(point.modes, tangent.modes, z_targets):
         if z < 2:
             raise ValueError("target exponents must be >= 2")
         target = 3.0 * 2.0 ** (z - 4)
-        floor = mode_velocity_norms(mb, tb.scale(0.0))[1]
+        floor = mode_velocity_norms(mb, 0.0 * x1)[1]
         lam = max(1.0, np.sqrt(floor / (0.45 * target)))
         mb = ModeBlocks(mb.perm, lam * mb.g11, lam * mb.g21)
-        top = lambda s: max(mode_velocity_norms(mb, tb.scale(s)))
+        top = lambda s: max(mode_velocity_norms(mb, s * x1))
         lo, hi = 0.0, 1.0
         while top(hi) < target:
             hi *= 2.0
@@ -80,8 +79,8 @@ def pin_mode_exponents(point, tangent, z_targets):
             else:
                 hi = mid
         new_blocks.append(mb)
-        new_tb.append(tb.scale(hi))
-    return hq.Point(point.shape, new_blocks), hq.ManifoldTangent(new_tb)
+        new_x1s.append(hi * x1)
+    return hq.Point(point.shape, new_blocks), hq.ManifoldTangent(new_x1s)
 
 
 def itemized_geodesic(point, tangent, t, ledger):
@@ -91,10 +90,10 @@ def itemized_geodesic(point, tangent, t, ledger):
     rounding, and the same per-mode z.  Returns (the ambient n x k leading
     columns of each mode, the per-mode exponents).
     """
-    hq._check_mode_count(point, tangent.modes)
+    hq.check_tangent(point, tangent)
     cols, zs = [], []
-    for i, (mb, tb) in enumerate(zip(point.modes, tangent.modes)):
-        g1, z = itemized_step(mb, tb, t, ledger, f"mode{i}.")
+    for i, (mb, x1) in enumerate(zip(point.modes, tangent.modes)):
+        g1, z = itemized_step(mb, x1, t, ledger, f"mode{i}.")
         c = np.empty_like(g1)
         c[mb.perm] = g1
         cols.append(c)
@@ -168,8 +167,12 @@ class BenchRecord:
     r: int
     z: int
     flops_model: Fraction
-    time_median_s: float
+    times: tuple        # wall seconds of each round, in round order
     seed: int
+
+    @property
+    def time_median_s(self):
+        return float(np.median(self.times))
 
     def csv_row(self):
         return (f"{self.manifold},{self.n},{self.r},{self.z},"
@@ -177,14 +180,13 @@ class BenchRecord:
 
 
 def _single_mode_instance(n, k, rng):
-    """Blocks and tangent for one mode of size n with k leading columns."""
+    """Blocks and column-major tangent columns of one n-row, k-column mode."""
     blocks = reduce_columns(hq.random_columns(n, k, rng))
-    tb = HorizontalBlocks(rng.standard_normal((n, k)))
-    return blocks, tb
+    return blocks, np.asfortranarray(rng.standard_normal((n, k)))
 
 
-def _median_times(calls, trials):
-    """Median wall time of each zero-argument call, after one warm-up each.
+def _round_times(calls, trials):
+    """Per-round wall times of each zero-argument call, after a warm-up.
 
     Every round times each call once, so a drift in the host's speed lands
     on all of them alike instead of on whichever call ran last.
@@ -197,26 +199,26 @@ def _median_times(calls, trials):
             t0 = time.perf_counter()
             call()
             ts.append(time.perf_counter() - t0)
-    return [float(np.median(ts)) for ts in times]
+    return [tuple(ts) for ts in times]
 
 
 def time_lowrank_modes(ns, r, trials=5, seed=0):
-    """Median wall time of one per-mode low-rank update at each size in ns.
+    """Wall times of one per-mode low-rank update at each size in ns.
 
     The trials of the sizes are interleaved; one record per size.
     """
     from .flops import mode_step_total
     cases = [_single_mode_instance(n, r, np.random.default_rng(seed))
              for n in ns]
-    zs = [lowrank_geodesic_step(blocks, tb, 1.0)[1] for blocks, tb in cases]
-    medians = _median_times(
+    zs = [lowrank_geodesic_step(blocks, x1, 1.0)[1] for blocks, x1 in cases]
+    times = _round_times(
         [lambda c=c: lowrank_geodesic_step(*c, 1.0) for c in cases], trials)
     return [BenchRecord("mode", n, r, z, mode_step_total(n, r, max(1, z)),
-                        med, seed) for n, z, med in zip(ns, zs, medians)]
+                        ts, seed) for n, z, ts in zip(ns, zs, times)]
 
 
 def time_dense_modes(ns, r, trials=5, seed=0):
-    """Median wall time of the dense per-mode geodesic at each size in ns.
+    """Wall times of the dense per-mode geodesic at each size in ns.
 
     The oracle path; the trials of the sizes are interleaved.
     """
@@ -226,10 +228,10 @@ def time_dense_modes(ns, r, trials=5, seed=0):
         rng = np.random.default_rng(seed)
         g = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
         cases.append(([g], [rng.standard_normal((n, n)) / np.sqrt(n)]))
-    medians = _median_times(
+    times = _round_times(
         [lambda c=c: dense_geodesic(*c, 1.0) for c in cases], trials)
-    return [BenchRecord("dense", n, r, 0, Fraction(0), med, seed)
-            for n, med in zip(ns, medians)]
+    return [BenchRecord("dense", n, r, 0, Fraction(0), ts, seed)
+            for n, ts in zip(ns, times)]
 
 
 def bench_sweep(manifold, r, ns, trials=5, seed=0, oracle_cap=400):
@@ -241,9 +243,9 @@ def bench_sweep(manifold, r, ns, trials=5, seed=0, oracle_cap=400):
     if list(ns) != sorted(ns):
         raise ValueError("sweep sizes must be ascending")
     rows = [BenchRecord(manifold, rec.n, r, rec.z, rec.flops_model,
-                        rec.time_median_s, seed)
+                        rec.times, seed)
             for rec in time_lowrank_modes(ns, r, trials, seed)]
     dense = time_dense_modes([n for n in ns if n <= oracle_cap], r, trials,
                              seed)
     return rows + [BenchRecord(manifold + "_dense", rec.n, r, 0, Fraction(0),
-                               rec.time_median_s, seed) for rec in dense]
+                               rec.times, seed) for rec in dense]

@@ -31,7 +31,8 @@ converge"); a step's keep test below reads the same ``dgesdd``.
 
 Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
-tangent as one n x k array X1 in the same frame.  Both are column-major, as
+tangent as one n x k array X1 in the same frame, which the per-mode
+kernels take bare.  Both are column-major, as
 is the Gram step's n x k output, so Q = [G1, X1] is two contiguous column
 blocks, and the re-pivot's LU reads contiguous columns.  The metric is
 invariant under left multiplication by orthogonal matrices, so a step works
@@ -164,7 +165,7 @@ def adjoint(h, x):
 
 
 # ---------------------------------------------------------------------------
-# compact representatives and block tangents
+# compact representatives
 
 @dataclass(frozen=True, eq=False)
 class ModeBlocks:
@@ -257,43 +258,6 @@ class ModeBlocks:
         full[:, :k] = self.g1
         full[k:, k:] = np.eye(n - k)
         return full[perm_inverse(self.perm)]
-
-
-@dataclass(frozen=True, eq=False)
-class HorizontalBlocks:
-    """Leading columns X1 (n x k) of a horizontal tangent factor.
-
-    X1 is read in the representative's permuted frame, and it fixes the
-    tangent: the lift is w = X1 M^-1 G1^T with M = G1^T G1, which vanishes
-    on the orthogonal complement of span(G1).  The trailing columns follow
-    from the point, so nothing else is stored.  X1 is stored column-major (a
-    row-major input is copied once); ``x11`` and ``x21`` are views of its
-    first k and last n-k rows.
-    """
-    x1: np.ndarray
-
-    def __init__(self, x1):
-        x1 = np.asarray(x1, dtype=float, order="F")
-        if x1.ndim != 2 or x1.shape[0] < x1.shape[1]:
-            raise ValueError("inconsistent tangent blocks")
-        if not np.isfinite(x1).all():
-            raise ValueError("non-finite input")
-        object.__setattr__(self, "x1", x1)
-
-    @property
-    def k(self):
-        return self.x1.shape[1]
-
-    @property
-    def x11(self):
-        return self.x1[:self.k]
-
-    @property
-    def x21(self):
-        return self.x1[self.k:]
-
-    def scale(self, s):
-        return HorizontalBlocks(s * self.x1)
 
 
 def _g11_singular_values(g1):
@@ -400,9 +364,9 @@ def gamma12(blocks, ledger=None):
 # ---------------------------------------------------------------------------
 # the low-rank geodesic update of one mode
 
-def _gram(blocks, tangent):
+def _gram(blocks, x1):
     """Q = [G1, X1] (n x 2k, column-major) and its 2k x 2k Gram H = Q^T Q."""
-    q = np.concatenate((blocks.g1, tangent.x1), axis=1)
+    q = np.concatenate((blocks.g1, x1), axis=1)
     return q, q.T @ q
 
 
@@ -432,8 +396,10 @@ def _velocity_cores(h, t):
     return m_inv, s, cores
 
 
-def lowrank_geodesic_step(blocks, tangent, t=1.0, *, repivot_tol=REPIVOT_TOL):
+def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     """New representative of the leading k columns of exp_g(tX) for one mode.
+
+    ``x1`` holds the tangent's n x k leading columns in the permuted frame.
 
     Works entirely with n x k and smaller intermediates.  With Q = [G1, X1]
     (n x 2k) and H = Q^T Q, the new leading columns are Q C for a 2k x k
@@ -463,9 +429,9 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, *, repivot_tol=REPIVOT_TOL):
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     k = blocks.k
-    if tangent.x1.shape != blocks.g1.shape:
+    if x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")
-    q, h = _gram(blocks, tangent)
+    q, h = _gram(blocks, x1)
     m_inv, s, cores = _velocity_cores(h, t)
     plan = make_scaling_plan(max(max_norm(cores[1]),
                                  max_norm(cores[0, :k, :k])))
@@ -486,9 +452,9 @@ def lowrank_geodesic_step(blocks, tangent, t=1.0, *, repivot_tol=REPIVOT_TOL):
     return _repivot(blocks.perm, out, repivot_tol), plan.z
 
 
-def mode_velocity_norms(blocks, tangent, t=1.0):
+def mode_velocity_norms(blocks, x1, t=1.0):
     """Frobenius norms of (BA, B'A') for one mode at time t."""
-    cores = _velocity_cores(_gram(blocks, tangent)[1], t)[2]
+    cores = _velocity_cores(_gram(blocks, x1)[1], t)[2]
     k = blocks.k
     return max_norm(cores[0, :k, :k]), max_norm(cores[1])
 
@@ -516,7 +482,7 @@ def _ap_mul(a, b, x):
     return a @ x[:k] - b.T @ x[k:]
 
 
-def itemized_step(blocks, tangent, t, ledger, label=""):
+def itemized_step(blocks, x1, t, ledger, label=""):
     """The paper's update of one mode, each n-row product charged to its label.
 
     The flop audit's reference for ``lowrank_geodesic_step``: the same
@@ -531,7 +497,7 @@ def itemized_step(blocks, tangent, t, ledger, label=""):
     frame, not re-pivoted, and the mode's scaling exponent.  Raises
     ``ValueError("non-finite input")`` when an entry of g1 is not finite.
     """
-    if tangent.x1.shape != blocks.g1.shape:
+    if x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")
     n, k = blocks.n, blocks.k
     with ledger.step(label + "gamma12"):
@@ -539,7 +505,7 @@ def itemized_step(blocks, tangent, t, ledger, label=""):
     with ledger.step(label + "build_B"):
         # B = [(1 - gamma12 g21) g11^-1, gamma12] came whole with gamma12;
         # the charge is the published itemization's cost of its first block
-        a = t * tangent.x1
+        a = t * x1
         ledger.mult(k, n, k)
         ledger.div(k, k, k)
 

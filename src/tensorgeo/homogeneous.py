@@ -7,14 +7,14 @@ reference tensor, an embedding of leading columns, a basis of the coupled
 stabilizer sample.  Everything else lives here, once for all three: the one
 point type ``Point`` (a coset, stored as one ``ModeBlocks`` per mode, checked
 against its shape on construction), the one tangent type
-``ManifoldTangent``, the tag-to-shape function ``make_shape``, the
+``ManifoldTangent`` (one n x k array per mode) and ``check_tangent``, which
+matches it to a point, the tag-to-shape function ``make_shape``, the
 well-conditioned column draw ``random_columns`` behind every random point,
-embeddings, the horizontal projection, geodesics, representative
-transport, the one stabilizer sample type
-``StabilizerSample`` (a shape's ``stabilizer_sample`` forms its leading
-blocks and ``stabilizer_sample`` here draws the free shear and trailing
-blocks), the complement's block-pattern check ``right_blocks_vanish`` and
-the reductivity probes.
+embeddings, the horizontal projection, geodesics, representative transport,
+the one stabilizer sample type ``StabilizerSample`` (a shape's
+``stabilizer_sample`` forms its leading blocks and ``stabilizer_sample``
+here draws the free shear and trailing blocks), the complement's
+block-pattern check ``right_blocks_vanish`` and the reductivity probes.
 
 The stabilizer algebra at the identity splits per mode into a free sector
 (arbitrary blocks in the trailing columns) and a low-dimensional coupled
@@ -63,8 +63,8 @@ import numpy as np
 
 from .dense import perm_inverse
 from .group import (REPIVOT_TOL, AlgebraElement, GroupElement,
-                    HorizontalBlocks, _check_profile, adjoint, gamma12,
-                    lowrank_geodesic_step, reduce_columns)
+                    _check_profile, adjoint, gamma12, lowrank_geodesic_step,
+                    reduce_columns)
 
 GRAM_COND_LIMIT = 1e12
 
@@ -94,18 +94,30 @@ class Point:
 
 @dataclass(frozen=True, eq=False)
 class ManifoldTangent:
-    """Horizontal tangent at a compact representative, one block set per mode."""
+    """Horizontal tangent at a compact representative: per mode, its n x k
+    leading columns X1 in the representative's frame, which fix the lift.
+
+    Each X1 is stored as a column-major float array (other input is copied
+    once); each must be finite and 2-d with no more columns than rows.
+    ``check_tangent`` matches a tangent to its point.
+    """
     modes: tuple
 
     def __init__(self, modes):
-        object.__setattr__(self, "modes", tuple(modes))
+        modes = tuple(np.asarray(x1, dtype=float, order="F") for x1 in modes)
+        for x1 in modes:
+            if x1.ndim != 2 or x1.shape[0] < x1.shape[1]:
+                raise ValueError("inconsistent tangent blocks")
+            if not np.isfinite(x1).all():
+                raise ValueError("non-finite input")
+        object.__setattr__(self, "modes", modes)
 
     def scale(self, s):
-        return ManifoldTangent(m.scale(s) for m in self.modes)
+        return ManifoldTangent(s * x1 for x1 in self.modes)
 
     def norm(self):
         """Frobenius norm of the stacked leading blocks (diagnostic only)."""
-        return float(np.sqrt(sum(np.sum(m.x1 ** 2) for m in self.modes)))
+        return float(np.sqrt(sum(np.sum(x1 ** 2) for x1 in self.modes)))
 
 
 def make_shape(manifold, dims, ranks):
@@ -124,11 +136,39 @@ def make_shape(manifold, dims, ranks):
     raise ValueError(f"unknown manifold '{manifold}'")
 
 
-def _check_mode_count(point, tangent_modes):
-    """Raise unless a tangent has one mode per mode of the point."""
-    if len(tangent_modes) != len(point.modes):
-        raise ValueError(f"the tangent has {len(tangent_modes)} modes, the "
-                         f"point has {len(point.modes)}")
+def _paired_modes(point, modes):
+    """Enumerated (point mode, tangent mode) pairs; raises unless the counts
+    match."""
+    if len(modes) != len(point.modes):
+        raise ValueError(f"the tangent has {len(modes)} modes, the point has "
+                         f"{len(point.modes)}")
+    return enumerate(zip(point.modes, modes))
+
+
+def check_tangent(point, tangent):
+    """Raise ``ValueError`` unless the tangent has one n x k block per mode
+    of the point, naming the first mode whose block does not match."""
+    for i, (mb, x1) in _paired_modes(point, tangent.modes):
+        if x1.shape != (mb.n, mb.k):
+            raise ValueError(f"mode {i}: tangent blocks are {x1.shape[0]} x "
+                             f"{x1.shape[1]}, the point's are {mb.n} x {mb.k}")
+
+
+def _ambient_columns(point, factors):
+    """Leading k columns of each ambient tangent factor, in the mode's frame,
+    one mode at a time.
+
+    Each factor needs the mode's n rows and at least k columns; a
+    ``ValueError`` names the first mode where it has not.
+    """
+    for i, (mb, f) in _paired_modes(point, getattr(factors, "factors",
+                                                   factors)):
+        f = np.asarray(f, dtype=float)
+        if f.ndim != 2 or f.shape[0] != mb.n or f.shape[1] < mb.k:
+            raise ValueError(f"mode {i}: tangent factor of shape {f.shape} at "
+                             f"a mode of {mb.n} rows and {mb.k} leading "
+                             "columns")
+        yield f[:, :mb.k][mb.perm]
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +218,10 @@ def lift_tangent(point, tangent):
     The permuted factor is [X1, X1 gamma12], with gamma12 the point's
     coupling block.
     """
-    _check_mode_count(point, tangent.modes)
+    check_tangent(point, tangent)
     out = []
-    for mb, tb in zip(point.modes, tangent.modes):
-        xhat = np.hstack([tb.x1, tb.x1 @ gamma12(mb)])
+    for mb, x1 in zip(point.modes, tangent.modes):
+        xhat = np.hstack([x1, x1 @ gamma12(mb)])
         out.append(xhat[perm_inverse(mb.perm)])
     return AlgebraElement(out)
 
@@ -189,13 +229,11 @@ def lift_tangent(point, tangent):
 def tangent_from_ambient(point, x_factors):
     """Block tangent from ambient per-mode tangent factors.
 
-    Extracts the leading columns in the representative's frame; the caller
-    is responsible for the input being horizontal.
+    Extracts the leading columns in the representative's frame, as
+    ``project_horizontal`` reads them, without projecting: the caller is
+    responsible for the input being horizontal.
     """
-    _check_mode_count(point, x_factors)
-    return ManifoldTangent(
-        HorizontalBlocks(np.asarray(xi)[:, :mb.k][mb.perm])
-        for mb, xi in zip(point.modes, x_factors))
+    return ManifoldTangent(_ambient_columns(point, x_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +291,7 @@ def project_horizontal(point, z):
     system; O(nk^2 + mk^3 + m^3) in all.  Raises if the Gram system is ill
     conditioned, which signals a near-degenerate representative.
     """
-    factors = getattr(z, "factors", z)
-    _check_mode_count(point, factors)
-    z1s = []
-    for mb, f in zip(point.modes, factors):
-        f = np.asarray(f, dtype=float)
-        if f.ndim != 2 or f.shape[0] != mb.n or f.shape[1] < mb.k:
-            raise ValueError(f"tangent factor of shape {f.shape} at a mode "
-                             f"of {mb.n} rows and {mb.k} leading columns")
-        z1s.append(f[:, :mb.k][mb.perm])
+    z1s = list(_ambient_columns(point, z))
     ys = _coupled_stacks(point.shape)
     g1s = [mb.g1 for mb in point.modes]
     gram, rhs, _ = _coupled_system(ys, g1s, z1s)
@@ -272,7 +302,7 @@ def project_horizontal(point, z):
     x1s = [np.empty(z1.shape, order="F") for z1 in z1s]
     for x1, y, g1, z1 in zip(x1s, ys, g1s, z1s):
         np.subtract(z1, g1 @ np.tensordot(coef, y, axes=1), out=x1)
-    return ManifoldTangent(HorizontalBlocks(x1) for x1 in x1s)
+    return ManifoldTangent(x1s)
 
 
 def horizontality_residual(point, tangent):
@@ -285,8 +315,8 @@ def horizontality_residual(point, tangent):
     representative of the coset gives the same value, and it is never below
     the one normalized by the unprojected ||v_a||.
     """
-    _check_mode_count(point, tangent.modes)
-    x1s = [tb.x1 for tb in tangent.modes]
+    check_tangent(point, tangent)
+    x1s = tangent.modes
     gram, rhs, m_invs = _coupled_system(_coupled_stacks(point.shape),
                                         [mb.g1 for mb in point.modes], x1s)
     w_norm = np.sqrt(sum(float(np.sum((x1.T @ x1) * mi))
@@ -313,13 +343,13 @@ def geodesic(point, tangent, t=1.0, *, repivot_tol=None):
     exponents).  ``repivot_tol = 0`` accepts representatives conditioned
     past the production re-pivot gate (long-time completeness probes).
     """
-    _check_mode_count(point, tangent.modes)
+    check_tangent(point, tangent)
     if repivot_tol is None:
         repivot_tol = REPIVOT_TOL
     new_modes = []
     zs = []
-    for mb, tb in zip(point.modes, tangent.modes):
-        nb, z = lowrank_geodesic_step(mb, tb, t, repivot_tol=repivot_tol)
+    for mb, x1 in zip(point.modes, tangent.modes):
+        nb, z = lowrank_geodesic_step(mb, x1, t, repivot_tol=repivot_tol)
         new_modes.append(nb)
         zs.append(z)
     return Point(point.shape, new_modes), zs

@@ -4,8 +4,9 @@ A tensor document holds a ``shape:`` line of integers followed by a
 ``data:`` line of decimal doubles printed with 17 significant digits,
 row-major; a matrix is the 2-d case, with no document type of its own.
 Point and tangent documents list one block section per mode, each block a
-2-d tensor document; permutations and the human-facing mode numbers are
-written 1-based.
+2-d tensor document: a point mode's ``g11``/``g21`` and a tangent mode's
+``x11``/``x21`` are the first k and last n-k rows of its n x k array.
+Permutations and the human-facing mode numbers are written 1-based.
 
 Parsers raise :class:`FormatError` with the offending line number so
 callers can report locations; a header the shape rejects, and blocks that
@@ -16,7 +17,7 @@ import re
 
 import numpy as np
 
-from .group import HorizontalBlocks, ModeBlocks
+from .group import ModeBlocks
 from .homogeneous import ManifoldTangent, Point, make_shape
 
 
@@ -165,11 +166,12 @@ def load_point(text):
 
 def dump_tangent(point, tangent):
     out = [_shape_header(point)]
-    for i, tb in enumerate(tangent.modes):
+    for i, x1 in enumerate(tangent.modes):
+        k = x1.shape[1]
         out.append(f"mode: {i + 1}\n")
-        out.append(f"k: {tb.k}\n")
-        out.append("x11:\n" + dump_tensor(tb.x11))
-        out.append("x21:\n" + dump_tensor(tb.x21))
+        out.append(f"k: {k}\n")
+        out.append("x11:\n" + dump_tensor(x1[:k]))
+        out.append("x21:\n" + dump_tensor(x1[k:]))
     return "".join(out)
 
 
@@ -189,7 +191,7 @@ def load_tangent(text, point):
                 raise FormatError(f"mode {i + 1}: {name} has shape {x.shape}, "
                                   f"want {(rows, mb.k)}", lines.pos)
             blocks.append(x)
-        modes.append(HorizontalBlocks(np.vstack(blocks)))
+        modes.append(np.vstack(blocks))
     return ManifoldTangent(modes)
 
 

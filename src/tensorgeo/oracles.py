@@ -14,11 +14,11 @@ or worse.
 
 The horizontal-layer references densify the n x n factors and work in the
 metric's flat coordinates w = X g^-1.  They take compact points and block
-tangents (the leading columns X1, n x k per mode) and return block
-tangents, so they compare field by field with the closed forms in
-``homogeneous``.  A block tangent's trailing columns are its leading ones
-times the point's coupling block, X1 gamma12, as ``lift_tangent`` builds
-them.
+tangents (a ``ManifoldTangent``: the leading columns X1, one n x k array
+per mode) and return block tangents, so they compare mode by mode with the
+closed forms in ``homogeneous``.  A block tangent's trailing columns are
+its leading ones times the point's coupling block, X1 gamma12, as
+``lift_tangent`` builds them.
 """
 
 import math
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .dense import DEFAULT_RANK_TOL
-from .group import AlgebraElement, HorizontalBlocks, _check_profile
+from .group import AlgebraElement, _check_profile
 from .homogeneous import (GRAM_COND_LIMIT, ManifoldTangent, _coupled_stacks,
                           _coupled_system, lift_tangent)
 
@@ -250,7 +250,7 @@ def project_horizontal_reference(point, z):
         for i in range(len(ws)):
             ws[i] = ws[i] - coef[a] * vperp[a][i]
 
-    return ManifoldTangent(HorizontalBlocks((w @ g)[:, :mb.k][mb.perm])
+    return ManifoldTangent((w @ g)[:, :mb.k][mb.perm]
                            for mb, w, g in zip(point.modes, ws, g_factors))
 
 

@@ -86,7 +86,6 @@ class ScalingPlan:
     level z-1 argument is still within the Pade bound.
     """
     z: int
-    norm_used: float
 
 
 def make_scaling_plan(norm):
@@ -95,8 +94,8 @@ def make_scaling_plan(norm):
     if not norm >= 0.0 or math.isinf(norm):
         raise ValueError("norm must be finite and nonnegative")
     if norm <= PADE_NORM_BOUND:
-        return ScalingPlan(0, norm)
-    return ScalingPlan(max(0, math.ceil(math.log2(norm)) + 2), norm)
+        return ScalingPlan(0)
+    return ScalingPlan(max(0, math.ceil(math.log2(norm)) + 2))
 
 
 def _check_finite(m):

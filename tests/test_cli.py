@@ -54,6 +54,15 @@ def test_parser_is_built_once_and_survives_errors():
         == ("verify", "cp", 0, None)
 
 
+def test_verify_takes_no_tolerance_scale(capsys):
+    # the suites keep their constant tolerances: `--tol inf` used to pass
+    # every finite-valued check of a broken build
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "psi", "--tol", "inf"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol inf" in capsys.readouterr().err
+
+
 def test_verify_deterministic_given_seed():
     _, out1 = run_cli("verify", "cp", "--seed", "7")
     _, out2 = run_cli("verify", "cp", "--seed", "7")
@@ -143,10 +152,8 @@ def test_geodesic_rejects_nonhorizontal(tmp_path):
     rng = np.random.default_rng(1)
     p = cp_random_point(CpShape((5, 4, 4), 2), rng)
     x = cp_random_horizontal(p, rng)
-    from tensorgeo.group import HorizontalBlocks
-    bumped = [HorizontalBlocks(np.vstack((tb.x11 + np.diag([0.1, 0.0]),
-                                          tb.x21)))
-              for tb in x.modes]
+    bumped = [np.vstack((x1[:2] + np.diag([0.1, 0.0]), x1[2:]))
+              for x1 in x.modes]
     pf, tf = tmp_path / "p.txt", tmp_path / "x.txt"
     tio.save_point(pf, p)
     tio.save_tangent(tf, p, type(x)(bumped))

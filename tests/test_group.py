@@ -15,11 +15,11 @@ from tensorgeo import CpShape, TtShape
 from tensorgeo.dense import select_submatrix
 from tensorgeo.flops import (FlopLedger, gamma12_count, mode_step_items,
                              mode_step_total)
-from tensorgeo.group import (AlgebraElement, GroupElement, HorizontalBlocks,
-                             ModeBlocks, _bpap, _coupling, adjoint,
-                             euclidean_inner, gamma12, itemized_step,
-                             lowrank_geodesic_step, mode_velocity_norms,
-                             reduce_columns, right_invariant_inner)
+from tensorgeo.group import (AlgebraElement, GroupElement, ModeBlocks, _bpap,
+                             _coupling, adjoint, euclidean_inner, gamma12,
+                             itemized_step, lowrank_geodesic_step,
+                             mode_velocity_norms, reduce_columns,
+                             right_invariant_inner)
 from tensorgeo.oracles import dense_geodesic
 
 
@@ -185,7 +185,8 @@ def test_gamma12_ledger_line():
 # ---------------------------------------------------------------------------
 
 def _random_tangent(rng, mb):
-    return HorizontalBlocks(np.vstack((
+    """Random n x k tangent columns, column-major as a tangent stores them."""
+    return np.asfortranarray(np.vstack((
         rng.standard_normal((mb.k, mb.k)),
         rng.standard_normal((mb.n - mb.k, mb.k)))))
 
@@ -193,9 +194,9 @@ def _random_tangent(rng, mb):
 def test_step_t_zero_and_zero_tangent():
     rng = np.random.default_rng(10)
     mb = _random_blocks(rng, 12, 3)
-    tb = _random_tangent(rng, mb)
-    for stepped, _ in (lowrank_geodesic_step(mb, tb, 0.0),
-                       lowrank_geodesic_step(mb, tb.scale(0.0), 1.0)):
+    x1 = _random_tangent(rng, mb)
+    for stepped, _ in (lowrank_geodesic_step(mb, x1, 0.0),
+                       lowrank_geodesic_step(mb, 0.0 * x1, 1.0)):
         assert np.abs(stepped.leading_columns()
                       - mb.leading_columns()).max() < 1e-12
 
@@ -204,11 +205,11 @@ def test_step_matches_dense_columns():
     rng = np.random.default_rng(11)
     for n, k in ((20, 2), (15, 3)):
         mb = _random_blocks(rng, n, k)
-        tb = _random_tangent(rng, mb)
-        stepped, _ = lowrank_geodesic_step(mb, tb, 0.8)
+        x1 = _random_tangent(rng, mb)
+        stepped, _ = lowrank_geodesic_step(mb, x1, 0.8)
         ghat = mb.densify()
         xhat = np.zeros((n, n))
-        xhat[mb.perm] = np.hstack([tb.x1, tb.x1 @ gamma12(mb)])
+        xhat[mb.perm] = np.hstack([x1, x1 @ gamma12(mb)])
         cols = dense_geodesic([ghat], [xhat], 0.8)[0][:, :k]
         assert np.linalg.norm(stepped.leading_columns() - cols) \
             <= 1e-10 * np.linalg.norm(cols)
@@ -220,10 +221,10 @@ def test_step_ledger_items_exact():
     rng = np.random.default_rng(12)
     n, k = 30, 3
     mb = _random_blocks(rng, n, k)
-    tb = _random_tangent(rng, mb)
+    x1 = _random_tangent(rng, mb)
     for t in (1.0, 3.0):
         led = FlopLedger()
-        _, z = itemized_step(mb, tb, t, led, label="m.")
+        _, z = itemized_step(mb, x1, t, led, label="m.")
         items = mode_step_items(n, k, z)
         assert led.per_step == {f"m.{item}": count for item, count in items}
         assert led.total == mode_step_total(n, k, z)
@@ -249,10 +250,10 @@ def test_step_leaves_its_point_and_tangent_alone(manifold):
     p = cfg["point"](cfg["shape"](), rng)
     x = hq.random_horizontal(p, rng)
     seen = set()
-    for i, (mb, tb) in enumerate(zip(p.modes, x.modes)):
-        perm, g1, x1 = mb.perm.copy(), mb.g1.copy(), tb.x1.copy()
+    for i, (mb, x1) in enumerate(zip(p.modes, x.modes)):
+        perm, g1, x1_before = mb.perm.copy(), mb.g1.copy(), x1.copy()
         for t in (0.7, 5.0):
-            stepped, _ = lowrank_geodesic_step(mb, tb, t)
+            stepped, _ = lowrank_geodesic_step(mb, x1, t)
             kept = stepped.perm is mb.perm
             seen.add(kept)
             if not kept:
@@ -261,18 +262,18 @@ def test_step_leaves_its_point_and_tangent_alone(manifold):
             assert stepped.g1 is not mb.g1
             assert mb.perm.tobytes() == perm.tobytes()
             assert mb.g1.tobytes() == g1.tobytes()
-            assert tb.x1.tobytes() == x1.tobytes()
+            assert x1.tobytes() == x1_before.tobytes()
     assert seen == {True, False}
 
 
 def test_step_shares_one_exponent():
     rng = np.random.default_rng(13)
     mb = _random_blocks(rng, 25, 2)
-    tb = _random_tangent(rng, mb)
-    small, big = mode_velocity_norms(mb, tb, 0.7)
+    x1 = _random_tangent(rng, mb)
+    small, big = mode_velocity_norms(mb, x1, 0.7)
     from tensorgeo.psi import make_scaling_plan
     want = max(make_scaling_plan(small).z, make_scaling_plan(big).z)
-    _, z = lowrank_geodesic_step(mb, tb, 0.7)
+    _, z = lowrank_geodesic_step(mb, x1, 0.7)
     assert z == want
 
 
@@ -289,14 +290,14 @@ def test_step_calls_psi1_once_per_mode_without_a_ledger(monkeypatch):
     monkeypatch.setattr(group, "psi1", counted)
     rng = np.random.default_rng(15)
     mb = _random_blocks(rng, 14, 3)
-    tb = _random_tangent(rng, mb)
-    _, z = lowrank_geodesic_step(mb, tb, 5.0)
+    x1 = _random_tangent(rng, mb)
+    _, z = lowrank_geodesic_step(mb, x1, 5.0)
     assert len(calls) == 1
     (cores, ledger, plan), kwargs = calls[0]
     assert cores.shape == (2, 6, 6) and ledger is None and not kwargs
     assert plan.z == z > 0
     calls.clear()
-    _, z_item = itemized_step(mb, tb, 5.0, FlopLedger())
+    _, z_item = itemized_step(mb, x1, 5.0, FlopLedger())
     assert len(calls) == 2 and z_item == z
     assert [args[0].shape for args, _ in calls] == [(3, 3), (6, 6)]
 
@@ -313,11 +314,11 @@ def test_step_rejects_mismatched_tangent():
 def test_step_rejects_a_nonfinite_t_before_any_work(monkeypatch, t):
     rng = np.random.default_rng(14)
     mb = _random_blocks(rng, 10, 2)
-    tb = _random_tangent(rng, mb)
+    x1 = _random_tangent(rng, mb)
     monkeypatch.setattr(group, "_gram",
                         lambda *args: pytest.fail("the step did work"))
     with pytest.raises(ValueError, match=rf"^t must be finite, got {t}$"):
-        lowrank_geodesic_step(mb, tb, t)
+        lowrank_geodesic_step(mb, x1, t)
 
 
 def test_geodesic_takes_no_ledger(manifold):
@@ -348,7 +349,7 @@ def test_blocks_validation():
     lambda: ModeBlocks(np.arange(3), np.eye(2), [[np.nan, 1.0]]),
     lambda: ModeBlocks(np.arange(3), [[np.nan, 0.0], [0.0, 1.0]],
                        np.zeros((1, 2))),
-    lambda: HorizontalBlocks([[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    lambda: hq.ManifoldTangent([[[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]]),
 ], ids=["g21_nan", "g11_nan", "x1_inf"])
 def test_blocks_reject_non_finite_input(make):
     # typed before the g11 gate, as select_submatrix and psi1 type it
@@ -420,8 +421,8 @@ def test_mode_arrays_are_column_major_and_stored_whole(manifold):
     loaded = tio.load_point(tio.dump_point(p))
     for mb in (*stepped.modes, *loaded.modes):
         assert mb.g1.flags.f_contiguous
-    for tb in x.modes:
-        assert tb.x1.flags.f_contiguous
+    for x1 in x.modes:
+        assert x1.flags.f_contiguous
 
 
 def _forced_repivot():
@@ -441,11 +442,11 @@ def test_step_selects_the_rows_of_an_ambient_repivot(case, seed, t):
     rng = np.random.default_rng(seed)
     p = MANIFOLDS[kind]["point"](shape, rng)
     x = MANIFOLDS[kind]["tangent"](p, rng)
-    for mb, tb in zip(p.modes, x.modes):
+    for mb, x1 in zip(p.modes, x.modes):
         for forced in (True, False):
             try:
                 with _forced_repivot() if forced else nullcontext():
-                    stepped, _ = lowrank_geodesic_step(mb, tb, t)
+                    stepped, _ = lowrank_geodesic_step(mb, x1, t)
             except ValueError:
                 continue
             if stepped.perm is mb.perm:
@@ -470,9 +471,9 @@ def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e):
     p = MANIFOLDS[kind]["point"](shape, rng)
     x = MANIFOLDS[kind]["tangent"](p, rng)
     t = max(0.01, _time_at_norm(p, x, 1.5 * 2.0 ** e))
-    for mb, tb in zip(p.modes, x.modes):
+    for mb, x1 in zip(p.modes, x.modes):
         def step():
-            return lowrank_geodesic_step(mb, tb, t)
+            return lowrank_geodesic_step(mb, x1, t)
         try:
             stepped, z = step()
         except ValueError as exc:
@@ -494,8 +495,8 @@ def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e):
 
 
 @pytest.mark.parametrize("step", [
-    lambda mb, tb: lowrank_geodesic_step(mb, tb, 1.0),
-    lambda mb, tb: itemized_step(mb, tb, 1.0, FlopLedger())],
+    lambda mb, x1: lowrank_geodesic_step(mb, x1, 1.0),
+    lambda mb, x1: itemized_step(mb, x1, 1.0, FlopLedger())],
     ids=["gram", "itemized"])
 def test_step_reports_an_overflowing_output_as_non_finite(step):
     # on a huge tangent psi1's chain overflows; psi1 raises the typed error
@@ -503,11 +504,11 @@ def test_step_reports_an_overflowing_output_as_non_finite(step):
     # RuntimeWarning into an error)
     rng = np.random.default_rng(3)
     mb = _random_blocks(rng, 12, 3)
-    tb = _random_tangent(rng, mb)
+    x1 = _random_tangent(rng, mb)
     for scale in (1e3, 1e6, 1e10):
         with pytest.raises(ValueError, match=r"^psi1 overflows its doubling "
                                              r"chain at z = \d+$"):
-            step(mb, tb.scale(scale))
+            step(mb, scale * x1)
 
 
 def test_transport_point_matches_the_dense_product(manifold):
@@ -528,8 +529,8 @@ def test_transport_point_matches_the_dense_product(manifold):
 def _time_at_norm(point, tangent, target):
     """Time at which the largest per-mode velocity norm reaches target."""
     def top(t):
-        return max(max(mode_velocity_norms(mb, tb, t))
-                   for mb, tb in zip(point.modes, tangent.modes))
+        return max(max(mode_velocity_norms(mb, x1, t))
+                   for mb, x1 in zip(point.modes, tangent.modes))
     lo, hi = 0.0, 1.0
     while top(hi) < target:
         hi *= 2.0
@@ -552,17 +553,17 @@ def test_gram_step_matches_itemized_step(case, seed, e):
     p = MANIFOLDS[kind]["point"](shape, rng)
     x = MANIFOLDS[kind]["tangent"](p, rng)
     t = max(0.01, _time_at_norm(p, x, 1.5 * 2.0 ** e))
-    for mb, tb in zip(p.modes, x.modes):
-        a, b = t * tb.x1, _coupling(mb)
+    for mb, x1 in zip(p.modes, x.modes):
+        a, b = t * x1, _coupling(mb)
         ba = b @ a
         norms = np.linalg.norm(ba), np.linalg.norm(_bpap(a, b, ba))
-        assert np.allclose(mode_velocity_norms(mb, tb, t), norms,
+        assert np.allclose(mode_velocity_norms(mb, x1, t), norms,
                            rtol=1e-12, atol=0.0)
         try:
-            stepped, z = lowrank_geodesic_step(mb, tb, t)
+            stepped, z = lowrank_geodesic_step(mb, x1, t)
         except ValueError:
             continue
-        g1, z_item = itemized_step(mb, tb, t, FlopLedger())
+        g1, z_item = itemized_step(mb, x1, t, FlopLedger())
         item = np.empty_like(g1)
         item[mb.perm] = g1
         assert z_item == z
@@ -606,10 +607,10 @@ def test_gram_step_memory_is_a_few_n_by_k_blocks(t, kept, k):
     n = 20000
     rng = np.random.default_rng(17)
     mb = _random_blocks(rng, n, k)
-    tb = _random_tangent(rng, mb)
+    x1 = _random_tangent(rng, mb)
     tracemalloc.start()
     try:
-        stepped, _ = lowrank_geodesic_step(mb, tb, t)
+        stepped, _ = lowrank_geodesic_step(mb, x1, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

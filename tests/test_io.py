@@ -85,8 +85,7 @@ def test_tangent_roundtrip(tmp_path):
     tio.save_tangent(path, p, x)
     y = tio.read_tangent(path, p)
     for a, b in zip(y.modes, x.modes):
-        assert np.array_equal(a.x11, b.x11)
-        assert np.array_equal(a.x21, b.x21)
+        assert np.array_equal(a, b)
 
 
 def test_point_header_mismatches():

@@ -230,6 +230,14 @@ def test_dense_duplicates_are_gone():
             assert not hasattr(module, name)
 
 
+def test_the_tangent_wrapper_is_gone():
+    # a tangent mode is its n x k array: no wrapper type is left to resolve
+    for module in [tensorgeo] + [
+            importlib.import_module(f"tensorgeo.{info.name}")
+            for info in pkgutil.iter_modules(tensorgeo.__path__)]:
+        assert not hasattr(module, "HorizontalBlocks")
+
+
 PRODUCTION = ("group", "homogeneous", "psi", "dense", "io", "cp", "tucker",
               "tt")
 

@@ -8,7 +8,6 @@ from conftest import MANIFOLDS
 from tensorgeo import (CpPoint, CpShape, CpTangent, TtPoint, TtShape,
                        TtTangent, TuckerPoint, TuckerShape, TuckerTangent, cp,
                        cp_random_horizontal, cp_random_point, tt, tucker)
-from tensorgeo.group import HorizontalBlocks
 from tensorgeo.oracles import vertical_component_norm
 
 
@@ -68,9 +67,8 @@ def test_geodesic_rejects_a_tangent_with_another_mode_count():
     with pytest.raises(ValueError, match="the tangent has 2 modes, the point "
                                          "has 3"):
         hq.geodesic(p, hq.ManifoldTangent(x.modes[:2]))
-    extra = HorizontalBlocks(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="the tangent has 4 modes"):
-        hq.geodesic(p, hq.ManifoldTangent(x.modes + (extra,)))
+        hq.geodesic(p, hq.ManifoldTangent(x.modes + (np.zeros((4, 2)),)))
 
 
 def test_residual_rejects_a_tangent_with_fewer_modes():
@@ -92,6 +90,37 @@ def test_tangent_from_ambient_rejects_factors_for_fewer_modes():
     with pytest.raises(ValueError, match="the tangent has 2 modes, the point "
                                          "has 3"):
         hq.tangent_from_ambient(p, factors[:2])
+
+
+def test_a_tangent_stores_each_mode_as_one_column_major_float_array():
+    x = hq.ManifoldTangent([np.arange(6).reshape(3, 2)])
+    assert x.modes[0].dtype == float and x.modes[0].flags.f_contiguous
+    assert np.array_equal(x.modes[0], np.arange(6).reshape(3, 2))
+    for bad in (np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match="^inconsistent tangent blocks$"):
+            hq.ManifoldTangent([bad])
+
+
+BLOCKS_7_AT_6 = "blocks are 7 x 2, the point's are 6 x 2"
+
+
+@pytest.mark.parametrize("call, cause", [
+    (lambda p, q, y: hq.geodesic(p, y), BLOCKS_7_AT_6),
+    (lambda p, q, y: hq.horizontality_residual(p, y), BLOCKS_7_AT_6),
+    (lambda p, q, y: hq.lift_tangent(p, y), BLOCKS_7_AT_6),
+    (lambda p, q, y: hq.tangent_from_ambient(p, hq.lift_tangent(q, y).factors),
+     r"factor of shape \(7, 7\) at a mode of 6 rows and 2 leading columns"),
+], ids=["geodesic", "residual", "lift", "from_ambient"])
+def test_a_tangent_of_another_shape_is_refused_naming_the_mode(call, cause):
+    # a CP (7, 5, 4) tangent y at q, used at a CP (6, 5, 4) point p: the mode
+    # counts agree, mode 0's rows do not.  tangent_from_ambient reads y's
+    # dense factors, whose mode 0 is 7 x 7.
+    p, _ = _cp_pair()
+    rng = np.random.default_rng(0)
+    q = cp_random_point(CpShape((7, 5, 4), 2), rng)
+    y = cp_random_horizontal(q, rng)
+    with pytest.raises(ValueError, match="^mode 0: tangent " + cause + "$"):
+        call(p, q, y)
 
 
 def _vertical_norm_args(seed=0):

@@ -33,7 +33,7 @@ def test_pade_scalar_half():
 def test_pade_norm_precondition():
     # the unscaled quotient is not evaluated past the Pade bound
     with pytest.raises(ValueError, match="^scaling plan too weak"):
-        psi1(np.eye(3), None, ScalingPlan(0, 0.5))
+        psi1(np.eye(3), None, ScalingPlan(0))
 
 
 def test_pade_vs_series_sample():
@@ -112,7 +112,7 @@ def test_psi1_rejects_nonfinite_and_z1_plans():
     with pytest.raises(ValueError):
         psi1(np.array([[np.nan]]))
     with pytest.raises(ValueError):
-        psi1(np.eye(2), plan=ScalingPlan(1, 1.0))
+        psi1(np.eye(2), plan=ScalingPlan(1))
 
 
 def test_psi1_ledger_exact():
@@ -250,14 +250,14 @@ def test_psi1_finite_entries_whose_squares_overflow(m):
         warnings.simplefilter("error", RuntimeWarning)
         assert _message(lambda: psi1(m)) \
             == "norm must be finite and nonnegative"
-        assert _message(lambda: psi1(m, None, ScalingPlan(8, 1.0))) \
+        assert _message(lambda: psi1(m, None, ScalingPlan(8))) \
             == "scaling plan too weak for this argument"
 
 
 def test_psi1_stack_errors_match_the_single_matrix_ones():
     rng = np.random.default_rng(21)
     x = _random_with_norm(rng, 3, 3.0)
-    weak = ScalingPlan(2, 1.0)
+    weak = ScalingPlan(2)
     stack = np.stack((0.1 * x, x))
     assert _message(lambda: psi1(stack, None, weak)) \
         == _message(lambda: psi1(x, None, weak)) \
@@ -266,8 +266,8 @@ def test_psi1_stack_errors_match_the_single_matrix_ones():
     bad[0, 1, 2] = np.inf
     assert _message(lambda: psi1(bad)) == _message(lambda: psi1(bad[0])) \
         == "non-finite input"
-    assert _message(lambda: psi1(stack, None, ScalingPlan(1, 1.0))) \
-        == _message(lambda: psi1(x, None, ScalingPlan(1, 1.0)))
+    assert _message(lambda: psi1(stack, None, ScalingPlan(1))) \
+        == _message(lambda: psi1(x, None, ScalingPlan(1)))
     with pytest.raises(ValueError):
         psi1(stack, FlopLedger())
 
