@@ -20,6 +20,7 @@ from .cp import cp_random_point
 from .flops import FlopLedger, geodesic_formula, mode_step_items
 from .group import (ModeBlocks, itemized_step, lowrank_geodesic_step,
                     mode_velocity_norms, reduce_columns)
+from .psi import make_scaling_plan
 from .tt import tt_random_point
 from .tucker import tucker_random_point
 
@@ -87,8 +88,9 @@ def itemized_geodesic(point, tangent, t, ledger):
     """The paper's itemized update of every mode, charged under ``mode{i}.``.
 
     The audit's reference for ``homogeneous.geodesic``: the same tensor to
-    rounding, and the same per-mode z.  Returns (the ambient n x k leading
-    columns of each mode, the per-mode exponents).
+    rounding, each mode under the z of its own psi1 arguments.  Returns
+    (the ambient n x k leading columns of each mode, the per-mode
+    exponents).
     """
     hq.check_tangent(point, tangent)
     cols, zs = [], []
@@ -205,12 +207,15 @@ def _round_times(calls, trials):
 def time_lowrank_modes(ns, r, trials=5, seed=0):
     """Wall times of one per-mode low-rank update at each size in ns.
 
-    The trials of the sizes are interleaved; one record per size.
+    The trials of the sizes are interleaved; one record per size.  Its z
+    and model flops are the itemized update's, the published count's own
+    exponent, read from the velocity cores' norms.
     """
     from .flops import mode_step_total
     cases = [_single_mode_instance(n, r, np.random.default_rng(seed))
              for n in ns]
-    zs = [lowrank_geodesic_step(blocks, x1, 1.0)[1] for blocks, x1 in cases]
+    zs = [make_scaling_plan(max(mode_velocity_norms(blocks, x1, 1.0))).z
+          for blocks, x1 in cases]
     times = _round_times(
         [lambda c=c: lowrank_geodesic_step(*c, 1.0) for c in cases], trials)
     return [BenchRecord("mode", n, r, z, mode_step_total(n, r, max(1, z)),

@@ -353,9 +353,10 @@ def build_parser():
     p = sub.add_parser("bench", help="timing sweep of the per-mode update "
                                      "of one synthetic mode",
                        description="Time the production (Gram-form) step of "
-                                   "one synthetic mode at each size.  The "
-                                   "flops_model column is the count of the "
-                                   "paper's published itemization, "
+                                   "one synthetic mode at each size.  The z "
+                                   "and flops_model columns are the paper's "
+                                   "published itemization: its scaling "
+                                   "exponent and its count, "
                                    "110 n r^2 / 3 + (146 + 36 z) r^3, not "
                                    "the work of the timed Gram step "
                                    "(about 12 n r^2 + O(r^3 z)).")

@@ -12,21 +12,31 @@ is computed without ever forming an n x n matrix.  The formula's dense
 evaluation, O(n^3) per mode, is ``oracles.dense_geodesic``, which tests and
 audits compare against.
 
-The production step is the Gram form.  Write w t = A B with A = t X1, X1
-the tangent's leading columns, and G1 the point's.  Horizontality makes
-B^T = G1 M^-1 with M = G1^T G1, so every n-row product the update needs is
-a block of the one Gram H = Q^T Q of Q = [G1, X1] (n x 2k), and the new
-leading columns are Q C for a 2k x k matrix C from H and one stacked psi1
-evaluation of the two velocity cores: about 12nk^2 + O(k^3 z) per mode,
-against the 110nk^2/3 of the paper's itemized update.  That update is kept
-as ``itemized_step``, the flop audit's own reference: it charges every
-product to a ledger line, and no geodesic entry point runs it.
+The production step is the Gram form, in the basis Q = [G1, X1] (n x 2k)
+of G1 and X1, the point's and the tangent's leading columns: the geodesic
+moves only span(Q).  For a step to time t, horizontality makes
+w = t X g^-1 = t X1 M^-1 G1^T with M = G1^T G1, so with S = t G1^T X1 and
+P = X1^T X1, blocks of the one Gram H = Q^T Q:
+
+- w^T G1 = G1 Y with Y = M^-1 S^T, so mexp(w^T) G1 = G1 mexp(Y);
+- w - w^T = Q A Q^T with A = [[0, -t M^-1], [t M^-1, 0]], and for any
+  L = Q A Q^T the series gives mexp(L) Q = Q mexp(A H), where
+  A H = K = [[-Y, -t M^-1 P], [t, M^-1 S]].
+
+So the new leading columns are Q mexp(K)[:, :k] mexp(Y) = Q C for a 2k x k
+matrix C: one Gram and one n x 2k by 2k x k product, about
+12nk^2 + O(k^3 z) per mode, against the 110nk^2/3 of the paper's itemized
+update.  K's blocks grow like t, where the paper's psi1 argument B'A' grows
+like t^2, so the step's exponentials take fewer squarings than psi1's
+chain would, and each squaring saved keeps about a bit.  That update is
+kept as ``itemized_step``, the flop audit's own reference: it charges
+every product to a ledger line, and no geodesic entry point runs it.
 
 On small k the k x k phase costs numpy's call overhead more than flops, so
 the step calls LAPACK directly where numpy would wrap the same routine:
-M^-1 is ``dgesv``'s LU solve against a shared identity, and the g11 gate
-on every new representative reads its singular values from ``dgesdd``.
-Both raise numpy's texts on failure ("Singular matrix", "SVD did not
+K's and Y's blocks are one ``dgesv`` LU solve of M, and the g11 gate on
+every new representative reads its singular values from ``dgesdd``.  Both
+raise numpy's texts on failure ("Singular matrix", "SVD did not
 converge"); a step's keep test below reads the same ``dgesdd``.
 
 Each mode of a representative is stored as a row permutation and one n x k
@@ -77,7 +87,7 @@ import numpy as np
 
 from .dense import (identity, is_permutation, lapack, perm_inverse,
                     select_submatrix)
-from .psi import make_scaling_plan, max_norm, psi1
+from .psi import make_scaling_plan, max_norm, mexpm1, psi1
 
 INVERTIBILITY_TOL = 1e-12
 REPIVOT_TOL = 1e-10
@@ -371,21 +381,19 @@ def _gram(blocks, x1):
 
 
 def _velocity_cores(h, t):
-    """M^-1, S and the cores [blockdiag(BA, 0), B'A'] of t X g^-1 = A B.
+    """The cores [blockdiag(BA, 0), B'A'] of t X g^-1 = A B, from H.
 
     For a horizontal tangent B^T = G1 M^-1 in the permuted frame, with
     M = G1^T G1, so BA = M^-1 S with S = t G1^T X1, B B^T = M^-1 and
-    A^T A = t^2 X1^T X1: every k x k core is a block of the Gram H.  Both
-    cores are 2k x 2k in the stack, BA padded by zeros, so one psi1 call
-    evaluates both: psi1(blockdiag(BA, 0)) = blockdiag(psi1(BA), I).
+    A^T A = t^2 X1^T X1: every k x k core is a block of the Gram H.  They
+    are the paper's psi1 arguments, whose norms set ``itemized_step``'s z.
     """
     k = h.shape[0] // 2
     # LAPACK's LU solve, the routine np.linalg.solve calls
     _, _, m_inv, info = lapack().dgesv(h[:k, :k], identity(k))
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
-    s = t * h[:k, k:]
-    ba = m_inv @ s
+    ba = m_inv @ (t * h[:k, k:])
     cores = np.zeros((2, 2 * k, 2 * k))
     cores[0, :k, :k] = ba
     bpap = cores[1]
@@ -393,7 +401,29 @@ def _velocity_cores(h, t):
     bpap[:k, k:] = -m_inv
     bpap[k:, :k] = (t * t) * h[k:, k:]
     bpap[k:, k:] = -ba.T
-    return m_inv, s, cores
+    return cores
+
+
+def _phase_stack(h, t):
+    """The stack [K, blockdiag(Y, 0)] whose exponentials give the step, from H.
+
+    With M = G1^T G1, S = t G1^T X1 and P = X1^T X1, the blocks of H,
+    Y = M^-1 S^T and K = [[-Y, -t M^-1 P], [t, M^-1 S]]: one LU solve of M
+    against [X1^T G1, P, G1^T X1] gives every block.
+    """
+    k = h.shape[0] // 2
+    # LAPACK's LU solve, the routine np.linalg.solve calls
+    _, _, sol, info = lapack().dgesv(
+        h[:k, :k], np.concatenate((h[k:], h[:k, k:]), axis=1))
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    sol *= t
+    stack = np.zeros((2, 2 * k, 2 * k))
+    np.negative(sol[:, :2 * k], out=stack[0, :k])
+    stack[0, k:, :k] = t * identity(k)
+    stack[0, k:, k:] = sol[:, 2 * k:]
+    stack[1, :k, :k] = sol[:, :k]
+    return stack
 
 
 def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
@@ -402,19 +432,16 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     ``x1`` holds the tangent's n x k leading columns in the permuted frame.
 
     Works entirely with n x k and smaller intermediates.  With Q = [G1, X1]
-    (n x 2k) and H = Q^T Q, the new leading columns are Q C for a 2k x k
-    matrix C built from H and psi1 of the two velocity cores alone,
+    (n x 2k) and H = Q^T Q, the new leading columns are Q C for the 2k x k
+    matrix of the module docstring's derivation,
 
-        W = I + M^-1 psi1(BA)^T S^T,   U = psi1(B'A') [W; S^T W],
-        C = [W - M^-1 U_2;  t U_1],
+        C = mexp(K)[:, :k] mexp(Y) = (I_{2k,k} + D_K[:, :k]) (I + D_Y),
 
     one Gram and one n x 2k by 2k x k product, about 12nk^2 + O(k^3 z).
-    psi1 runs once, on the stack [blockdiag(BA, 0), B'A'] under the plan of
-    the larger of the two cores' norms (the larger of their own plans, as
-    the plan grows with the norm), so the mode has a single z, the one
-    ``itemized_step`` also uses.  B'A' holds BA, so its norm goes first in
-    that max, and a non-finite entry in either core reaches
-    ``make_scaling_plan``, which raises.
+    The corrections D = mexp - 1 of the stack [K, blockdiag(Y, 0)] come
+    from one ``mexpm1`` chain under the plan of the stack's largest norm,
+    which is K's, so the mode has a single z.  A non-finite entry of the
+    stack reaches ``make_scaling_plan``, which raises.
 
     The new columns keep the old frame when the keep test of the module
     docstring proves it good, KEEP_BOUND sigma_min(g11) >= ||G1||_F with
@@ -432,14 +459,14 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     if x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")
     q, h = _gram(blocks, x1)
-    m_inv, s, cores = _velocity_cores(h, t)
-    plan = make_scaling_plan(max(max_norm(cores[1]),
-                                 max_norm(cores[0, :k, :k])))
-    # the plan goes positionally, where a call tracer reads z
-    p, pp = psi1(cores, None, plan)
-    w = identity(k) + m_inv @ (p[:k, :k].T @ s.T)
-    u = pp @ np.concatenate((w, s.T @ w))
-    c = np.concatenate((w - m_inv @ u[k:], t * u[:k]))
+    stack = _phase_stack(h, t)
+    plan = make_scaling_plan(max_norm(stack))
+    d = mexpm1(stack, plan)
+    # C = mexp(K)[:, :k] mexp(Y), from the corrections
+    e = d[0, :, :k].copy()
+    e[:k] += identity(k)
+    c = e @ d[1, :k, :k]
+    c += e
     # column-major like Q: the re-pivot's LU copies contiguous columns
     out = (c.T @ q.T).T
     del q  # the re-pivot runs without Q's n x 2k copy alive
@@ -454,7 +481,7 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
 
 def mode_velocity_norms(blocks, x1, t=1.0):
     """Frobenius norms of (BA, B'A') for one mode at time t."""
-    cores = _velocity_cores(_gram(blocks, x1)[1], t)[2]
+    cores = _velocity_cores(_gram(blocks, x1)[1], t)
     k = blocks.k
     return max_norm(cores[0, :k, :k]), max_norm(cores[1])
 
@@ -486,7 +513,8 @@ def itemized_step(blocks, x1, t, ledger, label=""):
     """The paper's update of one mode, each n-row product charged to its label.
 
     The flop audit's reference for ``lowrank_geodesic_step``: the same
-    ambient columns under the same z, to rounding.  The four column terms are
+    ambient columns, to rounding, under the z of its own psi1 arguments,
+    BA and B'A'.  The four column terms are
     assembled in the composition order of the geodesic formula (skew factor
     applied last); the recorded counts follow the published per-step
     itemization, whose cross term assumes the reversed order and charges

@@ -65,9 +65,13 @@ class _Lines:
         return None
 
     def parse(self, expect, kind):
-        body = self.next(expect)
+        """The tokens of an ``expect:`` line: a float array, or a list of
+        ``kind``.  numpy parses float tokens as ``float`` does."""
+        tokens = self.next(expect).split()
         try:
-            return [kind(tok) for tok in body.split()]
+            if kind is float:
+                return np.array(tokens, dtype=float)
+            return [kind(tok) for tok in tokens]
         except ValueError as exc:
             raise FormatError(f"bad {expect} entry: {exc}", self.pos) from None
 
@@ -85,7 +89,7 @@ def _parse_tensor(lines):
     if len(data) != size:
         raise FormatError(f"data holds {len(data)} entries, shape wants {size}",
                           lines.pos)
-    arr = np.array(data).reshape(shape)
+    arr = data.reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise FormatError("non-finite entry in data", lines.pos)
     return arr

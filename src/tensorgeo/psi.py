@@ -1,4 +1,4 @@
-"""The psi1 function and the low-rank exponential and inverse kernels.
+"""psi1, the exponential's correction mexpm1, and the low-rank kernels.
 
 psi1(x) = (e^x - 1)/x extended to matrices by its power series.  On arguments
 of Frobenius norm at most 1/2 a degree (6,6) Pade quotient is accurate to
@@ -23,13 +23,20 @@ because the scaling exponent guarantees norm <= 1/4 at level z, hence
 <= 1/2 at level z-1.  An argument of norm at most 1/2 takes z = 0: the
 table and the psi1 rows alone, one solve and no chain.
 
-``psi1`` enters through one reduction, ``max_norm``: an einsum of the
-squared entries per matrix and its maximum.  It is finite exactly when every
-entry is finite and no sum of squares overflows, so the one number serves
-the finiteness check, the default plan and the check that a given plan is
-strong enough; finite entries whose squares overflow raise the plan's error,
-without an overflow warning.  The dense exponential of the tests and
-audits is ``oracles.mexp_dense``.
+``mexpm1`` is the geodesic step's kernel: mexp(x) - 1 of a stack under one
+plan of the same kind.  It shares the power table, the contraction and the
+solve, with the exponential's rows alone at level z, and its z squarings
+run in correction form, d <- d (d + 2): one product and one add a level,
+under the same "raise" error state.  The identity never enters a rounding,
+so a small argument's correction keeps its relative digits.
+
+``psi1`` and ``mexpm1`` enter through one reduction, ``max_norm``: an
+einsum of the squared entries per matrix and its maximum.  It is finite
+exactly when every entry is finite and no sum of squares overflows, so the
+one number serves the finiteness check, the default plan and the check that
+a given plan is strong enough; finite entries whose squares overflow raise
+the plan's error, without an overflow warning.  The dense exponential of
+the tests and audits is ``oracles.mexp_dense``.
 
 The recorded operation count of a 2-D argument lands exactly on the
 published itemization: a six-multiply power table (five powers plus the
@@ -124,12 +131,12 @@ def max_norm(m):
 
 
 def _quotients(x, rows):
-    """Pade quotients of a (b, m, m) stack, one per pair of coefficient rows.
+    """Corrections y = quotient - 1 of a (b, m, m) stack's Pade quotients.
 
     ``rows`` holds q numerator-minus-denominator rows, then the q matching
     denominator rows.  They are contracted against the (7, b, m, m) power
     table in one product, and one batched solve of den y = (num - den)
-    gives each quotient as 1 + y.  Returns a (q, b, m, m) array.
+    gives each quotient's correction y.  Returns a (q, b, m, m) array.
     """
     b, m, _ = x.shape
     pows = np.empty((7, b, m, m))
@@ -139,9 +146,7 @@ def _quotients(x, rows):
         np.matmul(pows[j], x, out=pows[j + 1])
     q = len(rows) // 2
     sums = (rows @ pows.reshape(7, -1)).reshape(2 * q, b, m, m)
-    out = np.linalg.solve(sums[q:], sums[:q])
-    out += pows[0]
-    return out
+    return np.linalg.solve(sums[q:], sums[:q])
 
 
 def psi1(m, ledger=None, plan=None):
@@ -179,11 +184,15 @@ def psi1(m, ledger=None, plan=None):
         for _ in range(1 if z == 0 else 2):
             ledger.div(k, k, k)
     x = (m / 2.0 ** z).reshape(-1, k, k)
+    eye = identity(k)
     if z == 0:
-        return _quotients(x, _PSI1_ROWS)[0].reshape(m.shape)
+        p = _quotients(x, _PSI1_ROWS)[0]
+        p += eye
+        return p.reshape(m.shape)
     # psi1 at level z-1 via coefficient scaling, mexp at level z
     p, e = _quotients(x, _SCALED_ROWS)
-    eye = identity(k)
+    p += eye
+    e += eye
     # the chain's entries grow like e^norm; one past the double range raises
     # here, typed, instead of an overflow warning and an inf in the result
     try:
@@ -199,6 +208,33 @@ def psi1(m, ledger=None, plan=None):
     # underflows
     p *= 2.0 ** (1 - z)
     return p.reshape(m.shape)
+
+
+def mexpm1(m, plan):
+    """mexp(m) - 1 of a (..., m, m) stack, as one chain under one plan.
+
+    The exponential's Pade quotient gives the correction d = mexp(x) - 1 at
+    x = m / 2^z, and each of the z squarings mexp(2x) = mexp(x)^2 runs in
+    correction form, d <- d (d + 2), so the dominant identity never enters
+    a rounding.  ``plan`` must scale every matrix of the stack to the Pade
+    bound.  Raises ``ValueError`` naming z when an entry of the chain
+    overflows, without a warning.
+    """
+    top = _entry_norm(m)
+    z = plan.z
+    if top * 2.0 ** -z > PADE_NORM_BOUND * (1 + 1e-12):
+        raise ValueError("scaling plan too weak for this argument")
+    k = m.shape[-1]
+    d = _quotients((m / 2.0 ** z).reshape(-1, k, k), _EXP_ROWS)[0]
+    two = 2.0 * identity(k)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(z):
+                d = d @ (d + two)
+    except FloatingPointError:
+        raise ValueError(f"mexp overflows its squaring chain at z = {z}") \
+            from None
+    return d.reshape(m.shape)
 
 
 # ---------------------------------------------------------------------------

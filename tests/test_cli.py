@@ -7,8 +7,12 @@ import pytest
 
 import tensorgeo.io as tio
 from tensorgeo import CpShape, cp_random_horizontal, cp_random_point, embed
-from tensorgeo.audit import CSV_HEADER
+from tensorgeo.audit import (CSV_HEADER, _single_mode_instance,
+                             time_lowrank_modes)
 from tensorgeo.cli import build_parser, main
+from tensorgeo.flops import mode_step_total
+from tensorgeo.group import lowrank_geodesic_step, mode_velocity_norms
+from tensorgeo.psi import make_scaling_plan
 
 
 def run_cli(*argv):
@@ -102,6 +106,17 @@ def test_bench_csv_header():
     assert not any(row.startswith("cp_dense,120,") for row in lines[1:])
 
 
+def test_bench_rows_carry_the_itemized_exponent():
+    # the Gram step plans its own z; the z and flops_model columns keep the
+    # published itemization's, whose exponent the velocity cores' norms set
+    (rec,) = time_lowrank_modes((60,), 3, 5, 2)
+    blocks, x1 = _single_mode_instance(60, 3, np.random.default_rng(2))
+    z = make_scaling_plan(max(mode_velocity_norms(blocks, x1, 1.0))).z
+    assert rec.z == z == 9
+    assert lowrank_geodesic_step(blocks, x1, 1.0)[1] == 10
+    assert rec.flops_model == mode_step_total(60, 3, z)
+
+
 def test_geodesic_roundtrip_and_errors(tmp_path):
     rng = np.random.default_rng(0)
     p = cp_random_point(CpShape((5, 4, 4), 2), rng)
@@ -173,7 +188,7 @@ def _unit_tangent_files(tmp_path):
 
 @pytest.mark.parametrize("t, cause", [
     ("300", "rank-deficient input: no acceptable pivot"),
-    ("1e5", "psi1 overflows its doubling chain at z = 33"),
+    ("1e5", "mexp overflows its squaring chain at z = 20"),
 ], ids=["rank-deficient", "overflow"])
 def test_geodesic_reports_a_failed_step_and_exits_1(tmp_path, capsys, t,
                                                     cause):

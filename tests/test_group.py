@@ -20,7 +20,8 @@ from tensorgeo.group import (AlgebraElement, GroupElement, ModeBlocks, _bpap,
                              itemized_step, lowrank_geodesic_step,
                              mode_velocity_norms, reduce_columns,
                              right_invariant_inner)
-from tensorgeo.oracles import dense_geodesic
+from tensorgeo.oracles import dense_geodesic, mpmath_geodesic
+from tensorgeo.psi import make_scaling_plan, max_norm
 
 
 def _alg(rng, dims):
@@ -267,39 +268,46 @@ def test_step_leaves_its_point_and_tangent_alone(manifold):
 
 
 def test_step_shares_one_exponent():
+    # both exponentials of the step run under the plan of the Q-basis
+    # stack's largest norm, which is K's, as K holds -Y
     rng = np.random.default_rng(13)
     mb = _random_blocks(rng, 25, 2)
     x1 = _random_tangent(rng, mb)
-    small, big = mode_velocity_norms(mb, x1, 0.7)
-    from tensorgeo.psi import make_scaling_plan
-    want = max(make_scaling_plan(small).z, make_scaling_plan(big).z)
+    stack = group._phase_stack(group._gram(mb, x1)[1], 0.7)
+    assert max_norm(stack) == max_norm(stack[0]) > max_norm(stack[1])
     _, z = lowrank_geodesic_step(mb, x1, 0.7)
-    assert z == want
+    assert z == make_scaling_plan(max_norm(stack)).z == 8
 
 
-def test_step_calls_psi1_once_per_mode_without_a_ledger(monkeypatch):
-    # the Gram form stacks both cores into one call and hands it the plan
-    # positionally; the itemized update keeps its two labelled calls
+def test_step_calls_one_kernel_per_mode_without_a_ledger(monkeypatch):
+    # the Gram form evaluates its (2, 2k, 2k) stack in one mexpm1 call under
+    # the step's plan and calls no psi1; the itemized update keeps its two
+    # labelled psi1 calls
     calls = []
-    psi1 = group.psi1
 
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return psi1(*args, **kwargs)
+    def counting(name):
+        kernel = getattr(group, name)
 
-    monkeypatch.setattr(group, "psi1", counted)
+        def counted(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(group, name, counted)
+
+    counting("psi1")
+    counting("mexpm1")
     rng = np.random.default_rng(15)
     mb = _random_blocks(rng, 14, 3)
     x1 = _random_tangent(rng, mb)
     _, z = lowrank_geodesic_step(mb, x1, 5.0)
     assert len(calls) == 1
-    (cores, ledger, plan), kwargs = calls[0]
-    assert cores.shape == (2, 6, 6) and ledger is None and not kwargs
-    assert plan.z == z > 0
+    name, (stack, plan), kwargs = calls[0]
+    assert name == "mexpm1" and stack.shape == (2, 6, 6) and not kwargs
+    assert plan.z == z == make_scaling_plan(max_norm(stack)).z == 10
     calls.clear()
     _, z_item = itemized_step(mb, x1, 5.0, FlopLedger())
-    assert len(calls) == 2 and z_item == z
-    assert [args[0].shape for args, _ in calls] == [(3, 3), (6, 6)]
+    assert [(name, args[0].shape) for name, args, _ in calls] \
+        == [("psi1", (3, 3)), ("psi1", (6, 6))]
+    assert z_item == make_scaling_plan(max(mode_velocity_norms(mb, x1, 5.0))).z
 
 
 def test_step_rejects_mismatched_tangent():
@@ -398,8 +406,9 @@ def test_g11_gate_runs_on_a_block_the_selection_accepted():
 
 
 def test_velocity_cores_report_a_singular_gram_as_numpy_does():
-    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-        group._velocity_cores(np.zeros((4, 4)), 1.0)
+    for cores in (group._velocity_cores, group._phase_stack):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            cores(np.zeros((4, 4)), 1.0)
 
 
 def test_block_views_write_through():
@@ -494,20 +503,21 @@ def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e):
         select_submatrix(stepped.g1, group.REPIVOT_TOL)
 
 
-@pytest.mark.parametrize("step", [
-    lambda mb, x1: lowrank_geodesic_step(mb, x1, 1.0),
-    lambda mb, x1: itemized_step(mb, x1, 1.0, FlopLedger())],
+@pytest.mark.parametrize("step, chain", [
+    (lambda mb, x1: lowrank_geodesic_step(mb, x1, 1.0),
+     "mexp overflows its squaring"),
+    (lambda mb, x1: itemized_step(mb, x1, 1.0, FlopLedger()),
+     "psi1 overflows its doubling")],
     ids=["gram", "itemized"])
-def test_step_reports_an_overflowing_output_as_non_finite(step):
-    # on a huge tangent psi1's chain overflows; psi1 raises the typed error
-    # naming z, and no overflow warning escapes (the suite turns every
-    # RuntimeWarning into an error)
+def test_step_reports_an_overflowing_output_as_non_finite(step, chain):
+    # on a huge tangent the kernel's chain overflows; the kernel raises the
+    # typed error naming z, and no overflow warning escapes (the suite turns
+    # every RuntimeWarning into an error)
     rng = np.random.default_rng(3)
     mb = _random_blocks(rng, 12, 3)
     x1 = _random_tangent(rng, mb)
     for scale in (1e3, 1e6, 1e10):
-        with pytest.raises(ValueError, match=r"^psi1 overflows its doubling "
-                                             r"chain at z = \d+$"):
+        with pytest.raises(ValueError, match=rf"^{chain} chain at z = \d+$"):
             step(mb, scale * x1)
 
 
@@ -544,10 +554,11 @@ def _time_at_norm(point, tangent, target):
 @given(manifold_shapes(), st.integers(0, 2**32 - 1), st.integers(-6, 9))
 def test_gram_step_matches_itemized_step(case, seed, e):
     # the largest mode's norms reach 1.5 * 2^e, mid-way between two
-    # exponents, so z = e + 3 there: from 0 (t is at least 0.01) to 12.
-    # The velocity norms, which set z, match the itemized factors' too.
-    # Wherever the Gram step succeeds, the itemized update's columns,
-    # scattered to the ambient rows, agree with its own under the same z.
+    # exponents, so the itemized z = e + 3 there: from 0 (t is at least
+    # 0.01) to 12.  The velocity norms, which set that z, match the itemized
+    # factors' too.  Each form runs under the plan of its own arguments'
+    # largest norm.  Wherever the Gram step succeeds, the itemized update's
+    # columns, scattered to the ambient rows, agree with its own.
     kind, shape = case
     rng = np.random.default_rng(seed)
     p = MANIFOLDS[kind]["point"](shape, rng)
@@ -556,7 +567,8 @@ def test_gram_step_matches_itemized_step(case, seed, e):
     for mb, x1 in zip(p.modes, x.modes):
         a, b = t * x1, _coupling(mb)
         ba = b @ a
-        norms = np.linalg.norm(ba), np.linalg.norm(_bpap(a, b, ba))
+        bpap = _bpap(a, b, ba)
+        norms = np.linalg.norm(ba), np.linalg.norm(bpap)
         assert np.allclose(mode_velocity_norms(mb, x1, t), norms,
                            rtol=1e-12, atol=0.0)
         try:
@@ -566,7 +578,10 @@ def test_gram_step_matches_itemized_step(case, seed, e):
         g1, z_item = itemized_step(mb, x1, t, FlopLedger())
         item = np.empty_like(g1)
         item[mb.perm] = g1
-        assert z_item == z
+        assert z == make_scaling_plan(
+            max_norm(group._phase_stack(group._gram(mb, x1)[1], t))).z
+        assert z_item == make_scaling_plan(max(max_norm(bpap),
+                                               max_norm(ba))).z
         assert np.abs(stepped.leading_columns() - item).max() \
             <= 1e-10 * np.abs(item).max()
 
@@ -578,8 +593,9 @@ def test_gram_step_matches_itemized_step(case, seed, e):
 def test_gram_step_on_embedded_instance_matches_dense_oracle(make, n):
     # each mode's columns are U (G0, X0) for an orthonormal n x 2k U and a
     # 2k-row instance, so the exact step is U times the dense oracle's
-    # columns there; the largest mode runs at z = 8.  At n = 20000 the
-    # itemized update misses this bound (errors up to 4e-10).
+    # columns there; the largest mode's velocity cores run at the itemized
+    # z = 8.  At n = 20000 the itemized update misses this bound (errors up
+    # to 4e-10).
     rng = np.random.default_rng(16)
     big = make((n, n, n))
     small = make(tuple(2 * k for k in big.ks))
@@ -595,9 +611,60 @@ def test_gram_step_on_embedded_instance_matches_dense_oracle(make, n):
         point, [u @ x[:, :k] for u, x, k in zip(us, xa0.factors, big.ks)])
     t = _time_at_norm(p0, x0, 48.0)
     q, zs = hq.geodesic(point, tangent, t)
-    assert max(zs) == 8
+    assert zs == {"cp": [7, 8, 8], "tt": [5, 9, 7]}[big.name]
     for mb, u, f, k in zip(q.modes, us, dense_geodesic(g0, xa0, t), big.ks):
         assert rel_err(mb.leading_columns(), u @ f[:, :k]) <= 1e-12
+
+
+def _column_error(point, tangent, t, step):
+    """Largest per-mode relative error of ``step``'s ambient leading columns
+    against the 60-digit reference."""
+    ref = mpmath_geodesic(hq.densify(point), hq.lift_tangent(point, tangent),
+                          t)
+    return max(rel_err(step(mb, x1), f[:, :mb.k])
+               for mb, x1, f in zip(point.modes, tangent.modes, ref))
+
+
+def _gram_columns(mb, x1, t):
+    return lowrank_geodesic_step(mb, x1, t, repivot_tol=0.0)[0] \
+        .leading_columns()
+
+
+def _itemized_columns(mb, x1, t):
+    g1, _ = itemized_step(mb, x1, t, FlopLedger())
+    cols = np.empty_like(g1)
+    cols[mb.perm] = g1
+    return cols
+
+
+_MPMATH_GRID = [((2, 2, 2), 1, seed) for seed in (1, 2, 3)] \
+    + [((5, 5, 5), 2, seed) for seed in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("dims, r, seed", _MPMATH_GRID,
+                         ids=[f"n{d[0]}-r{r}-seed{s}" for d, r, s in
+                              _MPMATH_GRID])
+def test_step_against_the_mpmath_geodesic(dims, r, seed):
+    # at top B'A' norms 2^6, 2^9 and 2^12 the Gram step errs no more than
+    # the itemized update and at most 5.9e-12, against 5.8e-10 and 2.7e-9
+    # for the itemized update at the worst two points, except on CP
+    # (2, 2, 2) seed 1 at 2^12 (t = 156.1), where the exact columns cancel:
+    # there the Gram step errs 1.8e-9 and the itemized update 6.5e-8, past
+    # perfbench's 1e-8
+    rng = np.random.default_rng(seed)
+    p = MANIFOLDS["cp"]["point"](CpShape(dims, r), rng)
+    x = MANIFOLDS["cp"]["tangent"](p, rng)
+    for e in (6, 9, 12):
+        t = _time_at_norm(p, x, 2.0 ** e)
+        gram = _column_error(p, x, t, lambda mb, x1: _gram_columns(mb, x1, t))
+        item = _column_error(p, x, t,
+                             lambda mb, x1: _itemized_columns(mb, x1, t))
+        assert gram <= item
+        if (dims, seed, e) == ((2, 2, 2), 1, 12):
+            assert t == pytest.approx(156.1, abs=0.05)
+            assert gram <= 4e-9 and item >= 5e-8
+        else:
+            assert gram <= 2e-11
 
 
 @pytest.mark.parametrize("k", [5, 16])

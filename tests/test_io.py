@@ -48,6 +48,18 @@ def test_tensor_parse_errors_carry_line_numbers():
         tio.load_tensor("shape: 2 two\ndata: 1 2\n")
 
 
+def test_data_entries_parse_as_python_floats():
+    # underscores, signs and surrounding space are Python float spellings;
+    # hex and commas are not, and a bad entry is named with its line
+    assert tio.load_tensor("shape: 3\ndata: 1_0 +1 -2.5e-1\n").tolist() \
+        == [10.0, 1.0, -0.25]
+    for bad in ("0x10", "1,5", "x"):
+        with pytest.raises(tio.FormatError) as exc:
+            tio.load_tensor(f"shape: 2\ndata: 1 {bad}\n")
+        assert str(exc.value) == ("bad data entry: could not convert string "
+                                  f"to float: '{bad}' (line 2)")
+
+
 @pytest.mark.parametrize("kind", ["cp", "tucker", "tt"])
 def test_point_roundtrip(kind, tmp_path):
     rng = np.random.default_rng(2)

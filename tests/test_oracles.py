@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tensorgeo.oracles import (contract_cp, contract_tt, contract_tucker,
-                               dense_geodesic, mexp_dense, psi1_series,
-                               series_tail_bound)
+                               dense_geodesic, mexp_dense, mpmath_geodesic,
+                               psi1_series, series_tail_bound)
 
 
 def test_series_basics():
@@ -45,6 +45,22 @@ def test_dense_geodesic_scalar_and_t0():
     # every mode is stepped, or none
     with pytest.raises(ValueError, match="dimension profiles do not match"):
         dense_geodesic(g + g, x, 0.7)
+
+
+def test_mpmath_geodesic_matches_the_dense_one_where_both_hold():
+    a, v = 1.4, 0.9
+    out = mpmath_geodesic([[[a]]], [[[v]]], 0.7)[0]
+    assert out[0, 0] == pytest.approx(np.exp(0.7 * v / a) * a, rel=1e-15)
+    rng = np.random.default_rng(3)
+    g = [rng.standard_normal((n, n)) + 2 * np.eye(n) for n in (3, 6)]
+    x = [0.3 * rng.standard_normal((n, n)) for n in (3, 6)]
+    for got, want in zip(mpmath_geodesic(g, x, 0.7),
+                         dense_geodesic(g, x, 0.7)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="dimension profiles do not match"):
+        mpmath_geodesic(g + g, x, 0.7)
+    with pytest.raises(ValueError, match="n <= 6"):
+        mpmath_geodesic([np.eye(7)], [np.zeros((7, 7))])
 
 
 def test_contract_cp_outer_product():
