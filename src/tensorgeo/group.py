@@ -32,6 +32,21 @@ chain would, and each squaring saved keeps about a bit.  That update is
 kept as ``itemized_step``, the flop audit's own reference: it charges
 every product to a ledger line, and no geodesic entry point runs it.
 
+Both exponentials come from one ``psi.mexpm1`` chain over the stack
+[K, blockdiag(Y - mu I, 0)], degree-13 Pade scaling and squaring under the
+plan of the stack's largest Frobenius norm.  The trace shift
+mu = tr(Y)/k (Ward, SINUM 1977) keeps mexp(Y)'s relative digits: Y and
+mu I commute, so mexp(Y) = e^mu mexp(Y - mu I) exactly, and C takes the
+scalar e^mu last.  Without it, a Y with large negative eigenvalues has
+mexp(Y) = I + D_Y with D_Y near -I, and the sum keeps only absolute
+digits; the real parts of Y - mu I's eigenvalues sum to zero, so they
+cannot all be large and negative, and its exponential has no such
+cancellation.  The shift moves no plan: Y - mu I is Y's projection off the
+identity in the Frobenius inner product, so ||Y - mu I||_F <= ||Y||_F <=
+||K||_F, since K holds -Y, and z stays K's.  K itself needs no shift, as
+tr K = tr(M^-1 S) - tr(M^-1 S^T) = 0.  An e^mu past the double range
+raises a typed ``ValueError`` naming mu.
+
 On small k the k x k phase costs numpy's call overhead more than flops, so
 the step calls LAPACK directly where numpy would wrap the same routine:
 K's and Y's blocks are one ``dgesv`` LU solve of M, and the g11 gate on
@@ -405,11 +420,12 @@ def _velocity_cores(h, t):
 
 
 def _phase_stack(h, t):
-    """The stack [K, blockdiag(Y, 0)] whose exponentials give the step, from H.
+    """The stack [K, blockdiag(Y - mu I, 0)] and the shift mu, from H.
 
     With M = G1^T G1, S = t G1^T X1 and P = X1^T X1, the blocks of H,
     Y = M^-1 S^T and K = [[-Y, -t M^-1 P], [t, M^-1 S]]: one LU solve of M
-    against [X1^T G1, P, G1^T X1] gives every block.
+    against [X1^T G1, P, G1^T X1] gives every block.  mu = tr(Y)/k comes
+    off Y's diagonal through a strided view: mexp(Y) = e^mu mexp(Y - mu I).
     """
     k = h.shape[0] // 2
     # LAPACK's LU solve, the routine np.linalg.solve calls
@@ -423,7 +439,10 @@ def _phase_stack(h, t):
     stack[0, k:, :k] = t * identity(k)
     stack[0, k:, k:] = sol[:, 2 * k:]
     stack[1, :k, :k] = sol[:, :k]
-    return stack
+    diag = stack[1].reshape(-1)[:k * (2 * k + 1):2 * k + 1]
+    mu = float(diag.sum()) / k
+    diag -= mu
+    return stack, mu
 
 
 def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
@@ -435,13 +454,13 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     (n x 2k) and H = Q^T Q, the new leading columns are Q C for the 2k x k
     matrix of the module docstring's derivation,
 
-        C = mexp(K)[:, :k] mexp(Y) = (I_{2k,k} + D_K[:, :k]) (I + D_Y),
+        C = mexp(K)[:, :k] mexp(Y) = (I_{2k,k} + D_K[:, :k]) (I + D_Y) e^mu,
 
     one Gram and one n x 2k by 2k x k product, about 12nk^2 + O(k^3 z).
-    The corrections D = mexp - 1 of the stack [K, blockdiag(Y, 0)] come
-    from one ``mexpm1`` chain under the plan of the stack's largest norm,
-    which is K's, so the mode has a single z.  A non-finite entry of the
-    stack reaches ``make_scaling_plan``, which raises.
+    The corrections D = mexp - 1 of the stack [K, blockdiag(Y - mu I, 0)],
+    mu = tr(Y)/k, come from one ``mexpm1`` chain under the plan of the
+    stack's largest norm, which is K's, so the mode has a single z.  A
+    non-finite entry of the stack makes ``mexpm1`` raise.
 
     The new columns keep the old frame when the keep test of the module
     docstring proves it good, KEEP_BOUND sigma_min(g11) >= ||G1||_F with
@@ -449,7 +468,8 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     input's permutation.  Otherwise they are re-pivoted in the
     representative's own row order.
 
-    Raises ``ValueError`` before any work when t is not finite.
+    Raises ``ValueError`` before any work when t is not finite, and naming
+    mu when e^mu or C is past the double range.
 
     Returns (new ModeBlocks, z).
     """
@@ -459,14 +479,20 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     if x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")
     q, h = _gram(blocks, x1)
-    stack = _phase_stack(h, t)
-    plan = make_scaling_plan(max_norm(stack))
-    d = mexpm1(stack, plan)
-    # C = mexp(K)[:, :k] mexp(Y), from the corrections
+    stack, mu = _phase_stack(h, t)
+    d, z = mexpm1(stack)
+    # C = mexp(K)[:, :k] mexp(Y - mu) e^mu, from the corrections; an e^mu
+    # or a C past the double range raises here, typed, without a warning
     e = d[0, :, :k].copy()
     e[:k] += identity(k)
-    c = e @ d[1, :k, :k]
-    c += e
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            c = e @ d[1, :k, :k]
+            c += e
+            c *= math.exp(mu)
+    except (OverflowError, FloatingPointError):
+        raise ValueError("mexp(Y) overflows the double range at "
+                         f"mu = {mu:.6g}") from None
     # column-major like Q: the re-pivot's LU copies contiguous columns
     out = (c.T @ q.T).T
     del q  # the re-pivot runs without Q's n x 2k copy alive
@@ -475,8 +501,8 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     # and ||G1||_F^2 = tr(C^T H C) is a k x k product
     if float(np.trace(h)) * float(np.vdot(c, c)) < _FINITE_BOUND:
         if _keeps_frame(out, float(np.vdot(c, h @ c)), repivot_tol):
-            return ModeBlocks._kept(blocks.perm, out), plan.z
-    return _repivot(blocks.perm, out, repivot_tol), plan.z
+            return ModeBlocks._kept(blocks.perm, out), z
+    return _repivot(blocks.perm, out, repivot_tol), z
 
 
 def mode_velocity_norms(blocks, x1, t=1.0):

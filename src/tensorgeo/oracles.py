@@ -3,12 +3,14 @@
 Nothing here shares code with the production kernels beyond the dense
 primitives, the block containers, a block tangent's dense lift
 ``homogeneous.lift_tangent``, which reads the coupling block
-``group.gamma12``, and the coupled Gram system that
-``vertical_component_norm`` solves on dense factors.
+``group.gamma12``, the coupled Gram system that
+``vertical_component_norm`` solves on dense factors, and the tangent
+shape check ``homogeneous.check_tangent``.
 The series evaluation runs in extended precision (the platform long
 double; 80-bit on x86), the dense exponential ``mexp_dense`` comes from
 SciPy, ``mpmath_geodesic`` evaluates the dense geodesic in 60-digit mpmath
-arithmetic, and the tensor contractions are naive index loops.  ``mexp_dense``
+arithmetic, ``mpmath_columns`` evaluates it at 80 digits on the step's
+own inputs, and the tensor contractions are naive index loops.  ``mexp_dense``
 and ``dense_geodesic`` are the package's only dense exponential and dense
 GL geodesic.  These paths trade speed for transparency and may be O(n^3)
 or worse.
@@ -30,7 +32,7 @@ import scipy.linalg
 from .dense import DEFAULT_RANK_TOL
 from .group import AlgebraElement, _check_profile
 from .homogeneous import (GRAM_COND_LIMIT, ManifoldTangent, _coupled_stacks,
-                          _coupled_system, lift_tangent)
+                          _coupled_system, check_tangent, lift_tangent)
 
 # terms of the psi1 series; at Frobenius norm <= 4 the dropped tail is far
 # below the extended-precision round-off floor (``series_tail_bound``)
@@ -111,6 +113,34 @@ def mpmath_geodesic(g, x, t=1.0):
             w = mpmath.mpf(t) * mpmath.matrix(xi.tolist()) * gm ** -1
             step = mpmath.expm(w - w.T) * mpmath.expm(w.T) * gm
             out.append(np.array(step.tolist(), dtype=float))
+    return out
+
+
+def mpmath_columns(point, tangent, t=1.0):
+    """Exact-input reference: each mode's new ambient leading columns.
+
+    For a mode with leading columns G1 and tangent columns X1, both in the
+    point's permuted frame, forms w = t X1 M^-1 G1^T, M = G1^T G1, in
+    mpmath at 80 digits from the doubles themselves, then the dense formula
+    mexp(w - w^T) mexp(w^T) G1, rounded to doubles and scattered to the
+    ambient rows.  Unlike ``mpmath_geodesic`` on a densified point and a
+    float64 lift, whose rounding leaves the horizontal space, it takes the
+    step's own inputs exactly.  n <= 6.
+    """
+    import mpmath
+    check_tangent(point, tangent)
+    if any(mb.n > 6 for mb in point.modes):
+        raise ValueError("the mpmath oracle takes factors of size n <= 6")
+    out = []
+    with mpmath.workdps(80):
+        for mb, x1 in zip(point.modes, tangent.modes):
+            g1 = mpmath.matrix(mb.g1.tolist())
+            w = mpmath.mpf(t) * mpmath.matrix(x1.tolist()) \
+                * (g1.T * g1) ** -1 * g1.T
+            step = mpmath.expm(w - w.T) * mpmath.expm(w.T) * g1
+            cols = np.empty((mb.n, mb.k))
+            cols[mb.perm] = np.array(step.tolist(), dtype=float)
+            out.append(cols)
     return out
 
 

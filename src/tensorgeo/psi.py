@@ -23,18 +23,33 @@ because the scaling exponent guarantees norm <= 1/4 at level z, hence
 <= 1/2 at level z-1.  An argument of norm at most 1/2 takes z = 0: the
 table and the psi1 rows alone, one solve and no chain.
 
-``mexpm1`` is the geodesic step's kernel: mexp(x) - 1 of a stack under one
-plan of the same kind.  It shares the power table, the contraction and the
-solve, with the exponential's rows alone at level z, and its z squarings
-run in correction form, d <- d (d + 2): one product and one add a level,
-under the same "raise" error state.  The identity never enters a rounding,
-so a small argument's correction keeps its relative digits.
+``mexpm1`` is the geodesic step's kernel: mexp(x) - 1 of a stack by
+Higham's degree-13 scaling and squaring (Higham, "The scaling and squaring
+method for the matrix exponential revisited", SIMAX 2005), which plans its
+own z.  The degree-13 quotient r(x) = (V + U)/(V - U) of exp has backward
+error below the unit roundoff wherever ||x|| <= THETA13 = 5.3719..., so z
+is the least exponent with ||m|| / 2^z <= THETA13, z = 1 included: four or
+five squarings fewer than psi1's plan, which scales to 1/4.  Higham states
+the bound in the 1-norm, but its derivation uses only that the norm is
+consistent, ||AB|| <= ||A|| ||B||: the backward error is a power series
+h(x) = log(e^-x r(x)) = sum_j c_j x^j, and ||h(x)|| <= sum_j |c_j| ||x||^j
+in any consistent norm, the Frobenius norm included.  So one Frobenius
+reduction plans the stack, as it does psi1's.  The table [I, x^2, x^4, x^6]
+costs three batched products; one contraction with a (4, 4) coefficient
+matrix gives 2U_hi, V_hi, 2U_lo and V_lo, where U = x (x^6 U_hi + U_lo) and
+V = x^6 V_hi + V_lo, so two more products give 2U and V.  The correction
+d = r(x) - 1 = (V - U)^-1 (2U) is one LAPACK ``dgesv`` per matrix, the
+routine ``np.linalg.solve`` calls, without its wrapper's cost.  The z
+squarings mexp(2x) = mexp(x)^2 run in correction form, d <- d (d + 2): one
+product and one add a level, under the same "raise" error state as psi1's
+chain.  The identity never enters a rounding, so a small argument's
+correction keeps its relative digits.
 
-``psi1`` and ``mexpm1`` enter through one reduction, ``max_norm``: an
-einsum of the squared entries per matrix and its maximum.  It is finite
-exactly when every entry is finite and no sum of squares overflows, so the
-one number serves the finiteness check, the default plan and the check that
-a given plan is strong enough; finite entries whose squares overflow raise
+Both kernels enter through one reduction, ``max_norm``: an einsum of the
+squared entries per matrix and its maximum.  It is finite exactly when
+every entry is finite and no sum of squares overflows, so the one number
+serves the finiteness check and the plan, and for psi1 the check that a
+given plan is strong enough; finite entries whose squares overflow raise
 the plan's error, without an overflow warning.  The dense exponential of
 the tests and audits is ``oracles.mexp_dense``.
 
@@ -52,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import identity
+from .dense import identity, lapack
 
 # degree (6,6) Pade coefficients of psi1, low order first
 PSI1_PADE_NUM = np.array([1.0, 1.0 / 26, 5.0 / 156, 1.0 / 858, 1.0 / 5720,
@@ -71,6 +86,16 @@ EXP_PADE = np.array([1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792,
 
 PADE_NORM_BOUND = 0.5
 
+# Higham's degree-13 Pade numerator of exp, b_0 .. b_13, all exact doubles;
+# the denominator is the same with alternating signs.  THETA13 is the norm
+# up to which its backward error stays below the unit roundoff
+EXP13_PADE = np.array([64764752532480000.0, 32382376266240000.0,
+                       7771770303897600.0, 1187353796428800.0,
+                       129060195264000.0, 10559470521600.0, 670442572800.0,
+                       33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+                       16380.0, 182.0, 1.0])
+THETA13 = 5.371920351148152
+
 # Coefficient rows contracted against the power table [I, x, ..., x^6]:
 # numerator-minus-denominator rows first, then the matching denominators.
 # The exp quotient is (V + U)/(V - U) with U and V its odd and even parts,
@@ -82,11 +107,19 @@ _PSI1_ROWS = np.array([PSI1_PADE_DIFF, PSI1_PADE_DEN])
 _EXP_ROWS = np.array([(1.0 - _ALT) * EXP_PADE, _ALT * EXP_PADE])
 _SCALED_ROWS = np.array([_POW2 * PSI1_PADE_DIFF, _EXP_ROWS[0],
                          _POW2 * PSI1_PADE_DEN, _EXP_ROWS[1]])
+# Rows contracted against [I, x^2, x^4, x^6] for the degree-13 quotient
+# (V + U)/(V - U): with U = x (x^6 U_hi + U_lo) and V = x^6 V_hi + V_lo,
+# the rows give 2U_hi, V_hi, 2U_lo and V_lo, so the correction's right side
+# 2U needs no product of its own
+_EXP13_ROWS = np.array([[0.0, *(2.0 * EXP13_PADE[9:14:2])],
+                        [0.0, *EXP13_PADE[8:13:2]],
+                        2.0 * EXP13_PADE[1:8:2],
+                        EXP13_PADE[0:7:2]])
 
 
 @dataclass(frozen=True)
 class ScalingPlan:
-    """Scaling exponent for one psi1/mexp evaluation.
+    """Scaling exponent for one psi1 evaluation.
 
     z = 0 whenever the norm is already <= 1/2; otherwise
     z = ceil(log2 norm) + 2, which over-scales to norm <= 1/4 so that the
@@ -210,22 +243,46 @@ def psi1(m, ledger=None, plan=None):
     return p.reshape(m.shape)
 
 
-def mexpm1(m, plan):
-    """mexp(m) - 1 of a (..., m, m) stack, as one chain under one plan.
+def mexpm1(m):
+    """mexp(m) - 1 of a (..., m, m) stack, as one chain; returns (d, z).
 
-    The exponential's Pade quotient gives the correction d = mexp(x) - 1 at
-    x = m / 2^z, and each of the z squarings mexp(2x) = mexp(x)^2 runs in
-    correction form, d <- d (d + 2), so the dominant identity never enters
-    a rounding.  ``plan`` must scale every matrix of the stack to the Pade
-    bound.  Raises ``ValueError`` naming z when an entry of the chain
-    overflows, without a warning.
+    One reduction gives the stack's largest Frobenius norm, and z is the
+    least exponent that scales it to THETA13: z = 0 at norm <= THETA13, else
+    ceil(log2(norm / THETA13)).  At x = m / 2^z the degree-13 Pade quotient
+    (V + U)/(V - U) gives the correction d = (V - U)^-1 (2U), one LAPACK
+    ``dgesv`` per matrix, and each of the z squarings mexp(2x) = mexp(x)^2
+    runs in correction form, d <- d (d + 2), so the dominant identity never
+    enters a rounding.  Raises ``ValueError`` when the norm is not finite,
+    and naming z, without a warning, when an entry of the chain overflows.
     """
-    top = _entry_norm(m)
-    z = plan.z
-    if top * 2.0 ** -z > PADE_NORM_BOUND * (1 + 1e-12):
-        raise ValueError("scaling plan too weak for this argument")
+    top = max_norm(m)
+    if not math.isfinite(top):
+        raise ValueError("norm must be finite and nonnegative")
+    z = 0 if top <= THETA13 else math.ceil(math.log2(top / THETA13))
     k = m.shape[-1]
-    d = _quotients((m / 2.0 ** z).reshape(-1, k, k), _EXP_ROWS)[0]
+    x = (m / 2.0 ** z).reshape(-1, k, k)
+    b = len(x)
+    pows = np.empty((4, b, k, k))
+    pows[0] = identity(k)
+    np.matmul(x, x, out=pows[1])
+    np.matmul(pows[1], pows[1], out=pows[2])
+    np.matmul(pows[2], pows[1], out=pows[3])
+    # 2U_hi, V_hi, 2U_lo, V_lo
+    parts = (_EXP13_ROWS @ pows.reshape(4, -1)).reshape(4, b, k, k)
+    # x^6 [2U_hi, V_hi] in one broadcast product, then 2U and V - U, whose
+    # halving of 2U is exact
+    hi = pows[3] @ parts[:2]
+    hi += parts[2:]
+    u2 = x @ hi[0]
+    den = hi[1]
+    den -= 0.5 * u2
+    gesv = lapack().dgesv
+    d = np.empty((b, k, k))
+    for i in range(b):
+        # LAPACK's LU solve, the routine np.linalg.solve calls
+        _, _, d[i], info = gesv(den[i], u2[i])
+        if info > 0:
+            raise np.linalg.LinAlgError("Singular matrix")
     two = 2.0 * identity(k)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -234,7 +291,7 @@ def mexpm1(m, plan):
     except FloatingPointError:
         raise ValueError(f"mexp overflows its squaring chain at z = {z}") \
             from None
-    return d.reshape(m.shape)
+    return d.reshape(m.shape), z
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_bench_rows_carry_the_itemized_exponent():
     blocks, x1 = _single_mode_instance(60, 3, np.random.default_rng(2))
     z = make_scaling_plan(max(mode_velocity_norms(blocks, x1, 1.0))).z
     assert rec.z == z == 9
-    assert lowrank_geodesic_step(blocks, x1, 1.0)[1] == 10
+    assert lowrank_geodesic_step(blocks, x1, 1.0)[1] == 5
     assert rec.flops_model == mode_step_total(60, 3, z)
 
 
@@ -188,7 +188,7 @@ def _unit_tangent_files(tmp_path):
 
 @pytest.mark.parametrize("t, cause", [
     ("300", "rank-deficient input: no acceptable pivot"),
-    ("1e5", "mexp overflows its squaring chain at z = 20"),
+    ("1e5", "mexp overflows its squaring chain at z = 16"),
 ], ids=["rank-deficient", "overflow"])
 def test_geodesic_reports_a_failed_step_and_exits_1(tmp_path, capsys, t,
                                                     cause):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
@@ -20,8 +21,8 @@ from tensorgeo.group import (AlgebraElement, GroupElement, ModeBlocks, _bpap,
                              itemized_step, lowrank_geodesic_step,
                              mode_velocity_norms, reduce_columns,
                              right_invariant_inner)
-from tensorgeo.oracles import dense_geodesic, mpmath_geodesic
-from tensorgeo.psi import make_scaling_plan, max_norm
+from tensorgeo.oracles import dense_geodesic, mpmath_columns, mpmath_geodesic
+from tensorgeo.psi import THETA13, make_scaling_plan, max_norm
 
 
 def _alg(rng, dims):
@@ -267,22 +268,33 @@ def test_step_leaves_its_point_and_tangent_alone(manifold):
     assert seen == {True, False}
 
 
+def _step_plan(stack):
+    """The degree-13 plan of a stack's largest Frobenius norm."""
+    top = max_norm(stack)
+    return 0 if top <= THETA13 else math.ceil(math.log2(top / THETA13))
+
+
 def test_step_shares_one_exponent():
     # both exponentials of the step run under the plan of the Q-basis
-    # stack's largest norm, which is K's, as K holds -Y
+    # stack's largest norm, which is K's: K holds -Y, and the shifted
+    # Y - mu I, whose trace is zero, is no larger than Y
     rng = np.random.default_rng(13)
     mb = _random_blocks(rng, 25, 2)
     x1 = _random_tangent(rng, mb)
-    stack = group._phase_stack(group._gram(mb, x1)[1], 0.7)
-    assert max_norm(stack) == max_norm(stack[0]) > max_norm(stack[1])
+    stack, mu = group._phase_stack(group._gram(mb, x1)[1], 0.7)
+    y = -stack[0, :2, :2]
+    assert mu == np.trace(y) / 2 != 0.0
+    assert np.array_equal(stack[1, :2, :2], y - mu * np.eye(2))
+    assert max_norm(stack) == max_norm(stack[0]) > max_norm(y) \
+        > max_norm(stack[1])
     _, z = lowrank_geodesic_step(mb, x1, 0.7)
-    assert z == make_scaling_plan(max_norm(stack)).z == 8
+    assert z == _step_plan(stack) == 3
 
 
 def test_step_calls_one_kernel_per_mode_without_a_ledger(monkeypatch):
-    # the Gram form evaluates its (2, 2k, 2k) stack in one mexpm1 call under
-    # the step's plan and calls no psi1; the itemized update keeps its two
-    # labelled psi1 calls
+    # the Gram form evaluates its (2, 2k, 2k) stack in one mexpm1 call, which
+    # plans the step's z itself, and calls no psi1; the itemized update keeps
+    # its two labelled psi1 calls
     calls = []
 
     def counting(name):
@@ -300,9 +312,9 @@ def test_step_calls_one_kernel_per_mode_without_a_ledger(monkeypatch):
     x1 = _random_tangent(rng, mb)
     _, z = lowrank_geodesic_step(mb, x1, 5.0)
     assert len(calls) == 1
-    name, (stack, plan), kwargs = calls[0]
+    name, (stack,), kwargs = calls[0]
     assert name == "mexpm1" and stack.shape == (2, 6, 6) and not kwargs
-    assert plan.z == z == make_scaling_plan(max_norm(stack)).z == 10
+    assert z == _step_plan(stack) == 5
     calls.clear()
     _, z_item = itemized_step(mb, x1, 5.0, FlopLedger())
     assert [(name, args[0].shape) for name, args, _ in calls] \
@@ -503,22 +515,37 @@ def test_a_kept_frame_is_one_the_lu_gate_accepts(case, seed, e):
         select_submatrix(stepped.g1, group.REPIVOT_TOL)
 
 
-@pytest.mark.parametrize("step, chain", [
+@pytest.mark.parametrize("step, texts", [
     (lambda mb, x1: lowrank_geodesic_step(mb, x1, 1.0),
-     "mexp overflows its squaring"),
+     [r"mexp\(Y\) overflows the double range at mu = 782\.977",
+      "mexp overflows its squaring chain at z = 42",
+      "mexp overflows its squaring chain at z = 69"]),
     (lambda mb, x1: itemized_step(mb, x1, 1.0, FlopLedger()),
-     "psi1 overflows its doubling")],
+     [r"psi1 overflows its doubling chain at z = \d+"] * 3)],
     ids=["gram", "itemized"])
-def test_step_reports_an_overflowing_output_as_non_finite(step, chain):
-    # on a huge tangent the kernel's chain overflows; the kernel raises the
-    # typed error naming z, and no overflow warning escapes (the suite turns
-    # every RuntimeWarning into an error)
+def test_step_reports_an_overflowing_output_as_non_finite(step, texts):
+    # on a huge tangent the kernel's chain overflows, or, in the Gram step,
+    # the trace shift's e^mu does while K's chain stays in range; either
+    # raises a typed error naming z or mu, and no overflow warning escapes
+    # (the suite turns every RuntimeWarning into an error)
     rng = np.random.default_rng(3)
     mb = _random_blocks(rng, 12, 3)
     x1 = _random_tangent(rng, mb)
-    for scale in (1e3, 1e6, 1e10):
-        with pytest.raises(ValueError, match=rf"^{chain} chain at z = \d+$"):
+    for scale, text in zip((1e3, 1e6, 1e10), texts):
+        with pytest.raises(ValueError, match=rf"^{text}$"):
             step(mb, scale * x1)
+
+
+def test_step_reports_a_non_finite_stack_by_its_norm():
+    # a NaN in the tangent reaches the stack without a warning, and the
+    # kernel's plan rejects its norm
+    rng = np.random.default_rng(3)
+    mb = _random_blocks(rng, 12, 3)
+    x1 = _random_tangent(rng, mb)
+    x1[4, 1] = np.nan
+    with pytest.raises(ValueError,
+                       match="^norm must be finite and nonnegative$"):
+        lowrank_geodesic_step(mb, x1, 1.0)
 
 
 def test_transport_point_matches_the_dense_product(manifold):
@@ -578,8 +605,8 @@ def test_gram_step_matches_itemized_step(case, seed, e):
         g1, z_item = itemized_step(mb, x1, t, FlopLedger())
         item = np.empty_like(g1)
         item[mb.perm] = g1
-        assert z == make_scaling_plan(
-            max_norm(group._phase_stack(group._gram(mb, x1)[1], t))).z
+        assert z == _step_plan(
+            group._phase_stack(group._gram(mb, x1)[1], t)[0])
         assert z_item == make_scaling_plan(max(max_norm(bpap),
                                                max_norm(ba))).z
         assert np.abs(stepped.leading_columns() - item).max() \
@@ -611,7 +638,7 @@ def test_gram_step_on_embedded_instance_matches_dense_oracle(make, n):
         point, [u @ x[:, :k] for u, x, k in zip(us, xa0.factors, big.ks)])
     t = _time_at_norm(p0, x0, 48.0)
     q, zs = hq.geodesic(point, tangent, t)
-    assert zs == {"cp": [7, 8, 8], "tt": [5, 9, 7]}[big.name]
+    assert zs == {"cp": [2, 3, 4], "tt": [1, 5, 2]}[big.name]
     for mb, u, f, k in zip(q.modes, us, dense_geodesic(g0, xa0, t), big.ks):
         assert rel_err(mb.leading_columns(), u @ f[:, :k]) <= 1e-12
 
@@ -665,6 +692,28 @@ def test_step_against_the_mpmath_geodesic(dims, r, seed):
             assert gram <= 4e-9 and item >= 5e-8
         else:
             assert gram <= 2e-11
+
+
+_EXACT_GRID = [((2, 2, 2), 1, seed, (9, 12, 15)) for seed in (1, 2, 3)] \
+    + [((5, 5, 5), 2, seed, (12, 15, 18)) for seed in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("dims, r, seed, es", _EXACT_GRID,
+                         ids=[f"n{d[0]}-r{r}-seed{s}" for d, r, s, _ in
+                              _EXACT_GRID])
+def test_step_against_the_exact_input_reference(dims, r, seed, es):
+    # 63 mode steps at top B'A' norms up to 2^15 (n = 2) and 2^18 (n = 5),
+    # where Y's eigenvalues reach -100 and mexp(Y)'s entries 1e-13.  The
+    # trace shift keeps mexp(Y)'s relative digits: every step succeeds, and
+    # the worst error is 1.3e-13 (median 1.1e-14).  Without it the worst is
+    # 2.3e2, and three steps raise "rank-deficient input: zero matrix"
+    rng = np.random.default_rng(seed)
+    p = MANIFOLDS["cp"]["point"](CpShape(dims, r), rng)
+    x = MANIFOLDS["cp"]["tangent"](p, rng)
+    for e in es:
+        t = _time_at_norm(p, x, 2.0 ** e)
+        for mb, x1, ref in zip(p.modes, x.modes, mpmath_columns(p, x, t)):
+            assert rel_err(_gram_columns(mb, x1, t), ref) <= 5e-13
 
 
 @pytest.mark.parametrize("k", [5, 16])

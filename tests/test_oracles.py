@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import tensorgeo.homogeneous as hq
+from conftest import rel_err
+from tensorgeo import CpShape, cp_random_horizontal, cp_random_point
 from tensorgeo.oracles import (contract_cp, contract_tt, contract_tucker,
-                               dense_geodesic, mexp_dense, mpmath_geodesic,
-                               psi1_series, series_tail_bound)
+                               dense_geodesic, mexp_dense, mpmath_columns,
+                               mpmath_geodesic, psi1_series,
+                               series_tail_bound)
 
 
 def test_series_basics():
@@ -61,6 +65,23 @@ def test_mpmath_geodesic_matches_the_dense_one_where_both_hold():
         mpmath_geodesic(g + g, x, 0.7)
     with pytest.raises(ValueError, match="n <= 6"):
         mpmath_geodesic([np.eye(7)], [np.zeros((7, 7))])
+
+
+def test_mpmath_columns_match_the_dense_reference_at_moderate_t():
+    # at a moderate t the float64 lift's rounding does not show, and the
+    # exact-input columns agree with the densified geodesic's leading ones
+    rng = np.random.default_rng(4)
+    shape = CpShape((4, 5, 3), 2)
+    p = cp_random_point(shape, rng)
+    x = cp_random_horizontal(p, rng)
+    ref = mpmath_geodesic(hq.densify(p), hq.lift_tangent(p, x), 0.6)
+    for cols, f, k in zip(mpmath_columns(p, x, 0.6), ref, shape.ks):
+        assert rel_err(cols, f[:, :k]) <= 1e-14
+    with pytest.raises(ValueError, match="n <= 6"):
+        big = cp_random_point(CpShape((7, 3, 3), 2), rng)
+        mpmath_columns(big, cp_random_horizontal(big, rng))
+    with pytest.raises(ValueError, match="^mode 0: tangent blocks"):
+        mpmath_columns(p, hq.ManifoldTangent(x.modes[::-1]))
 
 
 def test_contract_cp_outer_product():

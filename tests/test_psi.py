@@ -8,9 +8,9 @@ from hypothesis import assume, given, reject, settings
 from tensorgeo import psi
 from tensorgeo.flops import FlopLedger, psi1_count
 from tensorgeo.oracles import mexp_dense, psi1_series
-from tensorgeo.psi import (LowRankPair, ScalingPlan, inv_lowrank_update,
-                           make_scaling_plan, max_norm, mexp_lowrank, mexpm1,
-                           psi1)
+from tensorgeo.psi import (THETA13, LowRankPair, ScalingPlan,
+                           inv_lowrank_update, make_scaling_plan, max_norm,
+                           mexp_lowrank, mexpm1, psi1)
 
 
 def _random_with_norm(rng, k, nrm):
@@ -278,35 +278,54 @@ def test_psi1_stack_errors_match_the_single_matrix_ones():
 # ---------------------------------------------------------------------------
 # mexpm1: the exponential's correction, in one chain per stack
 
+def _mexpm1_norm_for_z(z):
+    """A norm whose degree-13 plan has exponent z: just inside the octave
+    (THETA13 2^(z-1), THETA13 2^z], or just inside THETA13 at z = 0."""
+    return 0.95 * THETA13 * 2.0 ** z
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 32])
 def test_mexpm1_stack_matches_each_matrix_bit_for_bit(m):
     # a stack runs each matrix through the same LAPACK and BLAS calls as
-    # the matrix alone; the step's stacks are 2k x 2k, so m >= 2 (1 x 1
-    # Pade contractions take BLAS's matrix-vector path alone, not in a stack)
+    # the matrix alone, so each matrix, whose own norm plans the stack's z,
+    # gets its result bit for bit; the step's stacks are 2k x 2k, so m >= 2
+    # (1 x 1 Pade contractions take BLAS's matrix-vector path alone, not in
+    # a stack)
     rng = np.random.default_rng(40 + m)
     for b in (2, 3, 5):
-        for z in (0, 2, 5, 9):
-            top = _norm_for_z(z)
+        for z in (0, 1, 2, 5):
+            top = _mexpm1_norm_for_z(z)
+            low = 0.55 if z else 0.1
             stack = np.stack([_random_with_norm(rng, m, top * u)
-                              for u in rng.uniform(0.2, 1.0, b - 1)]
+                              for u in rng.uniform(low, 1.0, b - 1)]
                              + [_random_with_norm(rng, m, top)])
-            plan = make_scaling_plan(max_norm(stack))
-            assert plan.z == z
-            got = mexpm1(stack, plan)
+            got, z_stack = mexpm1(stack)
+            assert z_stack == z
             assert got.shape == stack.shape
             for g, x in zip(got, stack):
-                assert g.tobytes() == mexpm1(x, plan).tobytes()
+                d, z_one = mexpm1(x)
+                assert z_one == z
+                assert g.tobytes() == d.tobytes()
+
+
+def test_mexpm1_plans_by_the_degree_13_bound():
+    # z = 0 up to THETA13 and the least z that scales the norm to it above,
+    # z = 1 included
+    x = _random_with_norm(np.random.default_rng(23), 4, 1.0)
+    for nrm, z in ((0.0, 0), (THETA13, 0), (THETA13 * (1 + 1e-15), 1),
+                   (2 * THETA13, 1), (2.5 * THETA13, 2), (800.0, 8)):
+        assert mexpm1(x * nrm)[1] == z
 
 
 @pytest.mark.parametrize("m", [8, 32])
 @pytest.mark.parametrize("kind", ["gaussian", "skew"])
 def test_mexpm1_matches_the_dense_exponential(m, kind):
     # against SciPy's expm minus the identity, relative to ||mexp||: the
-    # measured errors are at most 7e-17 up to norm 0.1, 1.7e-16 at norm 1
-    # and 5.3e-13 above it, where expm errs alike.  Where the norm is small
+    # measured errors are at most 8e-17 up to norm 0.1, 1.5e-16 at norm 1
+    # and 6.3e-13 above it, where expm errs alike.  Where the norm is small
     # the correction keeps its own digits, which the dense difference loses:
     # against the extended-precision series x psi1(x) it errs at most
-    # 4.7e-16 relative to itself
+    # 4e-16 relative to itself
     rng = np.random.default_rng(50 + m)
     for nrm in 10.0 ** np.arange(-8, 4):
         stack = rng.standard_normal((4, m, m))
@@ -314,7 +333,7 @@ def test_mexpm1_matches_the_dense_exponential(m, kind):
             stack -= stack.transpose(0, 2, 1)
         stack *= nrm / np.sqrt(np.einsum("bij,bij->b", stack, stack)
                                )[:, None, None]
-        got = mexpm1(stack, make_scaling_plan(max_norm(stack)))
+        got, _ = mexpm1(stack)
         for d, x in zip(got, stack):
             e = mexp_dense(x)
             # in units of the largest entry, whose square may overflow
@@ -331,23 +350,28 @@ def test_mexpm1_raises_naming_z_when_its_chain_overflows():
     # e^800 is past the double range; under -W error no overflow warning
     # escapes, and one overflowing matrix fails its whole stack
     big = np.diag([800.0, 1.0])
-    plan = make_scaling_plan(800.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for m in (big, np.stack((np.eye(2), big))):
             with pytest.raises(ValueError, match=r"^mexp overflows its "
-                                                 r"squaring chain at z = 12$"):
-                mexpm1(m, plan)
-        # e^700 is in range
-        assert np.isfinite(mexpm1(np.diag([700.0, 1.0]), plan)).all()
+                                                 r"squaring chain at z = 8$"):
+                mexpm1(m)
+        # e^700 is in range, at the same z
+        d, z = mexpm1(np.diag([700.0, 1.0]))
+        assert z == 8 and np.isfinite(d).all()
 
 
-def test_mexpm1_rejects_a_weak_plan_and_non_finite_entries():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_mexpm1_rejects_a_non_finite_norm(bad):
+    # a non-finite entry, or finite entries whose squares overflow, make the
+    # norm non-finite: the plan's text, without an overflow warning
     x = _random_with_norm(np.random.default_rng(22), 3, 3.0)
-    assert _message(lambda: mexpm1(x, ScalingPlan(2))) \
-        == "scaling plan too weak for this argument"
-    x[1, 2] = np.nan
-    assert _message(lambda: mexpm1(x, ScalingPlan(8))) == "non-finite input"
+    x[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (x, np.stack((np.eye(3), x))):
+            assert _message(lambda: mexpm1(m)) \
+                == "norm must be finite and nonnegative"
 
 
 # ---------------------------------------------------------------------------
