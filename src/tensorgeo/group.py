@@ -7,16 +7,17 @@ velocity X factor per mode as
     exp_g(X) = mexp(w - w^T) mexp(w^T) g,      w = X g^-1,
 
 which is complete for all times.  For horizontal velocities of the quotient
-constructions, w has rank k per mode and the update of the leading k columns
-is computed without ever forming an n x n matrix.  The formula's dense
+constructions, w has rank k per mode, and the update of the leading k
+columns works in a basis of min(n, 2k) columns: an n x n matrix is formed
+only where n < 2k, so never one larger than 2k x 2k.  The formula's dense
 evaluation, O(n^3) per mode, is ``oracles.dense_geodesic``, which tests and
 audits compare against.
 
-The production step is the Gram form, in the basis Q = [G1, X1] (n x 2k)
-of G1 and X1, the point's and the tangent's leading columns: the geodesic
-moves only span(Q).  For a step to time t, horizontality makes
-w = t X g^-1 = t X1 M^-1 G1^T with M = G1^T G1, so with S = t G1^T X1 and
-P = X1^T X1, blocks of the one Gram H = Q^T Q:
+Where n >= 2k the production step is the Gram form, in the basis
+Q = [G1, X1] (n x 2k) of G1 and X1, the point's and the tangent's leading
+columns: the geodesic moves only span(Q).  For a step to time t,
+horizontality makes w = t X g^-1 = t X1 M^-1 G1^T with M = G1^T G1, so
+with S = t G1^T X1 and P = X1^T X1, blocks of the one Gram H = Q^T Q:
 
 - w^T G1 = G1 Y with Y = M^-1 S^T, so mexp(w^T) G1 = G1 mexp(Y);
 - w - w^T = Q A Q^T with A = [[0, -t M^-1], [t M^-1, 0]], and for any
@@ -32,42 +33,63 @@ chain would, and each squaring saved keeps about a bit.  That update is
 kept as ``itemized_step``, the flop audit's own reference: it charges
 every product to a ledger line, and no geodesic entry point runs it.
 
+Q has 2k columns, and where n < 2k the ambient space is the smaller basis.
+Such modes are common: Tucker's first rank is the product of the others,
+and a TT mode has k = s_{i-1} s_i.  There the step exponentiates
+L = w - w^T itself, n x n, in place of K, and its new columns are
+mexp(L) G1 mexp(Y).  One LU solve of M against [G1^T, X1^T G1] gives
+t M^-1 G1^T, hence w, and Y.  L is skew, so mexp(L) is orthogonal and no
+Gram H is formed; in this case H, of rank at most n, would be singular.
+Any representative of the coset serves (Absil, Mahony and Sepulchre,
+2008, ch. 3), so the two bases are interchangeable, and the step takes the
+smaller by size alone: the ambient one iff n < 2k.  It forms
+B = G1 mexp(Y) first and then B + D_L B, D_L = mexp(L) - 1.  Where the
+exact columns are conditioned near 1e15 and past it, the other
+association, ((I + D_L) G1) mexp(Y), can round an LU pivot to exactly 0
+where this one leaves it near 1e-16; which order fails there is rounding
+luck, as double precision cannot represent such points.
+
 Both exponentials come from one ``psi.mexpm1`` chain over the stack
-[K, blockdiag(Y - mu I, 0)], degree-13 Pade scaling and squaring under the
-plan of the stack's largest Frobenius norm.  The trace shift
+[K, blockdiag(Y - mu I, 0)], or [L, blockdiag(Y - mu I, 0)] in the
+ambient basis, degree-13 Pade scaling and squaring under the plan of the
+stack's largest Frobenius norm.  The trace shift
 mu = tr(Y)/k (Ward, SINUM 1977) keeps mexp(Y)'s relative digits: Y and
-mu I commute, so mexp(Y) = e^mu mexp(Y - mu I) exactly, and C takes the
-scalar e^mu last.  Without it, a Y with large negative eigenvalues has
-mexp(Y) = I + D_Y with D_Y near -I, and the sum keeps only absolute
-digits; the real parts of Y - mu I's eigenvalues sum to zero, so they
-cannot all be large and negative, and its exponential has no such
-cancellation.  The shift moves no plan: Y - mu I is Y's projection off the
-identity in the Frobenius inner product, so ||Y - mu I||_F <= ||Y||_F <=
-||K||_F, since K holds -Y, and z stays K's.  K itself needs no shift, as
-tr K = tr(M^-1 S) - tr(M^-1 S^T) = 0.  An e^mu past the double range
-raises a typed ``ValueError`` naming mu.
+mu I commute, so mexp(Y) = e^mu mexp(Y - mu I) exactly, and C, or B,
+takes the scalar e^mu once mexp(Y - mu I) is applied.  Without it, a Y
+with large negative eigenvalues has mexp(Y) = I + D_Y with D_Y near -I,
+and the sum keeps only absolute digits; the real parts of Y - mu I's
+eigenvalues sum to zero, so they cannot all be large and negative, and its
+exponential has no such cancellation.  The shift moves no plan: Y - mu I
+is Y's projection off the identity in the Frobenius inner product, so
+||Y - mu I||_F <= ||Y||_F <= ||K||_F, since K holds -Y, and in the Q basis
+z stays K's.  L holds no
+block of Y, so in the ambient basis the plan is that of the larger of
+||L||_F and ||Y - mu I||_F, and either may set z.  K itself needs no
+shift, as tr K = tr(M^-1 S) - tr(M^-1 S^T) = 0, nor does L, skew with
+trace 0.  An e^mu past the double range raises a typed ``ValueError``
+naming mu.
 
 On small k the k x k phase costs numpy's call overhead more than flops, so
 the step calls LAPACK directly where numpy would wrap the same routine:
-K's and Y's blocks are one ``dgesv`` LU solve of M, and the g11 gate on
-every new representative reads its singular values from ``dgesdd``.  Both
-raise numpy's texts on failure ("Singular matrix", "SVD did not
-converge"); a step's keep test below reads the same ``dgesdd``.
+K's, or L's, and Y's blocks are one ``dgesv`` LU solve of M, and the g11
+gate on every new representative reads its singular values from
+``dgesdd``.  Both raise numpy's texts on failure ("Singular matrix", "SVD
+did not converge"); a step's keep test below reads the same ``dgesdd``.
 
 Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
 tangent as one n x k array X1 in the same frame, which the per-mode
-kernels take bare.  Both are column-major, as
-is the Gram step's n x k output, so Q = [G1, X1] is two contiguous column
-blocks, and the re-pivot's LU reads contiguous columns.  The metric is
-invariant under left multiplication by orthogonal matrices, so a step works
-in the permuted frame and re-pivots its n x k result there: the LU's k row
-swaps are applied to the result in place, and the new permutation is the
-old one composed with them.  So the unselected rows keep the old frame's
+kernels take bare.  Both are column-major, as is a step's n x k output,
+so Q = [G1, X1] is two contiguous column blocks, and the re-pivot's LU
+reads contiguous columns.  The metric is invariant under left
+multiplication by orthogonal matrices, so a step works in the permuted
+frame and re-pivots its n x k result there: the LU's k row swaps are
+applied to the result in place, and the new permutation is the old one
+composed with them.  So the unselected rows keep the old frame's
 order, except for the at most k rows the swaps displace.
 
 A point is a coset, so any frame whose g11 is invertible represents it, and
-the Gram form never reads g11^-1.  So a step keeps the old frame when it is
+neither basis reads g11^-1.  So a step keeps the old frame when it is
 provably good, and re-pivots only otherwise.  With G1 the new columns in the
 old frame and sigma the smallest singular value of their g11, the frame is
 kept iff
@@ -84,9 +106,12 @@ tol the re-pivot tolerance and KEEP_BOUND = 2^10.  Then:
   leaves room for rounding.  A kept frame is thus one the re-pivot would
   have accepted, and a step fails exactly when it did before.
 
-The test costs one k x k ``dgesdd`` and no pass over the n x k output.  The
-step reads ||G1||_F^2 = tr(C^T H C) from the Gram it already has, and it
-trusts the output to be finite only when C is finite and
+The test costs one k x k ``dgesdd``.  In the ambient basis the output has
+n k < 2k^2 entries, formed under numpy's "raise" error state and so
+finite, and the step reads ||G1||_F^2 off them.  In the Q basis the test
+makes no pass over the n x k output: the step reads
+||G1||_F^2 = tr(C^T H C) from the Gram it already has, and it trusts the
+output to be finite only when C is finite and
 tr(H) ||C||_F^2 < 2^1000: each entry of Q C, and each partial sum of one,
 is at most sqrt(tr H) ||C||_F in size, so no step of the product
 overflows.  Otherwise the step re-pivots, and the LU's pass raises the
@@ -297,8 +322,9 @@ def _g11_singular_values(g1):
 def _keeps_frame(g1, norm_sq, tol):
     """Whether new columns ``g1`` may keep their frame, in O(k^3).
 
-    ``norm_sq`` is ||G1||_F^2, computed by the caller without trusting the
-    n x k output; outside (0, 2^1000), which includes nan, the frame is not
+    ``norm_sq`` is ||G1||_F^2, computed by the caller from output it knows
+    to be finite, or from the Gram without trusting the n x k output;
+    outside (0, 2^1000), which includes nan and inf, the frame is not
     kept.  With sigma the smallest singular value of g11, the frame is kept
     iff KEEP_BOUND sigma >= ||G1||_F and sigma > 2 tol sqrt(nk) ||G1||_F.
     Then cond(g11) <= KEEP_BOUND, and the LU gate would accept G1: see the
@@ -404,10 +430,7 @@ def _velocity_cores(h, t):
     are the paper's psi1 arguments, whose norms set ``itemized_step``'s z.
     """
     k = h.shape[0] // 2
-    # LAPACK's LU solve, the routine np.linalg.solve calls
-    _, _, m_inv, info = lapack().dgesv(h[:k, :k], identity(k))
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
+    m_inv = _lu_solve(h[:k, :k], identity(k))
     ba = m_inv @ (t * h[:k, k:])
     cores = np.zeros((2, 2 * k, 2 * k))
     cores[0, :k, :k] = ba
@@ -419,30 +442,60 @@ def _velocity_cores(h, t):
     return cores
 
 
+def _lu_solve(a, b):
+    """a^-1 b by LAPACK's LU solve, the routine np.linalg.solve calls."""
+    _, _, x, info = lapack().dgesv(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
+def _put_shifted(block, y):
+    """Write Y - mu I, mu = tr(Y)/k, into a zero block's leading k x k
+    corner, and return mu.
+
+    mu comes off Y's diagonal through a strided view of the block:
+    mexp(Y) = e^mu mexp(Y - mu I).
+    """
+    k, m = len(y), len(block)
+    block[:k, :k] = y
+    diag = block.reshape(-1)[:k * (m + 1):m + 1]
+    mu = float(diag.sum()) / k
+    diag -= mu
+    return mu
+
+
 def _phase_stack(h, t):
-    """The stack [K, blockdiag(Y - mu I, 0)] and the shift mu, from H.
+    """The Q basis's stack [K, blockdiag(Y - mu I, 0)] and mu, from H.
 
     With M = G1^T G1, S = t G1^T X1 and P = X1^T X1, the blocks of H,
     Y = M^-1 S^T and K = [[-Y, -t M^-1 P], [t, M^-1 S]]: one LU solve of M
-    against [X1^T G1, P, G1^T X1] gives every block.  mu = tr(Y)/k comes
-    off Y's diagonal through a strided view: mexp(Y) = e^mu mexp(Y - mu I).
+    against [X1^T G1, P, G1^T X1] gives every block.
     """
     k = h.shape[0] // 2
-    # LAPACK's LU solve, the routine np.linalg.solve calls
-    _, _, sol, info = lapack().dgesv(
-        h[:k, :k], np.concatenate((h[k:], h[:k, k:]), axis=1))
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
+    sol = _lu_solve(h[:k, :k], np.concatenate((h[k:], h[:k, k:]), axis=1))
     sol *= t
     stack = np.zeros((2, 2 * k, 2 * k))
     np.negative(sol[:, :2 * k], out=stack[0, :k])
     stack[0, k:, :k] = t * identity(k)
     stack[0, k:, k:] = sol[:, 2 * k:]
-    stack[1, :k, :k] = sol[:, :k]
-    diag = stack[1].reshape(-1)[:k * (2 * k + 1):2 * k + 1]
-    mu = float(diag.sum()) / k
-    diag -= mu
-    return stack, mu
+    return stack, _put_shifted(stack[1], sol[:, :k])
+
+
+def _ambient_stack(g1, x1, t):
+    """The stack [L, blockdiag(Y - mu I, 0)] and the shift mu, for n < 2k.
+
+    With M = G1^T G1, one LU solve of M against [G1^T, X1^T G1] gives
+    t M^-1 G1^T and Y = t M^-1 X1^T G1, so w = t X1 M^-1 G1^T and
+    L = w - w^T, skew bit for bit since fl(a - b) = -fl(b - a).
+    """
+    n = len(g1)
+    sol = _lu_solve(g1.T @ g1, np.concatenate((g1.T, x1.T @ g1), axis=1))
+    sol *= t
+    stack = np.zeros((2, n, n))
+    w = x1 @ sol[:, :n]
+    np.subtract(w, w.T, out=stack[0])
+    return stack, _put_shifted(stack[1], sol[:, n:])
 
 
 def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
@@ -450,17 +503,24 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
 
     ``x1`` holds the tangent's n x k leading columns in the permuted frame.
 
-    Works entirely with n x k and smaller intermediates.  With Q = [G1, X1]
-    (n x 2k) and H = Q^T Q, the new leading columns are Q C for the 2k x k
-    matrix of the module docstring's derivation,
+    Works in the smaller of two bases, never larger than 2k x 2k.  When
+    n >= 2k, with Q = [G1, X1] (n x 2k) and H = Q^T Q, the new leading
+    columns are Q C for the 2k x k matrix of the module docstring's
+    derivation,
 
         C = mexp(K)[:, :k] mexp(Y) = (I_{2k,k} + D_K[:, :k]) (I + D_Y) e^mu,
 
     one Gram and one n x 2k by 2k x k product, about 12nk^2 + O(k^3 z).
-    The corrections D = mexp - 1 of the stack [K, blockdiag(Y - mu I, 0)],
-    mu = tr(Y)/k, come from one ``mexpm1`` chain under the plan of the
-    stack's largest norm, which is K's, so the mode has a single z.  A
-    non-finite entry of the stack makes ``mexpm1`` raise.
+    When n < 2k the ambient space is the smaller basis, and the new
+    columns are
+
+        mexp(L) G1 mexp(Y) = B + D_L B,   B = (G1 + G1 D_Y) e^mu,
+
+    L = w - w^T the n x n skew of ``_ambient_stack``, G1 mexp(Y) formed
+    first.  Either way the corrections D = mexp - 1 of the stack
+    [K or L, blockdiag(Y - mu I, 0)], mu = tr(Y)/k, come from one
+    ``mexpm1`` chain under the plan of the stack's largest norm, so the
+    mode has a single z.  A non-finite entry of the stack makes ``mexpm1`` raise.
 
     The new columns keep the old frame when the keep test of the module
     docstring proves it good, KEEP_BOUND sigma_min(g11) >= ||G1||_F with
@@ -469,39 +529,62 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     representative's own row order.
 
     Raises ``ValueError`` before any work when t is not finite, and naming
-    mu when e^mu or C is past the double range.
+    mu when e^mu or the new columns' scale is past the double range.
 
     Returns (new ModeBlocks, z).
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    k = blocks.k
+    n, k = blocks.n, blocks.k
     if x1.shape != blocks.g1.shape:
         raise ValueError("tangent blocks do not match the representative")
-    q, h = _gram(blocks, x1)
-    stack, mu = _phase_stack(h, t)
+    ambient = n < 2 * k
+    if ambient:
+        stack, mu = _ambient_stack(blocks.g1, x1, t)
+    else:
+        q, h = _gram(blocks, x1)
+        stack, mu = _phase_stack(h, t)
     d, z = mexpm1(stack)
-    # C = mexp(K)[:, :k] mexp(Y - mu) e^mu, from the corrections; an e^mu
-    # or a C past the double range raises here, typed, without a warning
-    e = d[0, :, :k].copy()
-    e[:k] += identity(k)
+    # the k x k factor mexp(Y - mu) e^mu, or C = mexp(K)[:, :k] times it,
+    # from the corrections; an e^mu, a C or an ambient output past the
+    # double range raises here, typed, without a warning
     try:
         with np.errstate(over="raise", invalid="raise"):
-            c = e @ d[1, :k, :k]
-            c += e
-            c *= math.exp(mu)
+            if ambient:
+                # B = G1 mexp(Y - mu) e^mu first, then B + D_L B, both as
+                # their k x n transposes, so the output is column-major
+                b = d[1, :k, :k].T @ blocks.g1.T
+                b += blocks.g1.T
+                b *= math.exp(mu)
+                out = b @ d[0].T
+                out += b
+                out = out.T
+            else:
+                e = d[0, :, :k].copy()
+                e[:k] += identity(k)
+                c = e @ d[1, :k, :k]
+                c += e
+                c *= math.exp(mu)
     except (OverflowError, FloatingPointError):
         raise ValueError("mexp(Y) overflows the double range at "
                          f"mu = {mu:.6g}") from None
-    # column-major like Q: the re-pivot's LU copies contiguous columns
-    out = (c.T @ q.T).T
-    del q  # the re-pivot runs without Q's n x 2k copy alive
-    # no entry of Q C, nor any partial sum of one, exceeds sqrt(tr H) ||C||_F
-    # in size: under the bound the output is finite without a pass over it,
-    # and ||G1||_F^2 = tr(C^T H C) is a k x k product
-    if float(np.trace(h)) * float(np.vdot(c, c)) < _FINITE_BOUND:
-        if _keeps_frame(out, float(np.vdot(c, h @ c)), repivot_tol):
-            return ModeBlocks._kept(blocks.perm, out), z
+    if ambient:
+        # at most 2k^2 entries, all finite here; its C-order transpose is
+        # read without a copy
+        norm_sq = float(np.vdot(out.T, out.T))
+    else:
+        # column-major like Q: the re-pivot's LU copies contiguous columns
+        out = (c.T @ q.T).T
+        del q  # the re-pivot runs without Q's n x 2k copy alive
+        # no entry of Q C, nor any partial sum of one, exceeds
+        # sqrt(tr H) ||C||_F in size: under the bound the output is finite
+        # without a pass over it, and ||G1||_F^2 = tr(C^T H C) is a k x k
+        # product
+        norm_sq = math.inf
+        if float(np.trace(h)) * float(np.vdot(c, c)) < _FINITE_BOUND:
+            norm_sq = float(np.vdot(c, h @ c))
+    if _keeps_frame(out, norm_sq, repivot_tol):
+        return ModeBlocks._kept(blocks.perm, out), z
     return _repivot(blocks.perm, out, repivot_tol), z
 
 

@@ -91,7 +91,8 @@ class TtShape:
         return cores
 
     def reference_tensor(self):
-        return _contract_cores(self.reference_cores())
+        return self.embed_columns([np.eye(n, k)
+                                   for n, k in zip(self.dims, self.ks)])
 
     def cores_from_columns(self, cols):
         s = self.sfull
@@ -99,7 +100,20 @@ class TtShape:
                 for i, c in enumerate(cols)]
 
     def embed_columns(self, cols):
-        return _contract_cores(self.cores_from_columns(cols))
+        """Contraction of the cores, one GEMM per mode.
+
+        The partial contraction of modes 0..i-1 is an (n_0...n_{i-1}) x s_i
+        matrix, and mode i's columns, as an s_i x (n_i s_{i+1}) matrix,
+        extend it to the rows of modes 0..i.
+        """
+        s = self.sfull
+        out = np.asarray(cols[0])
+        for i in range(1, self.d):
+            n = self.dims[i]
+            core = np.asarray(cols[i]).reshape(n, s[i], s[i + 1]) \
+                .transpose(1, 0, 2).reshape(s[i], n * s[i + 1])
+            out = (out @ core).reshape(-1, s[i + 1])
+        return out.reshape(self.dims)
 
     def coupled_upper_basis(self):
         """Chain directions: +I_{s_{j}} x E in mode j, -E^T x I in mode j+1.
@@ -131,13 +145,6 @@ class TtShape:
         leading = [np.kron(np.linalg.inv(a).T, b)
                    for a, b in zip(mats[:-1], mats[1:])]
         return hq.stabilizer_sample(self, leading, rng)
-
-
-def _contract_cores(cores):
-    out = cores[0]
-    for c in cores[1:]:
-        out = np.tensordot(out, c, axes=([-1], [0]))
-    return out.reshape(out.shape[1:-1])
 
 
 TtPoint = hq.Point

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import homogeneous as hq
-from .dense import mode_product, unfold
+from .dense import unfold
 
 __all__ = [
     "TuckerShape", "TuckerPoint", "TuckerTangent", "t1_window",
@@ -103,7 +103,19 @@ class TuckerShape:
         return t
 
     def embed_columns(self, cols):
-        return mode_product(cols, self.core_identity())
+        """The identity core against the modes' leading columns.
+
+        One GEMM: the first mode's columns times the Kronecker product of
+        the others', formed by broadcasting, so nothing larger than the
+        result is formed.  The identity core pairs mode 0's column a with
+        the trailing modes' column tuple whose row-major index is a.
+        """
+        cols = [np.asarray(c) for c in cols]
+        kr = cols[1]
+        for v in cols[2:]:
+            kr = (kr[:, None, :, None] * v[None, :, None, :]).reshape(
+                kr.shape[0] * v.shape[0], kr.shape[1] * v.shape[1])
+        return (cols[0] @ kr.T).reshape([c.shape[0] for c in cols])
 
     def coupled_upper_basis(self):
         """For each trailing mode m and unit block E: +E in mode m and

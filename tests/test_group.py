@@ -12,7 +12,7 @@ import tensorgeo.group as group
 import tensorgeo.homogeneous as hq
 import tensorgeo.io as tio
 from conftest import MANIFOLDS, manifold_shapes, rel_err
-from tensorgeo import CpShape, TtShape
+from tensorgeo import CpShape, TtShape, TuckerShape
 from tensorgeo.dense import select_submatrix
 from tensorgeo.flops import (FlopLedger, gamma12_count, mode_step_items,
                              mode_step_total)
@@ -292,9 +292,10 @@ def test_step_shares_one_exponent():
 
 
 def test_step_calls_one_kernel_per_mode_without_a_ledger(monkeypatch):
-    # the Gram form evaluates its (2, 2k, 2k) stack in one mexpm1 call, which
-    # plans the step's z itself, and calls no psi1; the itemized update keeps
-    # its two labelled psi1 calls
+    # the step evaluates its stack in one mexpm1 call, which plans the
+    # step's z itself, and calls no psi1: a (2, 2k, 2k) stack in the Q
+    # basis at n = 14, and a (2, n, n) one at n = 5 < 2k.  The itemized
+    # update keeps its two labelled psi1 calls
     calls = []
 
     def counting(name):
@@ -307,19 +308,22 @@ def test_step_calls_one_kernel_per_mode_without_a_ledger(monkeypatch):
 
     counting("psi1")
     counting("mexpm1")
-    rng = np.random.default_rng(15)
-    mb = _random_blocks(rng, 14, 3)
-    x1 = _random_tangent(rng, mb)
-    _, z = lowrank_geodesic_step(mb, x1, 5.0)
-    assert len(calls) == 1
-    name, (stack,), kwargs = calls[0]
-    assert name == "mexpm1" and stack.shape == (2, 6, 6) and not kwargs
-    assert z == _step_plan(stack) == 5
-    calls.clear()
-    _, z_item = itemized_step(mb, x1, 5.0, FlopLedger())
-    assert [(name, args[0].shape) for name, args, _ in calls] \
-        == [("psi1", (3, 3)), ("psi1", (6, 6))]
-    assert z_item == make_scaling_plan(max(mode_velocity_norms(mb, x1, 5.0))).z
+    for n, k, m, z_step in ((14, 3, 6, 5), (5, 3, 5, 3)):
+        rng = np.random.default_rng(15)
+        mb = _random_blocks(rng, n, k)
+        x1 = _random_tangent(rng, mb)
+        calls.clear()
+        _, z = lowrank_geodesic_step(mb, x1, 5.0)
+        assert len(calls) == 1
+        name, (stack,), kwargs = calls[0]
+        assert name == "mexpm1" and stack.shape == (2, m, m) and not kwargs
+        assert z == _step_plan(stack) == z_step
+        calls.clear()
+        _, z_item = itemized_step(mb, x1, 5.0, FlopLedger())
+        assert [(name, args[0].shape) for name, args, _ in calls] \
+            == [("psi1", (k, k)), ("psi1", (2 * k, 2 * k))]
+        assert z_item \
+            == make_scaling_plan(max(mode_velocity_norms(mb, x1, 5.0))).z
 
 
 def test_step_rejects_mismatched_tangent():
@@ -584,8 +588,9 @@ def test_gram_step_matches_itemized_step(case, seed, e):
     # exponents, so the itemized z = e + 3 there: from 0 (t is at least
     # 0.01) to 12.  The velocity norms, which set that z, match the itemized
     # factors' too.  Each form runs under the plan of its own arguments'
-    # largest norm.  Wherever the Gram step succeeds, the itemized update's
-    # columns, scattered to the ambient rows, agree with its own.
+    # largest norm: the step's under that of the stack it built, in the
+    # smaller of its two bases.  Wherever the step succeeds, the itemized
+    # update's columns, scattered to the ambient rows, agree with its own.
     kind, shape = case
     rng = np.random.default_rng(seed)
     p = MANIFOLDS[kind]["point"](shape, rng)
@@ -599,14 +604,17 @@ def test_gram_step_matches_itemized_step(case, seed, e):
         assert np.allclose(mode_velocity_norms(mb, x1, t), norms,
                            rtol=1e-12, atol=0.0)
         try:
-            stepped, z = lowrank_geodesic_step(mb, x1, t)
+            with mock.patch.object(group, "mexpm1",
+                                   wraps=group.mexpm1) as kernel:
+                stepped, z = lowrank_geodesic_step(mb, x1, t)
         except ValueError:
             continue
         g1, z_item = itemized_step(mb, x1, t, FlopLedger())
         item = np.empty_like(g1)
         item[mb.perm] = g1
-        assert z == _step_plan(
-            group._phase_stack(group._gram(mb, x1)[1], t)[0])
+        (stack,), _ = kernel.call_args
+        assert stack.shape[1] == min(mb.n, 2 * mb.k)
+        assert z == _step_plan(stack)
         assert z_item == make_scaling_plan(max(max_norm(bpap),
                                                max_norm(ba))).z
         assert np.abs(stepped.leading_columns() - item).max() \
@@ -714,6 +722,66 @@ def test_step_against_the_exact_input_reference(dims, r, seed, es):
         t = _time_at_norm(p, x, 2.0 ** e)
         for mb, x1, ref in zip(p.modes, x.modes, mpmath_columns(p, x, t)):
             assert rel_err(_gram_columns(mb, x1, t), ref) <= 5e-13
+
+
+_AMBIENT_SHAPES = [CpShape((5, 5, 5), 3), CpShape((3, 3, 3), 2),
+                   TuckerShape((4, 2, 2), (4, 2, 2)),
+                   TuckerShape((6, 3, 2), (6, 3, 2)),
+                   TtShape((2, 4, 2), (2, 2)), TtShape((3, 6, 3), (2, 2))]
+_AMBIENT_GRID = [(shape, seed) for shape in _AMBIENT_SHAPES
+                 for seed in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("shape, seed", _AMBIENT_GRID,
+                         ids=[f"{sh.name}{'x'.join(map(str, sh.dims))}-seed{s}"
+                              for sh, s in _AMBIENT_GRID])
+def test_ambient_step_against_the_exact_input_reference(shape, seed):
+    # every mode has n < 2k, so each step exponentiates the n x n skew
+    # L = w - w^T.  Over the 288 mode steps at top B'A' norms 2^6 to 2^15,
+    # the 210 whose exact columns have cond < 1e15 all succeed, the worst
+    # erring 3.6e-14 (2.1e-13 in the Q basis).  Past cond 1e15 double
+    # precision cannot represent the point (ROADMAP item 2): 3 of the
+    # other 78 raise, typed (5 in the Q basis), and the worst of the rest
+    # errs 6.9e-14 (1.8e-12 in the Q basis)
+    rng = np.random.default_rng(seed)
+    p = MANIFOLDS[shape.name]["point"](shape, rng)
+    x = MANIFOLDS[shape.name]["tangent"](p, rng)
+    for e in (6, 9, 12, 15):
+        t = _time_at_norm(p, x, 2.0 ** e)
+        for mb, x1, ref in zip(p.modes, x.modes, mpmath_columns(p, x, t)):
+            assert mb.n < 2 * mb.k
+            try:
+                cols = _gram_columns(mb, x1, t)
+            except ValueError:
+                assert np.linalg.cond(ref) >= 1e15
+                continue
+            assert rel_err(cols, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("make", [lambda n: CpShape((n, n, n), 5),
+                                  lambda n: TtShape((n, n, n), (4, 4))],
+                         ids=["cp", "tt"])
+def test_geodesic_memory_is_a_few_n_by_k_blocks(make):
+    # the user-level entry point at n = 20000, where every mode takes the
+    # Q basis: the peak is the new point's columns plus the largest mode's
+    # n x 2k Q and a spare block, about 27 and 53 columns of n for CP
+    # (k = 5) and TT (k = 4, 16, 4).  An n x n array, or a step taking the
+    # ambient basis at n >= 2k, would need 20000.
+    n = 20000
+    shape = make(n)
+    rng = np.random.default_rng(23)
+    p = MANIFOLDS[shape.name]["point"](shape, rng)
+    x = hq.project_horizontal(p, [rng.standard_normal((n, k))
+                                  for k in shape.ks])
+    x = x.scale(1.0 / x.norm())
+    for t in (0.5, 50.0):
+        tracemalloc.start()
+        try:
+            hq.geodesic(p, x, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (sum(shape.ks) + 3 * max(shape.ks))
 
 
 @pytest.mark.parametrize("k", [5, 16])
