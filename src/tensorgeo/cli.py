@@ -303,7 +303,7 @@ def cmd_geodesic(args, out):
     try:
         new_point, _ = hq.geodesic(point, tangent, args.t)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {tio.one_based(exc)}", file=sys.stderr)
         return 1
     text = tio.dump_point(new_point)
     if args.out_file:
@@ -359,7 +359,13 @@ def build_parser():
                                    "exponent and its count, "
                                    "110 n r^2 / 3 + (146 + 36 z) r^3, not "
                                    "the work of the timed Gram step "
-                                   "(about 12 n r^2 + O(r^3 z)).")
+                                   "(about 12 n r^2 + O(r^3 z)).  The "
+                                   "dense rows run on the process's BLAS "
+                                   "threads, so their size-to-size ratio "
+                                   "measures the host's thread scaling "
+                                   "along with the O(n^3) cost; set "
+                                   "OPENBLAS_NUM_THREADS=1 for scaling "
+                                   "that does not depend on it.")
     p.add_argument("--manifold", choices=["cp", "tucker", "tt"], default="cp",
                    help="label of the output rows only; every manifold times "
                         "the same synthetic mode")

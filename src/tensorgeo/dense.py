@@ -116,12 +116,6 @@ def mode_apply(g, t):
 # ---------------------------------------------------------------------------
 # permutations
 
-def perm_inverse(p):
-    p = np.asarray(p)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p))
-    return inv
-
 def is_permutation(p):
     p = np.asarray(p)
     return p.ndim == 1 and np.array_equal(np.sort(p), np.arange(len(p)))

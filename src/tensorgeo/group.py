@@ -31,7 +31,8 @@ update.  K's blocks grow like t, where the paper's psi1 argument B'A' grows
 like t^2, so the step's exponentials take fewer squarings than psi1's
 chain would, and each squaring saved keeps about a bit.  That update is
 kept as ``itemized_step``, the flop audit's own reference: it charges
-every product to a ledger line, and no geodesic entry point runs it.
+every product to a ledger line, and no geodesic entry point runs it.  Its
+psi1 arguments are the matrices BA and B'A', BA being B'A''s leading block.
 
 Q has 2k columns, and where n < 2k the ambient space is the smaller basis.
 Such modes are common: Tucker's first rank is the product of the others,
@@ -118,6 +119,10 @@ overflows.  Otherwise the step re-pivots, and the LU's pass raises the
 typed "non-finite input" as before.  A re-pivot changes only the row order
 of the representative, never its ambient columns, so a kept step's columns
 are bit for bit a re-pivoted step's.
+
+Either way the step's new blocks come from ``ModeBlocks._trusted``, which
+repeats no check: re-pivoted rows have passed the LU's finiteness check
+and the g11 gate, and a kept frame the keep test.
 """
 
 import math
@@ -125,8 +130,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (identity, is_permutation, lapack, perm_inverse,
-                    select_submatrix)
+from .dense import identity, is_permutation, lapack, select_submatrix
 from .psi import make_scaling_plan, max_norm, mexpm1, psi1
 
 INVERTIBILITY_TOL = 1e-12
@@ -154,10 +158,6 @@ class GroupElement:
                 raise ValueError(f"factor {i} is numerically singular")
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def dims(self):
-        return tuple(f.shape[0] for f in self.factors)
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
@@ -170,10 +170,6 @@ class AlgebraElement:
             if f.ndim != 2 or f.shape[0] != f.shape[1]:
                 raise ValueError(f"factor {i} is not square")
         object.__setattr__(self, "factors", factors)
-
-    @property
-    def dims(self):
-        return tuple(f.shape[0] for f in self.factors)
 
     def norm(self):
         return float(np.sqrt(sum(np.sum(f * f) for f in self.factors)))
@@ -246,38 +242,18 @@ class ModeBlocks:
         g1[k:] = g21
         if not np.isfinite(g1).all():
             raise ValueError("non-finite input")
-        self._fill(perm, g1, INVERTIBILITY_TOL)
+        _check_g11(g1, INVERTIBILITY_TOL)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "g1", g1)
 
     @classmethod
-    def _from_selection(cls, perm, g1, invert_tol):
-        """Blocks on rows ``select_submatrix`` has just ordered.
-
-        Such a permutation needs no sort-based check, and such rows have
-        passed its finiteness check; the singularity gate on g11 still runs.
-        """
-        blocks = object.__new__(cls)
-        blocks._fill(perm, g1, invert_tol)
-        return blocks
-
-    @classmethod
-    def _kept(cls, perm, g1):
-        """Blocks in a frame ``_keeps_frame`` has proved good: their rows
-        are finite and cond(g11) <= KEEP_BOUND, so no check runs again."""
+    def _trusted(cls, perm, g1):
+        """Blocks of a permutation and a finite column-major ``g1`` whose
+        g11 the caller has proved good; no check runs again."""
         blocks = object.__new__(cls)
         object.__setattr__(blocks, "perm", perm)
         object.__setattr__(blocks, "g1", g1)
         return blocks
-
-    def _fill(self, perm, g1, invert_tol):
-        s = _g11_singular_values(g1)
-        # the rows are finite here, so a failed SVD is its non-convergence
-        if s is None:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        if (not np.isfinite(s).all() or s[-1] <= invert_tol * s[0]
-                or s[-1] == 0.0):
-            raise ValueError("g11 is numerically singular")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "g1", g1)
 
     @property
     def n(self):
@@ -305,9 +281,21 @@ class ModeBlocks:
         """Full ambient factor with identity completion; test paths only."""
         n, k = self.n, self.k
         full = np.zeros((n, n))
-        full[:, :k] = self.g1
-        full[k:, k:] = np.eye(n - k)
-        return full[perm_inverse(self.perm)]
+        full[self.perm, :k] = self.g1
+        full[self.perm[k:], k:] = np.eye(n - k)
+        return full
+
+
+def _check_g11(g1, invert_tol):
+    """The g11 gate on finite rows: its singular values must be finite, with
+    sigma_min > invert_tol sigma_max."""
+    s = _g11_singular_values(g1)
+    # the rows are finite here, so a failed SVD is its non-convergence
+    if s is None:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if (not np.isfinite(s).all() or s[-1] <= invert_tol * s[0]
+            or s[-1] == 0.0):
+        raise ValueError("g11 is numerically singular")
 
 
 def _g11_singular_values(g1):
@@ -355,8 +343,8 @@ def _repivot(perm, cols, tol):
     k = cols.shape[1]
     rows = np.concatenate((np.arange(k), sel[:k]))
     cols[rows] = cols[sel[rows]]
-    return ModeBlocks._from_selection(perm[sel], cols,
-                                      min(tol, INVERTIBILITY_TOL))
+    _check_g11(cols, min(tol, INVERTIBILITY_TOL))
+    return ModeBlocks._trusted(perm[sel], cols)
 
 
 def reduce_columns(c, tol=REPIVOT_TOL):
@@ -422,24 +410,23 @@ def _gram(blocks, x1):
 
 
 def _velocity_cores(h, t):
-    """The cores [blockdiag(BA, 0), B'A'] of t X g^-1 = A B, from H.
+    """The core B'A' of t X g^-1 = A B, from H; BA is its leading block.
 
     For a horizontal tangent B^T = G1 M^-1 in the permuted frame, with
     M = G1^T G1, so BA = M^-1 S with S = t G1^T X1, B B^T = M^-1 and
-    A^T A = t^2 X1^T X1: every k x k core is a block of the Gram H.  They
-    are the paper's psi1 arguments, whose norms set ``itemized_step``'s z.
+    A^T A = t^2 X1^T X1: every k x k block of B'A' is a block of the Gram
+    H.  BA and B'A' are the paper's psi1 arguments, whose norms set
+    ``itemized_step``'s z.
     """
     k = h.shape[0] // 2
     m_inv = _lu_solve(h[:k, :k], identity(k))
     ba = m_inv @ (t * h[:k, k:])
-    cores = np.zeros((2, 2 * k, 2 * k))
-    cores[0, :k, :k] = ba
-    bpap = cores[1]
+    bpap = np.empty((2 * k, 2 * k))
     bpap[:k, :k] = ba
     bpap[:k, k:] = -m_inv
     bpap[k:, :k] = (t * t) * h[k:, k:]
     bpap[k:, k:] = -ba.T
-    return cores
+    return bpap
 
 
 def _lu_solve(a, b):
@@ -584,15 +571,15 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
         if float(np.trace(h)) * float(np.vdot(c, c)) < _FINITE_BOUND:
             norm_sq = float(np.vdot(c, h @ c))
     if _keeps_frame(out, norm_sq, repivot_tol):
-        return ModeBlocks._kept(blocks.perm, out), z
+        return ModeBlocks._trusted(blocks.perm, out), z
     return _repivot(blocks.perm, out, repivot_tol), z
 
 
 def mode_velocity_norms(blocks, x1, t=1.0):
     """Frobenius norms of (BA, B'A') for one mode at time t."""
-    cores = _velocity_cores(_gram(blocks, x1)[1], t)
+    bpap = _velocity_cores(_gram(blocks, x1)[1], t)
     k = blocks.k
-    return max_norm(cores[0, :k, :k]), max_norm(cores[1])
+    return max_norm(bpap[:k, :k]), max_norm(bpap)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dense import perm_inverse
 from .group import (REPIVOT_TOL, AlgebraElement, GroupElement,
                     _check_profile, adjoint, gamma12, lowrank_geodesic_step,
                     reduce_columns)
@@ -221,8 +220,9 @@ def lift_tangent(point, tangent):
     check_tangent(point, tangent)
     out = []
     for mb, x1 in zip(point.modes, tangent.modes):
-        xhat = np.hstack([x1, x1 @ gamma12(mb)])
-        out.append(xhat[perm_inverse(mb.perm)])
+        xhat = np.empty((mb.n, mb.n))
+        xhat[mb.perm] = np.hstack([x1, x1 @ gamma12(mb)])
+        out.append(xhat)
     return AlgebraElement(out)
 
 
@@ -342,14 +342,20 @@ def geodesic(point, tangent, t=1.0, *, repivot_tol=None):
     One low-rank update per mode; returns (new point, per-mode scaling
     exponents).  ``repivot_tol = 0`` accepts representatives conditioned
     past the production re-pivot gate (long-time completeness probes).
+    A step that fails raises its own ``ValueError`` or ``LinAlgError``,
+    its message prefixed with ``mode i: ``, i counted from 0.
     """
     check_tangent(point, tangent)
     if repivot_tol is None:
         repivot_tol = REPIVOT_TOL
     new_modes = []
     zs = []
-    for mb, x1 in zip(point.modes, tangent.modes):
-        nb, z = lowrank_geodesic_step(mb, x1, t, repivot_tol=repivot_tol)
+    for i, (mb, x1) in enumerate(zip(point.modes, tangent.modes)):
+        try:
+            nb, z = lowrank_geodesic_step(mb, x1, t, repivot_tol=repivot_tol)
+        except ValueError as exc:    # LinAlgError too
+            exc.args = (f"mode {i}: {exc}",)    # the same object, re-raised
+            raise
         new_modes.append(nb)
         zs.append(z)
     return Point(point.shape, new_modes), zs

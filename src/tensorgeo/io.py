@@ -34,11 +34,9 @@ def _fmt(values):
     return ("%.17g " * len(v) % tuple(v))[:-1]
 
 
-def _format_error(exc, line):
-    """FormatError from a library ValueError, its mode numbers made 1-based."""
-    text = re.sub(r"\bmode (\d+)", lambda m: f"mode {int(m[1]) + 1}",
-                  str(exc))
-    return FormatError(text, line)
+def one_based(exc):
+    """A library error's text, its mode numbers made 1-based as files count."""
+    return re.sub(r"\bmode (\d+)", lambda m: f"mode {int(m[1]) + 1}", str(exc))
 
 
 class _Lines:
@@ -128,7 +126,7 @@ def _parse_shape_header(lines):
     try:
         return make_shape(manifold, dims, ranks)
     except ValueError as exc:
-        raise _format_error(exc, lines.pos) from None
+        raise FormatError(one_based(exc), lines.pos) from None
 
 
 def _mode_header(lines, i, k):
@@ -165,7 +163,7 @@ def load_point(text):
     try:
         return Point(shape, modes)
     except ValueError as exc:
-        raise _format_error(exc, lines.pos) from None
+        raise FormatError(one_based(exc), lines.pos) from None
 
 
 def dump_tangent(point, tangent):

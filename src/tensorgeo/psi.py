@@ -7,14 +7,13 @@ reconstructed through the doubling identity
 
     psi1(2X) = psi1(X) (mexp(X) + 1) / 2.
 
-``psi1`` evaluates a whole (..., m, m) stack as one chain under one scaling
-plan, so every matrix of the stack gets the same exponent z: one
-(7, b, m, m) table of the powers I, x, ..., x^6 built by five batched
+``psi1`` takes one square matrix, the paper's k x k BA or 2k x 2k B'A':
+one (7, m, m) table of the powers I, x, ..., x^6 built by five
 products; one contraction of that table with a (4, 7) coefficient matrix,
 which gives the numerators and denominators of both Pade quotients at once;
 one batched solve for both quotients, each evaluated as identity plus a
 correction so that its dominant diagonal carries no round-off; and z-1
-batched square-and-multiply steps, whose halvings are deferred to one
+square-and-multiply steps, whose halvings are deferred to one
 scaling by 2^(1-z) at the end; the chain runs under numpy's "raise"
 error state, so an entry past the double range raises a ValueError naming
 z instead of leaking an overflow warning and an inf.  The psi1 quotient is
@@ -53,11 +52,10 @@ given plan is strong enough; finite entries whose squares overflow raise
 the plan's error, without an overflow warning.  The dense exponential of
 the tests and audits is ``oracles.mexp_dense``.
 
-The recorded operation count of a 2-D argument lands exactly on the
+The recorded operation count of psi1 lands exactly on the
 published itemization: a six-multiply power table (five powers plus the
 odd/even assembly of the exponential quotient, which the contraction reads
 off the table), two divisions, and z-1 squarings plus z-1 doubling products.
-Stacks are not ledgered.
 
 All kernels are pure; the optional ledger only records counts.
 """
@@ -69,9 +67,7 @@ import numpy as np
 
 from .dense import identity, lapack
 
-# degree (6,6) Pade coefficients of psi1, low order first
-PSI1_PADE_NUM = np.array([1.0, 1.0 / 26, 5.0 / 156, 1.0 / 858, 1.0 / 5720,
-                          1.0 / 205920, 1.0 / 8648640])
+# degree (6,6) Pade denominator of psi1, low order first
 PSI1_PADE_DEN = np.array([1.0, -6.0 / 13, 5.0 / 52, -5.0 / 429, 1.0 / 1144,
                           -1.0 / 25740, 1.0 / 1235520])
 # exact numerator-minus-denominator coefficients; evaluating the quotient as
@@ -138,19 +134,6 @@ def make_scaling_plan(norm):
     return ScalingPlan(max(0, math.ceil(math.log2(norm)) + 2))
 
 
-def _check_finite(m):
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite input")
-
-
-def _entry_norm(m):
-    """``max_norm(m)``; raises if an entry, not just a square, is non-finite."""
-    top = max_norm(m)
-    if not math.isfinite(top):
-        _check_finite(m)
-    return top
-
-
 def max_norm(m):
     """Largest Frobenius norm of a (..., m, m) stack, or the norm of a matrix.
 
@@ -164,42 +147,42 @@ def max_norm(m):
 
 
 def _quotients(x, rows):
-    """Corrections y = quotient - 1 of a (b, m, m) stack's Pade quotients.
+    """Corrections y = quotient - 1 of an m x m matrix's Pade quotients.
 
     ``rows`` holds q numerator-minus-denominator rows, then the q matching
-    denominator rows.  They are contracted against the (7, b, m, m) power
+    denominator rows.  They are contracted against the (7, m, m) power
     table in one product, and one batched solve of den y = (num - den)
-    gives each quotient's correction y.  Returns a (q, b, m, m) array.
+    gives each quotient's correction y.  Returns a (q, m, m) array.
     """
-    b, m, _ = x.shape
-    pows = np.empty((7, b, m, m))
+    m = len(x)
+    pows = np.empty((7, m, m))
     pows[0] = identity(m)
     pows[1] = x
     for j in range(1, 6):
         np.matmul(pows[j], x, out=pows[j + 1])
     q = len(rows) // 2
-    sums = (rows @ pows.reshape(7, -1)).reshape(2 * q, b, m, m)
+    sums = (rows @ pows.reshape(7, -1)).reshape(2 * q, m, m)
     return np.linalg.solve(sums[q:], sums[:q])
 
 
 def psi1(m, ledger=None, plan=None):
-    """psi1 of a square matrix or a stack of them, to near machine precision.
+    """psi1 of a square matrix, to near machine precision.
 
-    Any norm is accepted.  A (..., m, m) stack is evaluated as one chain
-    under one plan, by default the plan of its largest norm; each of its
-    matrices must be within that plan's Pade bound.  ``plan`` overrides the
-    scaling plan (it must scale at least as strongly as the matrix
-    requires); plans with z = 1 are rejected because the doubling chain
-    starts one level above the Pade evaluation.  Only a 2-D argument may be
-    ledgered.  Raises ``ValueError`` naming z when an entry of the doubling
-    chain overflows, without a warning.
+    Any norm is accepted.  ``plan`` overrides the scaling plan (it must
+    scale at least as strongly as the matrix requires); plans with z = 1
+    are rejected because the doubling chain starts one level above the Pade
+    evaluation.  Raises ``ValueError`` naming z when an entry of the
+    doubling chain overflows, without a warning.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim > 2 and ledger is not None:
-        raise ValueError("a ledger records psi1 of a single matrix only")
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2:
+        raise ValueError(f"psi1 takes one matrix, got {m.ndim} axes")
+    if m.shape[0] != m.shape[1]:
         raise ValueError("psi1 needs square matrices")
-    top = _entry_norm(m)
+    top = max_norm(m)
+    # a non-finite entry, not just a square past the double range
+    if not math.isfinite(top) and not np.isfinite(m).all():
+        raise ValueError("non-finite input")
     if plan is None:
         plan = make_scaling_plan(top)
     z = plan.z
@@ -207,7 +190,7 @@ def psi1(m, ledger=None, plan=None):
         raise ValueError("plans with z = 1 are not used; scale to z >= 2")
     if top * 2.0 ** -z * (2.0 if z else 1.0) > PADE_NORM_BOUND * (1 + 1e-12):
         raise ValueError("scaling plan too weak for this argument")
-    k = m.shape[-1]
+    k = len(m)
     if ledger is not None:
         # five powers, plus the exp quotient's odd/even assembly when scaled,
         # one division per quotient, and a squaring and a doubling product
@@ -216,12 +199,12 @@ def psi1(m, ledger=None, plan=None):
             ledger.mult(k, k, k)
         for _ in range(1 if z == 0 else 2):
             ledger.div(k, k, k)
-    x = (m / 2.0 ** z).reshape(-1, k, k)
+    x = m / 2.0 ** z
     eye = identity(k)
     if z == 0:
         p = _quotients(x, _PSI1_ROWS)[0]
         p += eye
-        return p.reshape(m.shape)
+        return p
     # psi1 at level z-1 via coefficient scaling, mexp at level z
     p, e = _quotients(x, _SCALED_ROWS)
     p += eye
@@ -240,7 +223,7 @@ def psi1(m, ledger=None, plan=None):
     # every rounding alike, so this is exact unless an entry over- or
     # underflows
     p *= 2.0 ** (1 - z)
-    return p.reshape(m.shape)
+    return p
 
 
 def mexpm1(m):

@@ -187,8 +187,8 @@ def _unit_tangent_files(tmp_path):
 
 
 @pytest.mark.parametrize("t, cause", [
-    ("300", "rank-deficient input: no acceptable pivot"),
-    ("1e5", "mexp overflows its squaring chain at z = 16"),
+    ("300", "mode 1: rank-deficient input: no acceptable pivot"),
+    ("1e5", "mode 1: mexp overflows its squaring chain at z = 16"),
 ], ids=["rank-deficient", "overflow"])
 def test_geodesic_reports_a_failed_step_and_exits_1(tmp_path, capsys, t,
                                                     cause):

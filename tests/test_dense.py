@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 import tensorgeo
 from tensorgeo.dense import (DEFAULT_RANK_TOL, identity, mode_apply,
-                             mode_product, multilinear_rank, perm_inverse,
+                             is_permutation, mode_product, multilinear_rank,
                              refold, select_submatrix, tt_rank, unfold)
 from tensorgeo.group import GroupElement
 from tensorgeo.oracles import select_submatrix_reference
@@ -377,5 +377,5 @@ def test_identity_is_shared_and_read_only():
 def test_perm_helpers():
     rng = np.random.default_rng(12)
     p1 = rng.permutation(6)
-    v = rng.standard_normal(6)
-    assert np.array_equal(v[p1][perm_inverse(p1)], v)
+    assert is_permutation(p1)
+    assert not is_permutation([0, 2, 2]) and not is_permutation([[0, 1]])

@@ -384,8 +384,8 @@ def test_blocks_reject_non_finite_input(make):
 
 def _gate(g11):
     g1 = np.asfortranarray(g11, dtype=float)
-    return ModeBlocks._from_selection(np.arange(len(g1)), g1,
-                                      group.INVERTIBILITY_TOL)
+    group._check_g11(g1, group.INVERTIBILITY_TOL)
+    return ModeBlocks._trusted(np.arange(len(g1)), g1)
 
 
 @pytest.mark.parametrize("g11", [np.diag([1.0, 1e-12]), np.zeros((2, 2)),
@@ -407,7 +407,7 @@ def test_g11_gate_accepts(g11):
 def test_g11_gate_runs_on_a_block_the_selection_accepted():
     # every LU pivot of [[1, -a], [0, 1]] is 1, but its singular value
     # ratio is about 1/a^2: just past INVERTIBILITY_TOL at a = 1.01e6.
-    # The default re-pivot gate then rejects it in _from_selection; tol = 0
+    # The default re-pivot gate then rejects it in _check_g11; tol = 0
     # lowers that gate to exact singularity and accepts it.
     for a, ok in ((0.99e6, True), (1.01e6, False)):
         c = np.array([[1.0, -a], [0.0, 1.0], [0.0, 0.0]])
@@ -550,6 +550,34 @@ def test_step_reports_a_non_finite_stack_by_its_norm():
     with pytest.raises(ValueError,
                        match="^norm must be finite and nonnegative$"):
         lowrank_geodesic_step(mb, x1, 1.0)
+
+
+@pytest.mark.parametrize("t, cause", [
+    (300.0, "rank-deficient input: no acceptable pivot"),
+    (1e5, "mexp overflows its squaring chain at z = 16"),
+], ids=["rank-deficient", "overflow"])
+def test_geodesic_names_the_mode_whose_step_fails(t, cause):
+    # the unit CP tangent of the command-line test: mode 0 fails first
+    rng = np.random.default_rng(0)
+    p = MANIFOLDS["cp"]["point"](CpShape((50, 50, 50), 4), rng)
+    x = MANIFOLDS["cp"]["tangent"](p, rng)
+    with pytest.raises(ValueError, match=f"^mode 0: {cause}$"):
+        hq.geodesic(p, x.scale(1.0 / x.norm()), t)
+
+
+def test_geodesic_reraises_the_failed_step_s_own_error():
+    # the step's exception object itself, its type kept, with the mode named
+    rng = np.random.default_rng(3)
+    shape = CpShape((6, 5, 4), 2)
+    p = MANIFOLDS["cp"]["point"](shape, rng)
+    x = MANIFOLDS["cp"]["tangent"](p, rng)
+    err = np.linalg.LinAlgError("Singular matrix")
+    first = lowrank_geodesic_step(p.modes[0], x.modes[0], 1.0)
+    with mock.patch.object(hq, "lowrank_geodesic_step",
+                           side_effect=[first, err]):
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            hq.geodesic(p, x, 1.0)
+    assert exc.value is err and str(err) == "mode 1: Singular matrix"
 
 
 def test_transport_point_matches_the_dense_product(manifold):
@@ -782,6 +810,37 @@ def test_geodesic_memory_is_a_few_n_by_k_blocks(make):
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * (sum(shape.ks) + 3 * max(shape.ks))
+
+
+@pytest.mark.parametrize("make", [lambda n: CpShape((n, n, n), 5),
+                                  lambda n: TtShape((n, n, n), (4, 4))],
+                         ids=["cp", "tt"])
+def test_file_pipeline_memory_is_a_few_dozen_n_by_k_blocks(make):
+    # the file pipeline past the draw: projection, save, parse, gate, step
+    # and save again at n = 20000, the peak in units of one copy of the
+    # point's columns, 8 n sum(k) bytes.  Measured about 15 (CP) and 18 (TT),
+    # mostly the text of a document and its parse; one n x n array alone
+    # would be n / sum(k), 833 to 1333.  Two steps are left out:
+    # random_horizontal draws n x n Gaussian factors, so that a seed keeps
+    # its tangent, and embed's output is the dense tensor itself.
+    n = 20000
+    shape = make(n)
+    rng = np.random.default_rng(29)
+    p = MANIFOLDS[shape.name]["point"](shape, rng)
+    z = [rng.standard_normal((n, k)) for k in shape.ks]
+    tracemalloc.start()
+    try:
+        x = hq.project_horizontal(p, z)
+        p_text, x_text = tio.dump_point(p), tio.dump_tangent(p, x)
+        q = tio.load_point(p_text)
+        y = tio.load_tangent(x_text, q)
+        del p_text, x_text
+        assert hq.horizontality_residual(q, y) <= 1e-8
+        tio.dump_point(hq.geodesic(q, y, 0.5)[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 8 * n * sum(shape.ks)
 
 
 @pytest.mark.parametrize("k", [5, 16])

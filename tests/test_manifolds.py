@@ -230,6 +230,33 @@ def test_dense_duplicates_are_gone():
             assert not hasattr(module, name)
 
 
+# names no caller needed, each deleted: two one-caller psi1 helpers, now
+# inlined, an unread coefficient row, the permutation inverse that a row
+# scatter replaces, the two trusted ModeBlocks constructors merged into
+# one, and the unread element dims
+UNREACHED_HELPERS = {"psi": ("_entry_norm", "_check_finite", "PSI1_PADE_NUM"),
+                     "dense": ("perm_inverse",)}
+UNREACHED_ATTRIBUTES = {"ModeBlocks": ("_kept", "_from_selection"),
+                        "GroupElement": ("dims",),
+                        "AlgebraElement": ("dims",)}
+
+
+def test_unreached_helpers_are_gone():
+    modules = [tensorgeo] + [
+        importlib.import_module(f"tensorgeo.{info.name}")
+        for info in pkgutil.iter_modules(tensorgeo.__path__)]
+    names = [name for group in UNREACHED_HELPERS.values() for name in group]
+    assert len(names) == 4
+    for name in names:
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert sum(map(len, UNREACHED_ATTRIBUTES.values())) == 4
+    for cls, attrs in UNREACHED_ATTRIBUTES.items():
+        cls = getattr(tensorgeo.group, cls)
+        for attr in attrs:
+            assert not hasattr(cls, attr), (cls.__name__, attr)
+
+
 def test_the_tangent_wrapper_is_gone():
     # a tangent mode is its n x k array: no wrapper type is left to resolve
     for module in [tensorgeo] + [

@@ -1,9 +1,7 @@
 import warnings
 
-import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
 
 from tensorgeo import psi
 from tensorgeo.flops import FlopLedger, psi1_count
@@ -130,50 +128,31 @@ def test_psi1_ledger_exact():
     assert led.total == psi1_count(4, 0)
 
 
+def test_psi1_takes_one_matrix():
+    # a stack of matrices is typed, not evaluated
+    stack = np.stack((np.eye(2), np.eye(2)))
+    with pytest.raises(ValueError, match="^psi1 takes one matrix, got 3 axes"):
+        psi1(stack)
+
+
 # ---------------------------------------------------------------------------
-# stacks: one chain under one plan
+# psi1's doubling chain
 
 def _norm_for_z(z):
     """A norm whose plan has exponent z: 1/4 for z = 0, else mid-octave."""
     return 0.25 if z == 0 else 1.5 * 2.0 ** (z - 3)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 32), st.integers(1, 4), st.sampled_from(range(0, 13, 2)),
-       st.integers(0, 2**32 - 1))
-def test_psi1_stack_matches_each_matrix_under_the_shared_plan(m, b, z, seed):
-    rng = np.random.default_rng(seed)
-    top = _norm_for_z(z)
-    stack = np.stack([_random_with_norm(rng, m, top * rng.uniform(0.0, 1.0))
-                      for _ in range(b - 1)]
-                     + [_random_with_norm(rng, m, top)])
-    plan = make_scaling_plan(top)
-    assert plan.z == z
-    # at z = 12 a 1 x 1 or 2 x 2 draw can have psi1 past the double range,
-    # where psi1 raises
-    try:
-        wants = [psi1(x, None, plan) for x in stack]
-    except ValueError:
-        reject()
-    assume(all(np.all(np.isfinite(w)) for w in wants))
-    got = psi1(stack, None, plan)
-    assert got.shape == stack.shape
-    for g, want in zip(got, wants):
-        assert np.linalg.norm(g - want) <= 1e-14 * np.linalg.norm(want)
-    # by default a stack takes the plan of its largest norm
-    assert np.array_equal(psi1(stack), got)
-
-
 def _psi1_halving_each_level(m, z):
     """psi1 under plan z with the doubling chain's halving at every level."""
-    k = m.shape[-1]
-    p, e = psi._quotients((m / 2.0 ** z).reshape(-1, k, k), psi._SCALED_ROWS)
+    k = len(m)
+    p, e = psi._quotients(m / 2.0 ** z, psi._SCALED_ROWS)
     p += np.eye(k)
     e += np.eye(k)
     for _ in range(z - 1):
         e = e @ e
         p = 0.5 * (p @ (e + np.eye(k)))
-    return p.reshape(m.shape)
+    return p
 
 
 def _bounded_with_norm(rng, k, nrm):
@@ -193,13 +172,13 @@ def _bounded_with_norm(rng, k, nrm):
 @pytest.mark.parametrize("z", range(2, 21))
 def test_psi1_deferred_halvings_match_the_per_level_form_bit_for_bit(z):
     # a power-of-two scaling commutes with rounding, so deferring the
-    # halvings to one final scaling changes no bit on these fixed stacks
+    # halvings to one final scaling changes no bit on these fixed matrices
     rng = np.random.default_rng(30 + z)
     for k in (2, 4, 8):
         bounded, nilpotent = _bounded_with_norm(rng, k, _norm_for_z(z))
         plan = make_scaling_plan(_norm_for_z(z))
         assert plan.z == z
-        for m in (np.stack((bounded, nilpotent)), bounded, nilpotent):
+        for m in (bounded, nilpotent):
             want = _psi1_halving_each_level(m, z)
             assert np.all(np.isfinite(want))
             assert psi1(m, None, plan).tobytes() == want.tobytes()
@@ -215,9 +194,6 @@ def test_psi1_raises_naming_z_when_its_chain_overflows():
         psi1(big)
     with pytest.raises(ValueError, match=match):
         psi1(big, FlopLedger())
-    # one overflowing matrix fails its whole stack
-    with pytest.raises(ValueError, match=match):
-        psi1(np.stack((np.eye(2), big)))
     # (e^600 - 1)/600 is in range
     assert np.isfinite(psi1(np.diag([600.0, 1.0]))).all()
 
@@ -230,7 +206,7 @@ def test_psi1_of_a_zero_padded_block_is_padded_by_identity(z):
     padded = np.zeros((2 * k, 2 * k))
     padded[:k, :k] = x
     plan = make_scaling_plan(np.linalg.norm(x))
-    got = psi1(np.stack((padded, padded.T)), None, plan)[0]
+    got = psi1(padded, None, plan)
     assert np.all(got[:k, k:] == 0.0) and np.all(got[k:, :k] == 0.0)
     assert np.array_equal(got[k:, k:], np.eye(k))
     want = psi1(x, None, plan)
@@ -243,9 +219,7 @@ def _message(call):
     return str(exc.value)
 
 
-@pytest.mark.parametrize("m", [np.full((2, 2), 1e200),
-                               np.full((3, 2, 2), 1e200)],
-                         ids=["matrix", "stack"])
+@pytest.mark.parametrize("m", [np.full((2, 2), 1e200)], ids=["matrix"])
 def test_psi1_finite_entries_whose_squares_overflow(m):
     # the entries are finite, so the error is the norm's, and no overflow
     # warning escapes
@@ -255,24 +229,6 @@ def test_psi1_finite_entries_whose_squares_overflow(m):
             == "norm must be finite and nonnegative"
         assert _message(lambda: psi1(m, None, ScalingPlan(8))) \
             == "scaling plan too weak for this argument"
-
-
-def test_psi1_stack_errors_match_the_single_matrix_ones():
-    rng = np.random.default_rng(21)
-    x = _random_with_norm(rng, 3, 3.0)
-    weak = ScalingPlan(2)
-    stack = np.stack((0.1 * x, x))
-    assert _message(lambda: psi1(stack, None, weak)) \
-        == _message(lambda: psi1(x, None, weak)) \
-        == "scaling plan too weak for this argument"
-    bad = stack.copy()
-    bad[0, 1, 2] = np.inf
-    assert _message(lambda: psi1(bad)) == _message(lambda: psi1(bad[0])) \
-        == "non-finite input"
-    assert _message(lambda: psi1(stack, None, ScalingPlan(1))) \
-        == _message(lambda: psi1(x, None, ScalingPlan(1)))
-    with pytest.raises(ValueError):
-        psi1(stack, FlopLedger())
 
 
 # ---------------------------------------------------------------------------
