@@ -1,8 +1,10 @@
 """psi1 and the low-rank exponential and inverse kernels.
 
-psi1(x) = (e^x - 1)/x drives every geodesic kernel in this library: the
-exponential of a rank-k matrix AB is the identity plus A psi1(BA) B, so all
-serious work happens at size k x k.  This script walks through the Pade
+psi1(x) = (e^x - 1)/x is the paper's kernel: the exponential of a rank-k
+matrix AB is the identity plus A psi1(BA) B, so all serious work happens at
+size k x k.  In this library it serves the flop audit's itemized update,
+``mexp_lowrank`` and the invariant suites; the geodesic step itself runs
+``mexpm1`` on blocks of a Gram.  This script walks through the Pade
 quotient, the scaling plan, and the two low-rank identities, with the exact
 operation ledger alongside.
 """

@@ -3,9 +3,10 @@
 Compact coset representatives, horizontal tangents, and complete
 canonical-metric geodesics for three families of tensors: fixed CP rank,
 fixed multilinear rank with t_1 = t_2...t_d, and fixed TT rank.  Geodesics
-cost O(n k^2) per mode through low-rank psi1 kernels.  The psi1 kernels and
-the paper's itemized update, which the flop audit runs as its reference,
-report into an exact rational flop ledger.
+cost O(n k^2) per mode: one Gram of the point's and the tangent's leading
+columns and the exponentials of k x k and 2k x 2k blocks, by ``mexpm1``.
+The psi1 kernels and the paper's itemized update, which the flop audit runs
+as its reference, report into an exact rational flop ledger.
 
 The three manifolds share one point type, one tangent type (one n x k
 array of leading columns per mode) and every geometric operation

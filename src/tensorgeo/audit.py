@@ -10,7 +10,7 @@ optionally alongside the dense-oracle path.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -96,9 +96,7 @@ def itemized_geodesic(point, tangent, t, ledger):
     cols, zs = [], []
     for i, (mb, x1) in enumerate(zip(point.modes, tangent.modes)):
         g1, z = itemized_step(mb, x1, t, ledger, f"mode{i}.")
-        c = np.empty_like(g1)
-        c[mb.perm] = g1
-        cols.append(c)
+        cols.append(mb.ambient(g1))
         zs.append(z)
     return cols, zs
 
@@ -137,8 +135,8 @@ class AuditResult:
         return abs(self.residual) <= self.slack
 
 
-def audit_geodesic(manifold, dims, ranks, z_targets, seed=0, t=1.0):
-    """One itemized geodesic with pinned exponents, line-by-line audit."""
+def audit_geodesic(manifold, dims, ranks, z_targets, seed=0):
+    """Line-by-line audit of one itemized geodesic at its pinned t = 1."""
     shape = hq.make_shape(manifold, tuple(dims), tuple(ranks))
     if len(z_targets) != len(shape.dims):
         raise ValueError("need one z per mode")
@@ -146,7 +144,7 @@ def audit_geodesic(manifold, dims, ranks, z_targets, seed=0, t=1.0):
     point, tangent = random_point_and_tangent(shape, rng)
     point, tangent = pin_mode_exponents(point, tangent, z_targets)
     ledger = FlopLedger()
-    _, zs = itemized_geodesic(point, tangent, t, ledger)
+    _, zs = itemized_geodesic(point, tangent, 1.0, ledger)
     rows = []
     for i, (n, k) in enumerate(zip(shape.dims, shape.ks)):
         for item, expected in mode_step_items(n, k, zs[i]):
@@ -209,7 +207,7 @@ def time_lowrank_modes(ns, r, trials=5, seed=0):
 
     The trials of the sizes are interleaved; one record per size.  Its z
     and model flops are the itemized update's, the published count's own
-    exponent, read from the velocity cores' norms.
+    exponent, read from ``mode_velocity_norms``.
     """
     from .flops import mode_step_total
     cases = [_single_mode_instance(n, r, np.random.default_rng(seed))
@@ -247,10 +245,8 @@ def bench_sweep(manifold, r, ns, trials=5, seed=0, oracle_cap=400):
     """
     if list(ns) != sorted(ns):
         raise ValueError("sweep sizes must be ascending")
-    rows = [BenchRecord(manifold, rec.n, r, rec.z, rec.flops_model,
-                        rec.times, seed)
-            for rec in time_lowrank_modes(ns, r, trials, seed)]
+    low = time_lowrank_modes(ns, r, trials, seed)
     dense = time_dense_modes([n for n in ns if n <= oracle_cap], r, trials,
                              seed)
-    return rows + [BenchRecord(manifold + "_dense", rec.n, r, 0, Fraction(0),
-                               rec.times, seed) for rec in dense]
+    return ([replace(rec, manifold=manifold) for rec in low]
+            + [replace(rec, manifold=manifold + "_dense") for rec in dense])

@@ -9,8 +9,8 @@ Subcommands
     geodesic  evaluate a geodesic on serialized point/tangent files
 
 Exit codes: 0 pass, 1 invariant failure or a geodesic step that fails,
-2 usage or parse error.  All outputs are deterministic given --seed;
-wall-time fields are exempt.
+2 usage or parse error, or a file that cannot be read or written.  All
+outputs are deterministic given --seed; wall-time fields are exempt.
 """
 
 import argparse
@@ -26,10 +26,11 @@ from . import io as tio
 from .audit import CSV_HEADER, audit_geodesic, bench_sweep, \
     itemized_geodesic, random_point_and_tangent
 from .dense import mode_apply, multilinear_rank, tt_rank
-from .flops import FlopLedger, psi1_count
+from .flops import FlopLedger, geodesic_formula, psi1_count
 from .group import gamma12, lowrank_geodesic_step, mode_velocity_norms, \
     reduce_columns
-from .oracles import dense_geodesic, mexp_dense, psi1_series, contract_cp
+from .oracles import contract_cp, contract_tt, contract_tucker, \
+    dense_geodesic, mexp_dense, psi1_series
 from .psi import LowRankPair, inv_lowrank_update, make_scaling_plan, \
     mexp_lowrank, psi1
 
@@ -106,20 +107,18 @@ def _suite_gl(rng):
     x1 = np.asfortranarray(rng.standard_normal((n, k)))
     stepped, _ = lowrank_geodesic_step(blocks, x1, 0.8)
     ghat = blocks.densify()
-    xhat = np.zeros((n, n))
-    xhat[blocks.perm] = np.hstack([x1, x1 @ gam])
+    xhat = blocks.ambient(np.hstack([x1, x1 @ gam]))
     cols = dense_geodesic([ghat], [xhat], 0.8)[0][:, :k]
     rel = np.linalg.norm(stepped.leading_columns() - cols) / np.linalg.norm(cols)
     checks.append(_check("lowrank_step_vs_dense_columns", rel, 1e-11))
 
     speeds = []
-    g = ghat
     h = 1e-6
     for t in (0.0, 0.5, 1.0, 2.0):
-        gp = dense_geodesic([g], [xhat], t + h)[0]
-        gm = dense_geodesic([g], [xhat], t - h)[0]
+        gp = dense_geodesic([ghat], [xhat], t + h)[0]
+        gm = dense_geodesic([ghat], [xhat], t - h)[0]
         speeds.append(np.linalg.norm((gp - gm) / (2 * h) @ np.linalg.inv(
-            dense_geodesic([g], [xhat], t)[0])))
+            dense_geodesic([ghat], [xhat], t)[0])))
     spread = (max(speeds) - min(speeds)) / speeds[0]
     checks.append(_check("constant_speed", spread, 1e-4))
 
@@ -133,7 +132,6 @@ def _suite_gl(rng):
 
 
 def _suite_manifold(kind, rng):
-    from .oracles import contract_tt, contract_tucker
     checks = []
     if kind == "cp":
         shape = hq.make_shape("cp", (8, 7, 6), (3,))
@@ -187,7 +185,6 @@ def _suite_manifold(kind, rng):
                          np.linalg.norm(emb_l - emb_d) / np.linalg.norm(emb_d),
                          1e-10))
 
-    from .flops import geodesic_formula
     led = FlopLedger()
     _, zs = itemized_geodesic(p, x, 1.0, led)
     residual = led.total - geodesic_formula(shape.dims, shape.ks,
@@ -205,10 +202,9 @@ def _suite_manifold(kind, rng):
     h = shape.stabilizer_sample(rng).group_element()
     p2 = hq.transport_point(p, h)
     x2 = hq.project_horizontal(p2, hq.transport_tangent(xa, h))
-    e1 = hq.embed(hq.geodesic(p, x, 1.0)[0])
     e2 = hq.embed(hq.geodesic(p2, x2, 1.0)[0])
     checks.append(_check("representative_independence",
-                         np.linalg.norm(e1 - e2) / np.linalg.norm(e1),
+                         np.linalg.norm(emb_l - e2) / np.linalg.norm(emb_l),
                          1e-8))
     return checks
 
@@ -225,17 +221,14 @@ SUITES = {
 def cmd_verify(args, out):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = {"command": "verify", "seed": args.seed, "suites": []}
-    ok = True
     for name in names:
-        rng = np.random.default_rng(args.seed)
-        checks = SUITES[name](rng)
+        checks = SUITES[name](np.random.default_rng(args.seed))
         passed = all(c["passed"] for c in checks)
-        ok = ok and passed
         report["suites"].append({"suite": name, "passed": passed,
                                  "checks": checks})
-    report["passed"] = ok
+    report["passed"] = all(s["passed"] for s in report["suites"])
     out.write(json.dumps(report, indent=2) + "\n")
-    return 0 if ok else 1
+    return 0 if report["passed"] else 1
 
 
 def cmd_flops(args, out):
@@ -272,12 +265,11 @@ def cmd_bench(args, out):
                        trials=args.trials, seed=args.seed,
                        oracle_cap=args.oracle_cap)
     if args.format == "json":
+        # the CSV's fields; flops_model, a Fraction, as its text
+        fields = CSV_HEADER.split(",")
         payload = {"command": "bench", "header": CSV_HEADER,
-                   "rows": [{"manifold": r.manifold, "n": r.n, "r": r.r,
-                             "z": r.z, "flops_model": str(r.flops_model),
-                             "time_median_s": r.time_median_s,
-                             "seed": r.seed} for r in rows]}
-        out.write(json.dumps(payload, indent=2) + "\n")
+                   "rows": [{f: getattr(r, f) for f in fields} for r in rows]}
+        out.write(json.dumps(payload, indent=2, default=str) + "\n")
         return 0
     out.write(CSV_HEADER + "\n")
     for r in rows:
@@ -285,13 +277,21 @@ def cmd_bench(args, out):
     return 0
 
 
+def _path_error(verb, path, exc):
+    """Report a file that cannot be read or written; returns exit code 2."""
+    reason = getattr(exc, "strerror", None) or exc
+    print(f"error: cannot {verb} {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def cmd_geodesic(args, out):
+    path = args.point
     try:
-        point = tio.read_point(args.point)
-        tangent = tio.read_tangent(args.tangent, point)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        point = tio.read_point(path)
+        path = args.tangent
+        tangent = tio.read_tangent(path, point)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _path_error("read", path, exc)
     except tio.FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -306,11 +306,14 @@ def cmd_geodesic(args, out):
         print(f"error: {tio.one_based(exc)}", file=sys.stderr)
         return 1
     text = tio.dump_point(new_point)
-    if args.out_file:
+    if not args.out_file:
+        out.write(text)
+        return 0
+    try:
         with open(args.out_file, "w") as fh:
             fh.write(text)
-    else:
-        out.write(text)
+    except OSError as exc:
+        return _path_error("write", args.out_file, exc)
     return 0
 
 
@@ -393,13 +396,16 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    # geodesic's --out is ``out_file``: it writes only after a step succeeds
     out_path = getattr(args, "out", None)
-    if args.command == "geodesic":
-        out_path = None
-    if out_path:
-        with open(out_path, "w") as fh:
-            return _dispatch(args, fh)
-    return _dispatch(args, sys.stdout)
+    if not out_path:
+        return _dispatch(args, sys.stdout)
+    try:
+        fh = open(out_path, "w")
+    except OSError as exc:
+        return _path_error("write", out_path, exc)
+    with fh:
+        return _dispatch(args, fh)
 
 
 def _dispatch(args, out):

@@ -30,6 +30,15 @@ def lapack():
     return lapack
 
 
+def lu_solve(a, b):
+    """a^-1 b by ``dgesv``, the LU solve np.linalg.solve calls, without its
+    wrapper's cost; a zero pivot raises numpy's "Singular matrix"."""
+    _, _, x, info = lapack().dgesv(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
 @functools.lru_cache(maxsize=64)
 def identity(k):
     """The k x k identity, read-only and shared by every caller."""

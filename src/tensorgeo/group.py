@@ -32,7 +32,9 @@ like t^2, so the step's exponentials take fewer squarings than psi1's
 chain would, and each squaring saved keeps about a bit.  That update is
 kept as ``itemized_step``, the flop audit's own reference: it charges
 every product to a ledger line, and no geodesic entry point runs it.  Its
-psi1 arguments are the matrices BA and B'A', BA being B'A''s leading block.
+psi1 arguments are the matrices BA and B'A', BA being B'A''s leading block;
+``mode_velocity_norms`` forms them as it does, so the z that the audit pins
+and ``bench`` reports is the one the itemized update plans from.
 
 Q has 2k columns, and where n < 2k the ambient space is the smaller basis.
 Such modes are common: Tucker's first rank is the product of the others,
@@ -72,10 +74,11 @@ naming mu.
 
 On small k the k x k phase costs numpy's call overhead more than flops, so
 the step calls LAPACK directly where numpy would wrap the same routine:
-K's, or L's, and Y's blocks are one ``dgesv`` LU solve of M, and the g11
-gate on every new representative reads its singular values from
-``dgesdd``.  Both raise numpy's texts on failure ("Singular matrix", "SVD
-did not converge"); a step's keep test below reads the same ``dgesdd``.
+K's, or L's, and Y's blocks are one ``dgesv`` LU solve of M,
+``dense.lu_solve``, and the g11 gate on every new representative reads its
+singular values from ``dgesdd``.  Both raise numpy's texts on failure
+("Singular matrix", "SVD did not converge"); a step's keep test below reads
+the same ``dgesdd``.
 
 Each mode of a representative is stored as a row permutation and one n x k
 array G1 of the permuted factor's leading columns, and each mode of a
@@ -130,7 +133,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import identity, is_permutation, lapack, select_submatrix
+from .dense import identity, is_permutation, lapack, lu_solve, \
+    select_submatrix
 from .psi import make_scaling_plan, max_norm, mexpm1, psi1
 
 INVERTIBILITY_TOL = 1e-12
@@ -222,6 +226,7 @@ class ModeBlocks:
     are an identity completion in this permuted frame.  ``g1`` is stored
     column-major.  ``g11`` and ``g21`` are views of its first k and last
     n-k rows, so a write through either one is a write to the point.
+    Frame rows go back to ambient ones through ``ambient`` alone.
     """
     perm: np.ndarray
     g1: np.ndarray
@@ -271,19 +276,20 @@ class ModeBlocks:
     def g21(self):
         return self.g1[self.k:]
 
+    def ambient(self, rows):
+        """Frame rows scattered to ambient order: row perm[j] is rows[j]."""
+        out = np.empty(np.shape(rows))
+        out[self.perm] = rows
+        return out
+
     def leading_columns(self):
-        """Ambient n x k leading columns (permuted rows scattered back)."""
-        c = np.empty((self.n, self.k))
-        c[self.perm] = self.g1
-        return c
+        """Ambient n x k leading columns."""
+        return self.ambient(self.g1)
 
     def densify(self):
         """Full ambient factor with identity completion; test paths only."""
         n, k = self.n, self.k
-        full = np.zeros((n, n))
-        full[self.perm, :k] = self.g1
-        full[self.perm[k:], k:] = np.eye(n - k)
-        return full
+        return self.ambient(np.hstack((self.g1, np.eye(n, n - k, -k))))
 
 
 def _check_g11(g1, invert_tol):
@@ -409,34 +415,6 @@ def _gram(blocks, x1):
     return q, q.T @ q
 
 
-def _velocity_cores(h, t):
-    """The core B'A' of t X g^-1 = A B, from H; BA is its leading block.
-
-    For a horizontal tangent B^T = G1 M^-1 in the permuted frame, with
-    M = G1^T G1, so BA = M^-1 S with S = t G1^T X1, B B^T = M^-1 and
-    A^T A = t^2 X1^T X1: every k x k block of B'A' is a block of the Gram
-    H.  BA and B'A' are the paper's psi1 arguments, whose norms set
-    ``itemized_step``'s z.
-    """
-    k = h.shape[0] // 2
-    m_inv = _lu_solve(h[:k, :k], identity(k))
-    ba = m_inv @ (t * h[:k, k:])
-    bpap = np.empty((2 * k, 2 * k))
-    bpap[:k, :k] = ba
-    bpap[:k, k:] = -m_inv
-    bpap[k:, :k] = (t * t) * h[k:, k:]
-    bpap[k:, k:] = -ba.T
-    return bpap
-
-
-def _lu_solve(a, b):
-    """a^-1 b by LAPACK's LU solve, the routine np.linalg.solve calls."""
-    _, _, x, info = lapack().dgesv(a, b)
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return x
-
-
 def _put_shifted(block, y):
     """Write Y - mu I, mu = tr(Y)/k, into a zero block's leading k x k
     corner, and return mu.
@@ -460,7 +438,7 @@ def _phase_stack(h, t):
     against [X1^T G1, P, G1^T X1] gives every block.
     """
     k = h.shape[0] // 2
-    sol = _lu_solve(h[:k, :k], np.concatenate((h[k:], h[:k, k:]), axis=1))
+    sol = lu_solve(h[:k, :k], np.concatenate((h[k:], h[:k, k:]), axis=1))
     sol *= t
     stack = np.zeros((2, 2 * k, 2 * k))
     np.negative(sol[:, :2 * k], out=stack[0, :k])
@@ -477,7 +455,7 @@ def _ambient_stack(g1, x1, t):
     L = w - w^T, skew bit for bit since fl(a - b) = -fl(b - a).
     """
     n = len(g1)
-    sol = _lu_solve(g1.T @ g1, np.concatenate((g1.T, x1.T @ g1), axis=1))
+    sol = lu_solve(g1.T @ g1, np.concatenate((g1.T, x1.T @ g1), axis=1))
     sol *= t
     stack = np.zeros((2, n, n))
     w = x1 @ sol[:, :n]
@@ -575,13 +553,6 @@ def lowrank_geodesic_step(blocks, x1, t=1.0, *, repivot_tol=REPIVOT_TOL):
     return _repivot(blocks.perm, out, repivot_tol), z
 
 
-def mode_velocity_norms(blocks, x1, t=1.0):
-    """Frobenius norms of (BA, B'A') for one mode at time t."""
-    bpap = _velocity_cores(_gram(blocks, x1)[1], t)
-    k = blocks.k
-    return max_norm(bpap[:k, :k]), max_norm(bpap)
-
-
 # ---------------------------------------------------------------------------
 # the paper-itemized update, the instrumented path of the flop audit
 #
@@ -597,6 +568,14 @@ def _bpap(a, b, ba):
     out[k:, k:] = ba.T
     out[:, k:] *= -1.0
     return out
+
+
+def mode_velocity_norms(blocks, x1, t=1.0):
+    """Frobenius norms of (BA, B'A') for one mode at time t, formed as
+    ``itemized_step`` forms the psi1 arguments whose norms set its z."""
+    a, b = t * x1, _coupling(blocks)
+    ba = b @ a
+    return max_norm(ba), max_norm(_bpap(a, b, ba))
 
 
 def _ap_mul(a, b, x):

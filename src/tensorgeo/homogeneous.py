@@ -218,12 +218,8 @@ def lift_tangent(point, tangent):
     coupling block.
     """
     check_tangent(point, tangent)
-    out = []
-    for mb, x1 in zip(point.modes, tangent.modes):
-        xhat = np.empty((mb.n, mb.n))
-        xhat[mb.perm] = np.hstack([x1, x1 @ gamma12(mb)])
-        out.append(xhat)
-    return AlgebraElement(out)
+    return AlgebraElement(mb.ambient(np.hstack([x1, x1 @ gamma12(mb)]))
+                          for mb, x1 in zip(point.modes, tangent.modes))
 
 
 def tangent_from_ambient(point, x_factors):
@@ -336,7 +332,7 @@ def random_horizontal(point, rng):
 # ---------------------------------------------------------------------------
 # geodesics and transport
 
-def geodesic(point, tangent, t=1.0, *, repivot_tol=None):
+def geodesic(point, tangent, t=1.0, *, repivot_tol=REPIVOT_TOL):
     """Quotient geodesic through the point with the given horizontal lift.
 
     One low-rank update per mode; returns (new point, per-mode scaling
@@ -346,8 +342,6 @@ def geodesic(point, tangent, t=1.0, *, repivot_tol=None):
     its message prefixed with ``mode i: ``, i counted from 0.
     """
     check_tangent(point, tangent)
-    if repivot_tol is None:
-        repivot_tol = REPIVOT_TOL
     new_modes = []
     zs = []
     for i, (mb, x1) in enumerate(zip(point.modes, tangent.modes)):
@@ -364,17 +358,17 @@ def geodesic(point, tangent, t=1.0, *, repivot_tol=None):
 def transport_point(point, h):
     """Representative of the coset g h: reduce the columns of g h per mode.
 
-    The first k columns of g h are G1 h11 + E h21, where E holds the
-    identity completion's unit entries, so h21's rows add into the ambient
-    rows perm[k:] and no n x n factor is formed.
+    In the frame, the first k columns of g h are g1 h11 plus h21 on the rows
+    k.., where the identity completion has its unit entries, so no n x n
+    factor is formed.
     """
     cols = []
     for mb, hi in zip(point.modes, getattr(h, "factors", h)):
         k = mb.k
         hi = np.asarray(hi, dtype=float)
-        c = mb.leading_columns() @ hi[:k, :k]
-        c[mb.perm[k:]] += hi[k:, :k]
-        cols.append(c)
+        c = mb.g1 @ hi[:k, :k]
+        c[k:] += hi[k:, :k]
+        cols.append(mb.ambient(c))
     return point_from_columns(point.shape, cols)
 
 

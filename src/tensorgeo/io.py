@@ -44,23 +44,19 @@ class _Lines:
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self, expect=None):
+    def next(self, expect):
+        """Text after ``expect:`` on the next non-blank, non-comment line."""
         while self.pos < len(self.lines):
-            raw = self.lines[self.pos]
+            line = self.lines[self.pos].strip()
             self.pos += 1
-            line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if expect is not None:
-                if not line.startswith(expect + ":"):
-                    raise FormatError(f"expected '{expect}:', found '{line}'",
-                                      self.pos)
-                return line[len(expect) + 1:].strip()
-            return line
-        if expect is not None:
-            raise FormatError(f"expected '{expect}:', found end of file",
-                              len(self.lines))
-        return None
+            if not line.startswith(expect + ":"):
+                raise FormatError(f"expected '{expect}:', found '{line}'",
+                                  self.pos)
+            return line[len(expect) + 1:].strip()
+        raise FormatError(f"expected '{expect}:', found end of file",
+                          len(self.lines))
 
     def parse(self, expect, kind):
         """The tokens of an ``expect:`` line: a float array, or a list of
@@ -142,8 +138,8 @@ def _mode_header(lines, i, k):
 
 def _block(lines, name):
     """A named matrix section such as ``g11:`` followed by its document."""
-    if lines.next() != name + ":":
-        raise FormatError(f"expected '{name}:'", lines.pos)
+    if lines.next(name):
+        raise FormatError(f"unexpected text after '{name}:'", lines.pos)
     return _parse_tensor(lines)
 
 

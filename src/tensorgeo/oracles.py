@@ -138,9 +138,7 @@ def mpmath_columns(point, tangent, t=1.0):
             w = mpmath.mpf(t) * mpmath.matrix(x1.tolist()) \
                 * (g1.T * g1) ** -1 * g1.T
             step = mpmath.expm(w - w.T) * mpmath.expm(w.T) * g1
-            cols = np.empty((mb.n, mb.k))
-            cols[mb.perm] = np.array(step.tolist(), dtype=float)
-            out.append(cols)
+            out.append(mb.ambient(np.array(step.tolist(), dtype=float)))
     return out
 
 

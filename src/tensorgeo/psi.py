@@ -37,8 +37,8 @@ reduction plans the stack, as it does psi1's.  The table [I, x^2, x^4, x^6]
 costs three batched products; one contraction with a (4, 4) coefficient
 matrix gives 2U_hi, V_hi, 2U_lo and V_lo, where U = x (x^6 U_hi + U_lo) and
 V = x^6 V_hi + V_lo, so two more products give 2U and V.  The correction
-d = r(x) - 1 = (V - U)^-1 (2U) is one LAPACK ``dgesv`` per matrix, the
-routine ``np.linalg.solve`` calls, without its wrapper's cost.  The z
+d = r(x) - 1 = (V - U)^-1 (2U) is one LAPACK ``dgesv`` per matrix,
+``dense.lu_solve``, without ``np.linalg.solve``'s wrapper cost.  The z
 squarings mexp(2x) = mexp(x)^2 run in correction form, d <- d (d + 2): one
 product and one add a level, under the same "raise" error state as psi1's
 chain.  The identity never enters a rounding, so a small argument's
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import identity, lapack
+from .dense import identity, lu_solve
 
 # degree (6,6) Pade denominator of psi1, low order first
 PSI1_PADE_DEN = np.array([1.0, -6.0 / 13, 5.0 / 52, -5.0 / 429, 1.0 / 1144,
@@ -259,13 +259,9 @@ def mexpm1(m):
     u2 = x @ hi[0]
     den = hi[1]
     den -= 0.5 * u2
-    gesv = lapack().dgesv
     d = np.empty((b, k, k))
     for i in range(b):
-        # LAPACK's LU solve, the routine np.linalg.solve calls
-        _, _, d[i], info = gesv(den[i], u2[i])
-        if info > 0:
-            raise np.linalg.LinAlgError("Singular matrix")
+        d[i] = lu_solve(den[i], u2[i])
     two = 2.0 * identity(k)
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -67,6 +67,16 @@ def test_verify_takes_no_tolerance_scale(capsys):
     assert "unrecognized arguments: --tol inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["gl", "tucker", "tt"])
+def test_verify_suite_passes_every_check(suite):
+    code, out = run_cli("verify", suite, "--seed", "0")
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    (entry,) = report["suites"]
+    assert entry["suite"] == suite and entry["checks"]
+    assert all(c["passed"] for c in entry["checks"]), entry["checks"]
+
+
 def test_verify_deterministic_given_seed():
     _, out1 = run_cli("verify", "cp", "--seed", "7")
     _, out2 = run_cli("verify", "cp", "--seed", "7")
@@ -106,6 +116,29 @@ def test_bench_csv_header():
     assert not any(row.startswith("cp_dense,120,") for row in lines[1:])
 
 
+def test_bench_json_rows_carry_the_csv_fields():
+    argv = ("bench", "--manifold", "tt", "--rank", "3", "--sizes", "40",
+            "60", "--trials", "5", "--oracle-cap", "40", "--seed", "3")
+    code, text = run_cli(*argv)
+    assert code == 0
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["command"], payload["header"]) == ("bench", CSV_HEADER)
+    fields = CSV_HEADER.split(",")
+    rows = payload["rows"]
+    assert [list(row) for row in rows] == [fields] * 3
+    assert [(row["manifold"], row["n"]) for row in rows] \
+        == [("tt", 40), ("tt", 60), ("tt_dense", 40)]
+    # every field but the wall time is the CSV's
+    timed = fields.index("time_median_s")
+    for row, line in zip(rows, text.splitlines()[1:], strict=True):
+        assert row["time_median_s"] > 0.0
+        csv = line.split(",")
+        del csv[timed]
+        assert [str(row[f]) for f in fields if f != "time_median_s"] == csv
+
+
 def test_bench_rows_carry_the_itemized_exponent():
     # the Gram step plans its own z; the z and flops_model columns keep the
     # published itemization's, whose exponent the velocity cores' norms set
@@ -142,6 +175,53 @@ def test_geodesic_roundtrip_and_errors(tmp_path):
     missing = tmp_path / "nope.txt"
     code, _ = run_cli("geodesic", str(missing), str(tf))
     assert code == 2
+
+
+def test_geodesic_prints_the_document_it_would_write(tmp_path):
+    rng = np.random.default_rng(4)
+    p = cp_random_point(CpShape((5, 4, 4), 2), rng)
+    pf, tf, of = (tmp_path / n for n in ("p.txt", "x.txt", "o.txt"))
+    tio.save_point(pf, p)
+    tio.save_tangent(tf, p, cp_random_horizontal(p, rng))
+    code, printed = run_cli("geodesic", str(pf), str(tf), "-t", "0.5")
+    assert code == 0
+    assert run_cli("geodesic", str(pf), str(tf), "-t", "0.5",
+                   "--out", str(of)) == (0, "")
+    assert printed == of.read_text()
+    for a, b in zip(tio.load_point(printed).modes, tio.read_point(of).modes,
+                    strict=True):
+        assert np.array_equal(a.perm, b.perm)
+        assert np.array_equal(a.g1, b.g1)
+
+
+@pytest.mark.parametrize("case", ["point-directory", "point-not-utf8",
+                                  "tangent-not-utf8", "geodesic-out",
+                                  "verify-out"])
+def test_a_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys,
+                                                       case):
+    rng = np.random.default_rng(5)
+    p = cp_random_point(CpShape((5, 4, 4), 2), rng)
+    pf, tf = tmp_path / "p.txt", tmp_path / "x.txt"
+    tio.save_point(pf, p)
+    tio.save_tangent(tf, p, cp_random_horizontal(p, rng))
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"manifold: cp\n\xff\xfe\n")
+    missing = tmp_path / "missing" / "q.txt"
+    verb, path, argv = {
+        "point-directory": ("read", tmp_path, ["geodesic", tmp_path, tf]),
+        "point-not-utf8": ("read", binary, ["geodesic", binary, tf]),
+        "tangent-not-utf8": ("read", binary, ["geodesic", pf, binary]),
+        "geodesic-out": ("write", missing,
+                         ["geodesic", pf, tf, "--out", missing]),
+        "verify-out": ("write", missing,
+                       ["verify", "psi", "--out", missing]),
+    }[case]
+    code, out = run_cli(*map(str, argv))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot {verb} {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("old, new, cause", [

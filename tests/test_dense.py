@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 import tensorgeo
-from tensorgeo.dense import (DEFAULT_RANK_TOL, identity, mode_apply,
-                             is_permutation, mode_product, multilinear_rank,
-                             refold, select_submatrix, tt_rank, unfold)
+from tensorgeo.dense import (DEFAULT_RANK_TOL, identity, lu_solve,
+                             mode_apply, is_permutation, mode_product,
+                             multilinear_rank, refold, select_submatrix,
+                             tt_rank, unfold)
 from tensorgeo.group import GroupElement
 from tensorgeo.oracles import select_submatrix_reference
 
@@ -379,3 +380,13 @@ def test_perm_helpers():
     p1 = rng.permutation(6)
     assert is_permutation(p1)
     assert not is_permutation([0, 2, 2]) and not is_permutation([[0, 1]])
+
+
+def test_lu_solve_reports_a_singular_matrix_as_numpy_does():
+    # the one LAPACK LU solve: the step's k x k phase and mexpm1's Pade
+    # quotient call it, and a zero pivot raises numpy's text
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((5, 5)), rng.standard_normal((5, 3))
+    assert np.abs(a @ lu_solve(a, b) - b).max() <= 1e-12
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        lu_solve(np.zeros((3, 3)), np.eye(3))

@@ -422,9 +422,12 @@ def test_g11_gate_runs_on_a_block_the_selection_accepted():
 
 
 def test_velocity_cores_report_a_singular_gram_as_numpy_does():
-    for cores in (group._velocity_cores, group._phase_stack):
+    # both bases solve M = G1^T G1 by dense.lu_solve, numpy's text and all
+    zero = np.zeros((3, 2))
+    for cores in (lambda: group._phase_stack(np.zeros((4, 4)), 1.0),
+                  lambda: group._ambient_stack(zero, zero, 1.0)):
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-            cores(np.zeros((4, 4)), 1.0)
+            cores()
 
 
 def test_block_views_write_through():
@@ -552,6 +555,30 @@ def test_step_reports_a_non_finite_stack_by_its_norm():
         lowrank_geodesic_step(mb, x1, 1.0)
 
 
+@pytest.mark.parametrize("n, k", [(50, 4), (30, 5), (200, 16)])
+def test_a_step_it_cannot_prove_finite_repivots_exactly(n, k):
+    # scaled by 2^500, tr(H) ||C||_F^2 reaches 2^1000, so the step cannot
+    # prove its output finite without a pass over it: the keep test gets
+    # norm_sq = inf and the step re-pivots.  Every operation then scales
+    # exactly by a power of two, so the step is 2^500 times the unscaled
+    # step's forced re-pivot, bit for bit.
+    rng = np.random.default_rng(3)
+    mb = _random_blocks(rng, n, k)
+    x1 = _random_tangent(rng, mb)
+    s = 2.0 ** 500
+    big = ModeBlocks(mb.perm, s * mb.g11, s * mb.g21)
+    with mock.patch.object(group, "_keeps_frame",
+                           wraps=group._keeps_frame) as keep:
+        stepped, z = lowrank_geodesic_step(big, s * x1, 0.7)
+    (_, norm_sq, _), _ = keep.call_args
+    assert norm_sq == math.inf
+    with _forced_repivot():
+        ref, z_ref = lowrank_geodesic_step(mb, x1, 0.7)
+    assert z == z_ref
+    assert np.array_equal(stepped.perm, ref.perm)
+    assert np.array_equal(stepped.g1, s * ref.g1)
+
+
 @pytest.mark.parametrize("t, cause", [
     (300.0, "rank-deficient input: no acceptable pivot"),
     (1e5, "mexp overflows its squaring chain at z = 16"),
@@ -614,8 +641,8 @@ def _time_at_norm(point, tangent, target):
 def test_gram_step_matches_itemized_step(case, seed, e):
     # the largest mode's norms reach 1.5 * 2^e, mid-way between two
     # exponents, so the itemized z = e + 3 there: from 0 (t is at least
-    # 0.01) to 12.  The velocity norms, which set that z, match the itemized
-    # factors' too.  Each form runs under the plan of its own arguments'
+    # 0.01) to 12.  The velocity norms, which set that z, are the itemized
+    # factors' own, bit for bit.  Each form runs under the plan of its own arguments'
     # largest norm: the step's under that of the stack it built, in the
     # smaller of its two bases.  Wherever the step succeeds, the itemized
     # update's columns, scattered to the ambient rows, agree with its own.
@@ -628,9 +655,8 @@ def test_gram_step_matches_itemized_step(case, seed, e):
         a, b = t * x1, _coupling(mb)
         ba = b @ a
         bpap = _bpap(a, b, ba)
-        norms = np.linalg.norm(ba), np.linalg.norm(bpap)
-        assert np.allclose(mode_velocity_norms(mb, x1, t), norms,
-                           rtol=1e-12, atol=0.0)
+        assert mode_velocity_norms(mb, x1, t) == (max_norm(ba),
+                                                  max_norm(bpap))
         try:
             with mock.patch.object(group, "mexpm1",
                                    wraps=group.mexpm1) as kernel:
@@ -638,8 +664,7 @@ def test_gram_step_matches_itemized_step(case, seed, e):
         except ValueError:
             continue
         g1, z_item = itemized_step(mb, x1, t, FlopLedger())
-        item = np.empty_like(g1)
-        item[mb.perm] = g1
+        item = mb.ambient(g1)
         (stack,), _ = kernel.call_args
         assert stack.shape[1] == min(mb.n, 2 * mb.k)
         assert z == _step_plan(stack)

@@ -155,3 +155,24 @@ def test_tangent_sections_checked_against_the_point(old, new, match):
     assert old in text
     with pytest.raises(tio.FormatError, match=match):
         tio.load_tangent(text.replace(old, new, 1), p)
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("g11:\n", "g11: 3\n", r"^unexpected text after 'g11:' \(line 7\)$"),
+    ("g21:\n", "g21:x\n", r"^unexpected text after 'g21:' \(line 10\)$"),
+    ("g11:\n", "g12:\n", r"^expected 'g11:', found 'g12:' \(line 7\)$"),
+    ("g11:\n", "  g11:  \n# note\n", None),
+], ids=["text", "no-space", "name", "blanks"])
+def test_block_headers_are_read_as_name_and_colon_alone(old, new, match):
+    # a block header is its name and a colon; blanks around it and comment
+    # lines after it are skipped as everywhere else
+    rng = np.random.default_rng(9)
+    p = cp_random_point(CpShape((5, 4, 4), 2), rng)
+    text = tio.dump_point(p)
+    assert old in text
+    if match is None:
+        q = tio.load_point(text.replace(old, new, 1))
+        assert np.array_equal(q.modes[0].g1, p.modes[0].g1)
+        return
+    with pytest.raises(tio.FormatError, match=match):
+        tio.load_point(text.replace(old, new, 1))

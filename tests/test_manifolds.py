@@ -7,6 +7,7 @@ keeps the cases it was checked on.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from fractions import Fraction
 
@@ -232,13 +233,18 @@ def test_dense_duplicates_are_gone():
 
 # names no caller needed, each deleted: two one-caller psi1 helpers, now
 # inlined, an unread coefficient row, the permutation inverse that a row
-# scatter replaces, the two trusted ModeBlocks constructors merged into
-# one, and the unread element dims
+# scatter replaces, the Gram-form copy of the velocity cores that the
+# itemized update's own B'A' replaces, the LU solve that dense.lu_solve
+# replaces, the two trusted ModeBlocks constructors merged into one, the
+# unread element dims, and the audit's time, which no caller set and at
+# which alone the pinned exponents hold
 UNREACHED_HELPERS = {"psi": ("_entry_norm", "_check_finite", "PSI1_PADE_NUM"),
-                     "dense": ("perm_inverse",)}
+                     "dense": ("perm_inverse",),
+                     "group": ("_velocity_cores", "_lu_solve")}
 UNREACHED_ATTRIBUTES = {"ModeBlocks": ("_kept", "_from_selection"),
                         "GroupElement": ("dims",),
                         "AlgebraElement": ("dims",)}
+UNREACHED_PARAMETERS = {("audit", "audit_geodesic"): ("t",)}
 
 
 def test_unreached_helpers_are_gone():
@@ -246,7 +252,7 @@ def test_unreached_helpers_are_gone():
         importlib.import_module(f"tensorgeo.{info.name}")
         for info in pkgutil.iter_modules(tensorgeo.__path__)]
     names = [name for group in UNREACHED_HELPERS.values() for name in group]
-    assert len(names) == 4
+    assert len(names) == 6
     for name in names:
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
@@ -255,6 +261,15 @@ def test_unreached_helpers_are_gone():
         cls = getattr(tensorgeo.group, cls)
         for attr in attrs:
             assert not hasattr(cls, attr), (cls.__name__, attr)
+    assert sum(map(len, UNREACHED_PARAMETERS.values())) == 1
+    for (module, func), params in UNREACHED_PARAMETERS.items():
+        func = getattr(importlib.import_module(f"tensorgeo.{module}"), func)
+        for param in params:
+            assert param not in inspect.signature(func).parameters, \
+                (func.__name__, param)
+    # the production re-pivot gate is the geodesic's default itself
+    default = inspect.signature(hq.geodesic).parameters["repivot_tol"].default
+    assert default is tensorgeo.group.REPIVOT_TOL
 
 
 def test_the_tangent_wrapper_is_gone():
